@@ -120,12 +120,13 @@ inline bool FusableTail(Opcode op) {
 
 #define TL_LOAD_BODY(W)                                                       \
   const uint32_t addr = rs1() + static_cast<uint32_t>(insn.imm);              \
-  if (((W) == 1 || (addr & 3) == 0) && WindowCovers(read_window_, addr, (W))) { \
+  if (((W) == 1 || (addr & 3) == 0) &&                                        \
+      FindDataWindow(read_windows_, addr, (W), ip_)) {                        \
+    const DataWindow& dw = read_windows_[0];                                  \
     ++stats_.data_window_hits;                                                \
-    regs_[insn.rd] =                                                          \
-        (W) == 4 ? LoadWordLe(read_window_.ro + (addr - read_window_.lo))     \
-                 : read_window_.ro[addr - read_window_.lo];                   \
-    out.cycles = c.memory + read_window_.wait_states;                         \
+    regs_[insn.rd] = (W) == 4 ? LoadWordLe(dw.ro + (addr - dw.lo))            \
+                              : dw.ro[addr - dw.lo];                          \
+    out.cycles = c.memory + dw.wait_states;                                   \
   } else {                                                                    \
     uint32_t value = 0;                                                       \
     uint32_t wait = 0;                                                        \
@@ -138,7 +139,7 @@ inline bool FusableTail(Opcode op) {
       regs_[insn.rd] = value;                                                 \
       out.cycles = c.memory + wait;                                           \
       if (data_window_enabled_) {                                             \
-        TryBuildDataWindow(/*is_write=*/false, addr);                         \
+        TryBuildDataWindow(/*is_write=*/false, addr, ip_);                    \
       }                                                                       \
     }                                                                         \
   }
@@ -146,9 +147,10 @@ inline bool FusableTail(Opcode op) {
 #define TL_STORE_BODY(W)                                                      \
   const uint32_t addr = rs1() + static_cast<uint32_t>(insn.imm);              \
   if (((W) == 1 || (addr & 3) == 0) &&                                        \
-      WindowCovers(write_window_, addr, (W))) {                               \
+      FindDataWindow(write_windows_, addr, (W), ip_)) {                       \
+    const DataWindow& dw = write_windows_[0];                                 \
     ++stats_.data_window_hits;                                                \
-    uint8_t* p = write_window_.rw + (addr - write_window_.lo);                \
+    uint8_t* p = dw.rw + (addr - dw.lo);                                      \
     if ((W) == 4) {                                                           \
       StoreWordLe(p, regs_[insn.rd]);                                         \
     } else {                                                                  \
@@ -157,7 +159,7 @@ inline bool FusableTail(Opcode op) {
     /* The store bypassed Bus::Write: bump the memory generation so the    */ \
     /* decode and fusion caches revalidate, exactly as a bus store would.  */ \
     bus_->NoteHostMutation();                                                 \
-    out.cycles = c.memory + write_window_.wait_states;                        \
+    out.cycles = c.memory + dw.wait_states;                                   \
   } else {                                                                    \
     uint32_t wait = 0;                                                        \
     const AccessResult r = bus_->Write(DataContext(AccessKind::kWrite),       \
@@ -168,7 +170,7 @@ inline bool FusableTail(Opcode op) {
     } else {                                                                  \
       out.cycles = c.memory + wait;                                           \
       if (data_window_enabled_) {                                             \
-        TryBuildDataWindow(/*is_write=*/true, addr);                          \
+        TryBuildDataWindow(/*is_write=*/true, addr, ip_);                     \
       }                                                                       \
     }                                                                         \
   }
@@ -333,23 +335,47 @@ bool Cpu::PendingIrq(Device** source) const {
 
 bool Cpu::SaveTrustletState(int region_index, uint32_t resume_ip,
                             uint32_t subject_ip) {
-  // All writes are attributed to the interrupted trustlet: the engine reuses
-  // the trustlet's own store path, so a bogus stack pointer faults exactly
-  // like a trustlet store would (paper footnote 1).
-  AccessContext ctx = DataContext(AccessKind::kWrite);
-  ctx.curr_ip = subject_ip;
   uint32_t sp = regs_[kRegSp];
-  auto push = [&](uint32_t value) {
-    sp -= 4;
-    return bus_->Write(ctx, sp, 4, value) == AccessResult::kOk;
-  };
-  if (!push(flags_) || !push(resume_ip) || !push(regs_[15]) ||
-      !push(regs_[kRegLr])) {
-    return false;
-  }
-  for (int i = 12; i >= 0; --i) {
-    if (!push(regs_[i])) {
+  if (data_window_enabled_ && (sp & 3) == 0 && sp >= kTrustletFrameBytes &&
+      FindDataWindow(write_windows_, sp - kTrustletFrameBytes,
+                     kTrustletFrameBytes, subject_ip)) {
+    // The window proves all 17 stores by the subject would pass, so the
+    // frame (layout in cpu.h) goes straight to host memory. The entry cost
+    // comes from the cycle model, not from bus wait states, so it cannot
+    // differ from the per-word path below.
+    sp -= kTrustletFrameBytes;
+    uint8_t* frame = write_windows_[0].rw + (sp - write_windows_[0].lo);
+    for (int i = 0; i <= 12; ++i) {
+      StoreWordLe(frame + 4 * i, regs_[i]);
+    }
+    StoreWordLe(frame + 52, regs_[kRegLr]);
+    StoreWordLe(frame + 56, regs_[15]);
+    StoreWordLe(frame + 60, resume_ip);
+    StoreWordLe(frame + 64, flags_);
+    bus_->NoteHostMutation();
+  } else {
+    // All writes are attributed to the interrupted trustlet: the engine
+    // reuses the trustlet's own store path, so a bogus stack pointer faults
+    // exactly like a trustlet store would (paper footnote 1).
+    AccessContext ctx = DataContext(AccessKind::kWrite);
+    ctx.curr_ip = subject_ip;
+    auto push = [&](uint32_t value) {
+      sp -= 4;
+      return bus_->Write(ctx, sp, 4, value) == AccessResult::kOk;
+    };
+    if (!push(flags_) || !push(resume_ip) || !push(regs_[15]) ||
+        !push(regs_[kRegLr])) {
       return false;
+    }
+    for (int i = 12; i >= 0; --i) {
+      if (!push(regs_[i])) {
+        return false;
+      }
+    }
+    // Trustlets rarely store to their own stack, so leave a window over the
+    // frame for the subject: its next entry can take the branch above.
+    if (data_window_enabled_) {
+      TryBuildDataWindow(/*is_write=*/true, sp, subject_ip);
     }
   }
   // Store the saved SP into the Trustlet Table row via the engine port.
@@ -725,7 +751,8 @@ StepEvent Cpu::StepOnce() {
   // (self-modifying code, loader) can never replay a stale decode; the
   // generation check additionally re-stamps entries after memory writes.
   const uint64_t mem_gen = bus_->memory_generation();
-  DecodeEntry& cached = decode_cache_[(ip_ >> 2) & (kDecodeCacheSize - 1)];
+  DecodeEntry& cached =
+      decode_cache_[CodeCacheIndex(ip_, kDecodeCacheSize - 1)];
   const Instruction* insn = nullptr;
   if (config_.decode_cache && cached.valid && cached.addr == ip_ &&
       cached.word == word) {
@@ -815,7 +842,8 @@ StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
     }
 
     const uint64_t mem_gen = bus_->memory_generation();
-    DecodeEntry& cached = decode_cache_[(ip_ >> 2) & (kDecodeCacheSize - 1)];
+    DecodeEntry& cached =
+        decode_cache_[CodeCacheIndex(ip_, kDecodeCacheSize - 1)];
     const Instruction* insn_ptr = nullptr;
     if (config_.decode_cache && cached.valid && cached.addr == ip_ &&
         cached.word == word) {
@@ -845,7 +873,8 @@ StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
     // MpuCheckEvents (tail fetch checks are precomputed, so the per-check
     // event stream would under-report).
     if (config_.fusion && config_.decode_cache && !fusion_suppressed_) {
-      FusionEntry& fe = fusion_cache_[(ip_ >> 2) & (kFusionCacheSize - 1)];
+      FusionEntry& fe =
+          fusion_cache_[CodeCacheIndex(ip_, kFusionCacheSize - 1)];
       const bool user_now = (flags_ & kFlagUser) != 0;
       bool run_group = false;
       if (fe.valid && fe.head_addr == ip_ && fe.ops[0].word == word &&
@@ -1037,10 +1066,20 @@ void Cpu::BuildFusionGroup(FusionEntry& entry, uint32_t head_ip,
   }
 }
 
-void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr) {
+bool Cpu::PromoteDataWindow(DataWindow* set, uint32_t addr, uint32_t width,
+                            uint32_t subject_ip) {
+  for (int i = 1; i < kDataWindowWays; ++i) {
+    if (WindowCovers(set[i], addr, width, subject_ip)) {
+      std::rotate(set, set + i, set + i + 1);
+      return true;
+    }
+  }
+  return false;
+}
+
+void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
+                             uint32_t subject_ip) {
   ++stats_.data_window_misses;
-  DataWindow& dw = is_write ? write_window_ : read_window_;
-  dw = DataWindow{};
   // Windows precompute EA-MPU data decisions; a foreign protection unit
   // (SMART/Sancus overlay) has no advisory query, so every access keeps its
   // real Check() — same rule as the fusion builder.
@@ -1062,8 +1101,8 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr) {
   if (prot != nullptr) {
     uint32_t mpu_lo = 0;
     uint64_t mpu_hi = 0;
-    if (!mpu_->DataWindowFor(ip_, (flags_ & kFlagUser) == 0, is_write, addr,
-                             &mpu_lo, &mpu_hi, &subj_lo, &subj_hi)) {
+    if (!mpu_->DataWindowFor(subject_ip, (flags_ & kFlagUser) == 0, is_write,
+                             addr, &mpu_lo, &mpu_hi, &subj_lo, &subj_hi)) {
       return;  // Denied or too tangled: the full path decides every access.
     }
     lo = std::max(lo, mpu_lo);
@@ -1072,6 +1111,9 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr) {
   if (addr < lo || addr >= hi) {
     return;
   }
+  DataWindow* set = is_write ? write_windows_ : read_windows_;
+  std::move_backward(set, set + kDataWindowWays - 1, set + kDataWindowWays);
+  DataWindow& dw = set[0];
   dw.lo = lo;
   dw.len = static_cast<uint32_t>(hi - lo);  // <= device size, fits.
   dw.subj_lo = subj_lo;
@@ -1257,8 +1299,7 @@ void Cpu::RestoreArchState(const ArchState& state) {
   // Data windows map addresses, not contents, so a rewrite alone cannot
   // stale them — but a restore may also land in a different subject/mode
   // context; dropping them is free and removes the reasoning burden.
-  read_window_ = DataWindow{};
-  write_window_ = DataWindow{};
+  ClearDataWindows();
 }
 
 }  // namespace trustlite

@@ -64,6 +64,9 @@ namespace trustlite {
 inline constexpr uint32_t kFlagIf = 1u << 0;    // Interrupts enabled.
 inline constexpr uint32_t kFlagUser = 1u << 1;  // User mode (compat MPU).
 
+// Size of the secure engine's frame on the trustlet stack (layout above).
+inline constexpr uint32_t kTrustletFrameBytes = 68;
+
 // Error-code fields pushed by the exception engine.
 inline constexpr uint32_t kErrorFromTrustlet = 1u << 31;
 inline constexpr uint32_t kErrorClassMask = 0xFF;
@@ -199,8 +202,7 @@ class Cpu {
     fusion_suppressed_ = suppressed;
     data_window_enabled_ = config_.fast_dispatch && !suppressed;
     if (suppressed) {
-      read_window_ = DataWindow{};
-      write_window_ = DataWindow{};
+      ClearDataWindows();
     }
   }
 
@@ -322,6 +324,11 @@ class Cpu {
 
   // Secure-engine helper: full state save to the trustlet stack. Returns
   // false if a save access faulted (trustlet is terminated per footnote 1).
+  // When one write window of the interrupted subject covers the whole
+  // 68-byte frame, the frame is stored straight to host memory: the window
+  // already proves every one of the 17 per-word Checks would pass. Any
+  // other frame takes the per-word bus path, which is also the reference
+  // when data windows are off.
   bool SaveTrustletState(int region_index, uint32_t resume_ip,
                          uint32_t subject_ip);
 
@@ -373,6 +380,16 @@ class Cpu {
   };
   static constexpr uint32_t kFusionCacheSize = 512;  // Power of two.
 
+  // Set index shared by the decode and fusion caches (`mask` = size - 1).
+  // Trustlet code regions start on 4 KiB boundaries (FW at 0x11000, the
+  // attestation trustlet at 0x15000, nanOS at 0x20000), so the plain word
+  // index (ip >> 2) puts the hot entry code of every region in the same
+  // sets and the trustlet-to-OS yield round trip evicts itself on every
+  // pass. Adding a per-page offset staggers consecutive pages by 331 sets.
+  static uint32_t CodeCacheIndex(uint32_t ip, uint32_t mask) {
+    return ((ip >> 2) + (ip >> 12) * 331) & mask;
+  }
+
   // Builds (or tombstones) the fusion entry for the instruction at
   // `head_ip`, already fetched as `head_word` and decoded as `head`.
   void BuildFusionGroup(FusionEntry& entry, uint32_t head_ip,
@@ -397,6 +414,13 @@ class Cpu {
   // generation must match the build. Window stores go straight to host
   // memory, so they bump the bus memory generation themselves (the decode
   // and fusion caches revalidate through it). len == 0 means invalid.
+  //
+  // Reads and writes each keep a set of kDataWindowWays windows ordered
+  // most-recently-used first: a trustlet's continue() alone reads its code,
+  // its Trustlet Table slot and its stack, three disjoint windows. Lookup
+  // scans from the front and moves a hit there; a new window is inserted at
+  // the front and drops the least-recently-used way. An access that cannot
+  // be windowed (MMIO such as a UART poll) leaves the set untouched.
   struct DataWindow {
     uint32_t lo = 0;
     uint32_t len = 0;
@@ -409,17 +433,36 @@ class Cpu {
     uint64_t topology_generation = 0;
     bool user_mode = false;
   };
-  bool WindowCovers(const DataWindow& w, uint32_t addr, uint32_t width) const {
+  static constexpr int kDataWindowWays = 8;
+  bool WindowCovers(const DataWindow& w, uint32_t addr, uint32_t width,
+                    uint32_t subject_ip) const {
     return width <= w.len && addr - w.lo <= w.len - width &&
-           ip_ >= w.subj_lo && ip_ < w.subj_hi &&
+           subject_ip >= w.subj_lo && subject_ip < w.subj_hi &&
            w.user_mode == ((flags_ & kFlagUser) != 0) &&
            w.mpu_generation == CurrentMpuGeneration() &&
            w.topology_generation == bus_->topology_generation();
   }
-  // Rebuilds the read or write window around `addr` after a successful
-  // full-path access (no-op when ineligible: window disabled, foreign
-  // protection unit, non-memory target, denied or untangled coverage).
-  void TryBuildDataWindow(bool is_write, uint32_t addr);
+  // True when a way of `set` covers [addr, addr+width) for an access by
+  // `subject_ip`; that way is then set[0].
+  bool FindDataWindow(DataWindow* set, uint32_t addr, uint32_t width,
+                      uint32_t subject_ip) {
+    return WindowCovers(set[0], addr, width, subject_ip) ||
+           PromoteDataWindow(set, addr, width, subject_ip);
+  }
+  // FindDataWindow's scan of ways 1.., moving a hit to the front.
+  bool PromoteDataWindow(DataWindow* set, uint32_t addr, uint32_t width,
+                         uint32_t subject_ip);
+  // Inserts the window around `addr` for accesses by `subject_ip` at the
+  // front of the read or write set after a successful full-path access
+  // (no-op when ineligible: foreign protection unit, non-memory target,
+  // denied or tangled coverage). Callers check data_window_enabled_.
+  void TryBuildDataWindow(bool is_write, uint32_t addr, uint32_t subject_ip);
+  void ClearDataWindows() {
+    for (int i = 0; i < kDataWindowWays; ++i) {
+      read_windows_[i] = DataWindow{};
+      write_windows_[i] = DataWindow{};
+    }
+  }
 
   Bus* bus_;
   SysCtl* sysctl_;
@@ -449,8 +492,8 @@ class Cpu {
   std::vector<FusionEntry> fusion_cache_;
   bool fusion_suppressed_ = false;
   bool data_window_enabled_ = false;
-  DataWindow read_window_;
-  DataWindow write_window_;
+  DataWindow read_windows_[kDataWindowWays];   // Most recently used first.
+  DataWindow write_windows_[kDataWindowWays];  // Most recently used first.
 };
 
 }  // namespace trustlite

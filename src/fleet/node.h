@@ -82,9 +82,11 @@ class FleetNode {
   Sha256Digest StateDigest() const;
 
  private:
-  // Captures UartTxEvents (cycle-stamped by the platform hub).
+  // Captures UartTxEvents (cycle-stamped by the platform hub). Consumes no
+  // IrqRaiseEvents, so it leaves the node's device ticks lazy.
   class TxCapture : public EventSink {
    public:
+    bool WantsIrqRaiseEvents() const override { return false; }
     void OnUartTx(const UartTxEvent& event) override {
       last_cycle_ = event.cycle;
       payload_.push_back(static_cast<char>(event.byte));

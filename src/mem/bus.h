@@ -149,15 +149,17 @@ class Bus {
   // so per-instruction ticks can be deferred and applied in one batch right
   // before anything can observe device state: an access routed to a
   // non-memory device, an IRQ-pending poll, or the run loop returning to
-  // the caller. Enabled only while no event sink is attached (the hub
-  // stamps IrqRaiseEvents with the emission-time cycle, so deferral would
-  // shift trace timestamps); disabling flushes any accumulated debt.
+  // the caller. Enabled only while no attached event sink consumes
+  // IrqRaiseEvents (EventSink::WantsIrqRaiseEvents: the hub stamps them with
+  // the emission-time cycle, so deferral would shift their timestamps);
+  // disabling flushes any accumulated debt.
   void SetLazyTicks(bool enabled) {
     if (!enabled) {
       FlushTicks();
     }
     lazy_ticks_ = enabled;
   }
+  bool lazy_ticks() const { return lazy_ticks_; }
   void FlushTicks() {
     if (tick_debt_ != 0) {
       const uint64_t debt = tick_debt_;

@@ -136,7 +136,7 @@ struct ResetEvent {
   uint64_t cycle = 0;
 };
 
-// Listener interface. Every handler is a no-op by default; the two Wants*
+// Listener interface. Every handler is a no-op by default; the Wants*
 // predicates gate the high-frequency classes: a component's per-instruction
 // (or per-check) pointer stays null unless some attached sink asks, so the
 // hot path is untouched by sinks that only care about rare events.
@@ -147,6 +147,13 @@ class EventSink {
   // Static interest flags, sampled when the sink is (de)attached.
   virtual bool WantsInstructionEvents() const { return false; }
   virtual bool WantsMpuCheckEvents() const { return false; }
+  // IrqRaiseEvents are the only events raised inside a device tick, so
+  // their cycle stamps are exact only while the bus ticks devices after
+  // every instruction. The platform keeps ticks lazy (bus.h) unless an
+  // attached sink answers true here; a sink that answers false receives no
+  // IrqRaiseEvents at all. Opt-out, so sinks that never thought about it
+  // keep exact stamps.
+  virtual bool WantsIrqRaiseEvents() const { return true; }
 
   virtual void OnInstruction(const InsnEvent&) {}
   virtual void OnTrap(const TrapEvent&) {}

@@ -39,6 +39,15 @@ bool EventHub::AnyWantsMpuCheckEvents() const {
   return false;
 }
 
+bool EventHub::AnyWantsIrqRaiseEvents() const {
+  for (const EventSink* sink : sinks_) {
+    if (sink->WantsIrqRaiseEvents()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 uint64_t EventHub::Cycle() const { return cpu_ != nullptr ? cpu_->cycles() : 0; }
 
 uint32_t EventHub::Ip() const { return cpu_ != nullptr ? cpu_->ip() : 0; }
@@ -94,7 +103,9 @@ void EventHub::OnIrqRaise(const IrqRaiseEvent& event) {
   IrqRaiseEvent stamped = event;
   stamped.cycle = Cycle();
   for (EventSink* sink : sinks_) {
-    sink->OnIrqRaise(stamped);
+    if (sink->WantsIrqRaiseEvents()) {
+      sink->OnIrqRaise(stamped);
+    }
   }
 }
 

@@ -31,15 +31,17 @@ class EventHub final : public EventSink {
   void Remove(EventSink* sink);
   bool empty() const { return sinks_.empty(); }
 
-  // True when any registered sink asks for the high-frequency class.
+  // True when any registered sink asks for the event class.
   bool AnyWantsInstructionEvents() const;
   bool AnyWantsMpuCheckEvents() const;
+  bool AnyWantsIrqRaiseEvents() const;
 
   // --- EventSink (components call these through their EventSink*) ---
   bool WantsInstructionEvents() const override {
     return AnyWantsInstructionEvents();
   }
   bool WantsMpuCheckEvents() const override { return AnyWantsMpuCheckEvents(); }
+  bool WantsIrqRaiseEvents() const override { return AnyWantsIrqRaiseEvents(); }
   void OnInstruction(const InsnEvent& event) override;
   void OnTrap(const TrapEvent& event) override;
   void OnHalt(const HaltEvent& event) override;

@@ -57,8 +57,9 @@ Platform::Platform(const PlatformConfig& config) : config_(config) {
     bus_.SetProtectionUnit(mpu_.get());
   }
   bus_.SetRouteMemo(config.fast_path);
-  // Lazy ticking is legal only while no event sink is attached (see bus.h);
-  // the hub starts empty, and RewireEventSinks re-evaluates on every change.
+  // Lazy ticking is legal only while no attached sink consumes IrqRaiseEvents
+  // (see bus.h); the hub starts empty, and RewireEventSinks re-evaluates on
+  // every change.
   bus_.SetLazyTicks(config.fast_path);
 
   CpuConfig cpu_config;
@@ -142,9 +143,13 @@ void Platform::RewireEventSinks() {
   // per-fetch MpuCheckEvent consumer; fall back to unfused dispatch while
   // one is attached.
   cpu_->SetFusionSuppressed(sink != nullptr && hub_.AnyWantsMpuCheckEvents());
-  // The hub stamps IrqRaiseEvents at emission time, so deferring device
-  // ticks would skew trace timestamps; eager ticking while any sink is on.
-  bus_.SetLazyTicks(config_.fast_path && sink == nullptr);
+  // IrqRaiseEvents are raised inside device ticks and the hub stamps them
+  // at emission time, so deferred ticks would skew their stamps: tick
+  // eagerly while an attached sink consumes them. No other event depends on
+  // when ticks land (UART TX bytes are stamped from the CPU cycle counter),
+  // so a fleet node's TX capture keeps the lazy path.
+  bus_.SetLazyTicks(config_.fast_path &&
+                    !(sink != nullptr && hub_.AnyWantsIrqRaiseEvents()));
   bus_.SetEventSink(sink);
   uart_->SetEventSink(sink);
   timer_->SetEventSink(sink);

@@ -140,8 +140,8 @@ class Platform {
   // component's event pointer. With no sinks registered the pointers are
   // null and the simulation fast path is untouched. Sinks are not owned;
   // remove a sink before destroying it. Interest flags
-  // (WantsInstructionEvents / WantsMpuCheckEvents) are sampled here — re-add
-  // a sink if they change.
+  // (WantsInstructionEvents / WantsMpuCheckEvents / WantsIrqRaiseEvents) are
+  // sampled here — re-add a sink if they change.
   void AddEventSink(EventSink* sink);
   void RemoveEventSink(EventSink* sink);
 

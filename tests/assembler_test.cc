@@ -263,6 +263,11 @@ struct ErrorCase {
   const char* substring;
 };
 
+// Prints the case by name. Without this gtest dumps the raw struct bytes,
+// i.e. the run-time addresses of the strings, into the listed test names,
+// which then change from one run of the binary to the next.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class AssemblerErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(AssemblerErrorTest, ReportsError) {

@@ -9,6 +9,11 @@
 // The MPU is programmed directly (no Secure Loader) so each scenario
 // controls the exact region/rule layout.
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/cpu/cpu.h"
@@ -46,61 +51,68 @@ class ExceptionTest : public ::testing::Test {
     return config;
   }
 
-  void SetRegion(int index, uint32_t base, uint32_t end, uint32_t attr,
-                 uint32_t sp_slot = 0) {
+  static void SetRegion(Platform& p, int index, uint32_t base, uint32_t end,
+                        uint32_t attr, uint32_t sp_slot = 0) {
     const uint32_t reg = kMpuMmioBase + kMpuRegionBank +
                          static_cast<uint32_t>(index) * kMpuRegionStride;
-    ASSERT_TRUE(platform_.bus().HostWriteWord(reg + 0, base));
-    ASSERT_TRUE(platform_.bus().HostWriteWord(reg + 4, end));
-    ASSERT_TRUE(platform_.bus().HostWriteWord(reg + 8, attr));
-    ASSERT_TRUE(platform_.bus().HostWriteWord(reg + 12, sp_slot));
+    ASSERT_TRUE(p.bus().HostWriteWord(reg + 0, base));
+    ASSERT_TRUE(p.bus().HostWriteWord(reg + 4, end));
+    ASSERT_TRUE(p.bus().HostWriteWord(reg + 8, attr));
+    ASSERT_TRUE(p.bus().HostWriteWord(reg + 12, sp_slot));
   }
 
-  void SetRule(int index, uint32_t subject, uint32_t object, bool r, bool w,
-               bool x) {
-    ASSERT_TRUE(platform_.bus().HostWriteWord(
+  static void SetRule(Platform& p, int index, uint32_t subject,
+                      uint32_t object, bool r, bool w, bool x) {
+    ASSERT_TRUE(p.bus().HostWriteWord(
         kMpuMmioBase + kMpuRuleBank + static_cast<uint32_t>(index) * 4,
         EncodeMpuRule(subject, object, r, w, x)));
   }
 
   // Standard layout: trustlet code/data regions + OS code region (attr OS),
   // self rules, entry rule, OS rules.
-  void ProgramStandardMpu() {
-    SetRegion(kRegionTlCode, kTlCode, kTlCodeEnd,
+  static void ProgramStandardMpu(Platform& p) {
+    SetRegion(p, kRegionTlCode, kTlCode, kTlCodeEnd,
               kMpuAttrEnable | kMpuAttrCode, kTlSpSlot);
-    SetRegion(kRegionTlData, kTlData, kTlDataEnd, kMpuAttrEnable);
-    SetRegion(kRegionOsCode, kOsCode, kOsCodeEnd,
+    SetRegion(p, kRegionTlData, kTlData, kTlDataEnd, kMpuAttrEnable);
+    SetRegion(p, kRegionOsCode, kOsCode, kOsCodeEnd,
               kMpuAttrEnable | kMpuAttrCode | kMpuAttrOs, kOsSpSlot);
-    SetRule(0, kRegionTlCode, kRegionTlCode, true, false, true);
-    SetRule(1, kRegionTlCode, kRegionTlData, true, true, false);
-    SetRule(2, kMpuSubjectAny, kRegionTlCode, false, false, true);  // entry
-    SetRule(3, kRegionOsCode, kRegionOsCode, true, false, true);
+    SetRule(p, 0, kRegionTlCode, kRegionTlCode, true, false, true);
+    SetRule(p, 1, kRegionTlCode, kRegionTlData, true, true, false);
+    SetRule(p, 2, kMpuSubjectAny, kRegionTlCode, false, false, true);  // entry
+    SetRule(p, 3, kRegionOsCode, kRegionOsCode, true, false, true);
     // SPOS lives in the Trustlet-Table slot; the engine reads it through its
     // private port, software never needs to.
-    ASSERT_TRUE(platform_.bus().HostWriteWord(kOsSpSlot, kOsStackTop));
-    ASSERT_TRUE(platform_.bus().HostWriteWord(
-        kMpuMmioBase + kMpuRegCtrl, kMpuCtrlEnable));
+    ASSERT_TRUE(p.bus().HostWriteWord(kOsSpSlot, kOsStackTop));
+    ASSERT_TRUE(
+        p.bus().HostWriteWord(kMpuMmioBase + kMpuRegCtrl, kMpuCtrlEnable));
   }
+  void ProgramStandardMpu() { ProgramStandardMpu(platform_); }
 
   // Loads `source` (absolute .org directives inside) into SRAM.
-  void LoadGuest(const std::string& source) {
+  static void LoadGuest(Platform& p, const std::string& source,
+                        std::map<std::string, uint32_t>* symbols) {
     Result<AsmOutput> out = Assemble(source);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     for (const AsmChunk& chunk : out->chunks) {
-      ASSERT_TRUE(platform_.bus().HostWriteBytes(chunk.base, chunk.bytes));
+      ASSERT_TRUE(p.bus().HostWriteBytes(chunk.base, chunk.bytes));
     }
-    symbols_ = out->symbols;
+    *symbols = out->symbols;
+  }
+  void LoadGuest(const std::string& source) {
+    LoadGuest(platform_, source, &symbols_);
   }
 
-  uint32_t Word(uint32_t addr) {
+  static uint32_t Word(Platform& p, uint32_t addr) {
     uint32_t value = 0;
-    EXPECT_TRUE(platform_.bus().HostReadWord(addr, &value)) << addr;
+    EXPECT_TRUE(p.bus().HostReadWord(addr, &value)) << addr;
     return value;
   }
+  uint32_t Word(uint32_t addr) { return Word(platform_, addr); }
 
   // The trustlet program: entry vector + dispatch + continue() restore +
   // main loop that sets recognizable register values.
-  static std::string TrustletSource(uint32_t stack_init = kTlDataEnd) {
+  static std::string TrustletSource(uint32_t stack_init = kTlDataEnd,
+                                    uint32_t counter_addr = kCountAddr) {
     std::string src;
     src += ".org 0x11000\n";
     src += R"(
@@ -116,7 +128,8 @@ tl_main:
     movi r1, 0
     li   r2, 0xAAAA
     li   r3, 0x5555
-    li   r4, 0x16100
+    li   r4, )";
+    src += std::to_string(counter_addr) + R"(
 loop:
     addi r1, r1, 1
     stw  r1, [r4]
@@ -193,6 +206,35 @@ constexpr const char* kRecordingIsr = R"(
     stw r6, [r4 + 24]
     stw r12, [r4 + 28]
     stw lr, [r4 + 32]
+    halt
+)";
+
+// Continuing ISR: records the count at the first interrupt, re-arms the
+// one-shot timer and resumes the trustlet via its entry vector with r0 = 0
+// (continue()); records the count again at the second interrupt and halts.
+constexpr const char* kContinueIsr = R"(
+    li  r4, 0x16000
+    ldw r5, [r4 + 48]      ; resume counter (test scratch)
+    addi r5, r5, 1
+    stw r5, [r4 + 48]
+    movi r6, 2
+    beq r5, r6, isr_done   ; second interrupt: stop
+    li  r7, 0x16100
+    ldw r7, [r7]
+    stw r7, [r4 + 52]      ; count at first interrupt
+    ; re-arm the one-shot timer for a second preemption
+    li  r1, 0xF0002000
+    movi r2, 200
+    stw r2, [r1 + 4]
+    movi r2, 3
+    stw r2, [r1 + 0]
+    movi r0, 0             ; continue()
+    li   r3, 0x11000
+    jr   r3
+isr_done:
+    li  r7, 0x16100
+    ldw r7, [r7]
+    stw r7, [r4 + 56]      ; count at second interrupt
     halt
 )";
 
@@ -319,33 +361,7 @@ app_isr:
 TEST_F(ExceptionTest, ContinueResumesInterruptedTrustlet) {
   ProgramStandardMpu();
   LoadGuest(TrustletSource());
-  // ISR: record the count at interrupt, then resume the trustlet via its
-  // entry vector with r0 = 0 (continue()).
-  LoadGuest(OsSource(R"(
-    li  r4, 0x16000
-    ldw r5, [r4 + 48]      ; resume counter (test scratch)
-    addi r5, r5, 1
-    stw r5, [r4 + 48]
-    movi r6, 2
-    beq r5, r6, isr_done   ; second interrupt: stop
-    li  r7, 0x16100
-    ldw r7, [r7]
-    stw r7, [r4 + 52]      ; count at first interrupt
-    ; re-arm the one-shot timer for a second preemption
-    li  r1, 0xF0002000
-    movi r2, 200
-    stw r2, [r1 + 4]
-    movi r2, 3
-    stw r2, [r1 + 0]
-    movi r0, 0             ; continue()
-    li   r3, 0x11000
-    jr   r3
-isr_done:
-    li  r7, 0x16100
-    ldw r7, [r7]
-    stw r7, [r4 + 56]      ; count at second interrupt
-    halt
-)"));
+  LoadGuest(OsSource(kContinueIsr));
   platform_.cpu().Reset(kOsCode);
   platform_.cpu().set_reg(kRegSp, kOsStackTop);
   platform_.Run(200000);
@@ -495,6 +511,248 @@ TEST_F(ExceptionTest, IsrCannotReadTrustletSavedState) {
   ASSERT_TRUE(platform_.cpu().trap().valid);
   EXPECT_EQ(platform_.cpu().trap().exception_class, kExcMpuFault);
   EXPECT_EQ(Word(kObsBase + 0), 0u);  // The stolen value was never stored.
+}
+
+
+// ---------------------------------------------------------------------------
+// Window-backed state save. When one write window of the interrupted
+// trustlet covers its whole 68-byte frame, the engine stores the frame
+// straight to host memory instead of pushing 17 words through the bus. Every
+// scenario runs on a fast-path platform and on a fast_path=false reference
+// (no windows, per-word path only) and must end in identical state.
+
+// Counts the EA-MPU checks each secure-engine entry performs: the delta
+// between the last retire before the entry and the entry's TrapEvent.
+class EntryCheckProbe : public EventSink {
+ public:
+  explicit EntryCheckProbe(const EaMpu* mpu) : mpu_(mpu) {}
+  bool WantsInstructionEvents() const override { return true; }
+  void OnInstruction(const InsnEvent&) override {
+    checks_before_ = mpu_->stats().checks;
+  }
+  void OnTrap(const TrapEvent& event) override {
+    if (event.trustlet_path) {
+      entry_checks.push_back(mpu_->stats().checks - checks_before_);
+    }
+  }
+  std::vector<uint64_t> entry_checks;
+
+ private:
+  const EaMpu* mpu_;
+  uint64_t checks_before_ = 0;
+};
+
+class FrameSaveTest : public ExceptionTest {
+ protected:
+  // The trustlet's loop counter lives in its own data region, so its first
+  // store leaves a write window over the region before the timer fires.
+  static constexpr uint32_t kTlCounter = kTlData + 0x80;
+
+  FrameSaveTest() : reference_(MakeReferenceConfig()) {}
+
+  static PlatformConfig MakeReferenceConfig() {
+    PlatformConfig config = MakeConfig();
+    config.fast_path = false;
+    return config;
+  }
+
+  // Two regions no rule grants access to, right below and right above the
+  // trustlet's data region.
+  static void AddGuardRegions(Platform& p) {
+    SetRegion(p, 3, kTlData - 0x100, kTlData, kMpuAttrEnable);
+    SetRegion(p, 4, kTlDataEnd, kTlDataEnd + 0x100, kMpuAttrEnable);
+  }
+
+  // Trustlet B, with code and data of its own, which trustlet A may not
+  // write.
+  static constexpr uint32_t kTlBCode = 0x0001'7000;
+  static constexpr uint32_t kTlBData = 0x0001'8000;
+  static void AddTrustletB(Platform& p) {
+    SetRegion(p, 3, kTlBCode, kTlBCode + 0x100, kMpuAttrEnable | kMpuAttrCode,
+              kTlSpSlot + 8);
+    SetRegion(p, 4, kTlBData, kTlBData + 0x100, kMpuAttrEnable);
+    SetRule(p, 4, 3, 3, true, false, true);
+    SetRule(p, 5, 3, 4, true, true, false);
+    SetRule(p, 6, kMpuSubjectAny, 3, false, false, true);
+  }
+
+  // Everything one run leaves behind that the two platforms must agree on.
+  struct Outcome {
+    uint64_t cycles = 0;
+    uint32_t entry_cycles = 0;
+    uint64_t trustlet_interrupts = 0;
+    uint32_t tt_slot = 0;
+    std::vector<uint8_t> frame;    // [frame_top - 68, frame_top).
+    uint32_t fault_latch[3] = {};  // EA-MPU FAULT_IP / _ADDR / _INFO.
+    uint32_t isr_error = 0;
+    uint32_t isr_reported_ip = 0;
+    std::vector<uint64_t> entry_checks;
+  };
+
+  // Runs `guest` (trustlet and OS, absolute .org) from os_start on the
+  // standard layout plus `extra_mpu`. The ISR is also the MPU-fault handler
+  // (footnote 1).
+  Outcome RunScenario(Platform& p, const std::string& guest,
+                      uint32_t frame_top, void (*extra_mpu)(Platform&)) {
+    Outcome outcome;
+    ProgramStandardMpu(p);
+    if (extra_mpu != nullptr) {
+      extra_mpu(p);
+    }
+    std::map<std::string, uint32_t> symbols;
+    LoadGuest(p, guest, &symbols);
+    EXPECT_TRUE(p.bus().HostWriteWord(kSysCtlBase + kSysCtlRegHandlerBase,
+                                      symbols.at("os_isr")));
+    EntryCheckProbe probe(p.mpu());
+    p.AddEventSink(&probe);
+    p.cpu().Reset(symbols.at("os_start"));
+    p.cpu().set_reg(kRegSp, kOsStackTop);
+    p.Run(100000);
+    p.RemoveEventSink(&probe);
+    EXPECT_TRUE(p.cpu().halted());
+    EXPECT_FALSE(p.cpu().trap().valid) << p.cpu().trap().reason;
+
+    outcome.cycles = p.cpu().cycles();
+    outcome.entry_cycles = p.cpu().last_exception_entry_cycles();
+    outcome.trustlet_interrupts = p.cpu().stats().trustlet_interrupts;
+    outcome.tt_slot = Word(p, kTlSpSlot);
+    EXPECT_TRUE(p.bus().HostReadBytes(frame_top - kTrustletFrameBytes,
+                                      kTrustletFrameBytes, &outcome.frame));
+    for (int i = 0; i < 3; ++i) {
+      outcome.fault_latch[i] =
+          Word(p, kMpuMmioBase + kMpuRegFaultIp + 4 * static_cast<uint32_t>(i));
+    }
+    outcome.isr_error = Word(p, kObsBase + 12);
+    outcome.isr_reported_ip = Word(p, kObsBase + 16);
+    outcome.entry_checks = probe.entry_checks;
+    return outcome;
+  }
+
+  static void ExpectSameState(const Outcome& fast, const Outcome& ref) {
+    EXPECT_EQ(fast.cycles, ref.cycles);
+    EXPECT_EQ(fast.entry_cycles, 42u);
+    EXPECT_EQ(ref.entry_cycles, 42u);
+    EXPECT_EQ(fast.trustlet_interrupts, ref.trustlet_interrupts);
+    EXPECT_EQ(fast.tt_slot, ref.tt_slot);
+    EXPECT_EQ(fast.frame, ref.frame);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(fast.fault_latch[i], ref.fault_latch[i]) << "latch " << i;
+    }
+    EXPECT_EQ(fast.isr_error, ref.isr_error);
+    EXPECT_EQ(fast.isr_reported_ip, ref.isr_reported_ip);
+  }
+
+  // A stack pointer the per-word path cannot complete a frame at: the
+  // trustlet is terminated through the MPU-fault handler, on both paths
+  // identically, and the window path never engaged.
+  void ExpectTerminatedIdentically(uint32_t stack_init,
+                                   void (*extra_mpu)(Platform&) = nullptr) {
+    const std::string guest =
+        TrustletSource(stack_init, kTlCounter) + OsSource(kRecordingIsr);
+    const uint32_t top = std::max(stack_init, kTrustletFrameBytes);
+    const Outcome fast = RunScenario(platform_, guest, top, extra_mpu);
+    const Outcome ref = RunScenario(reference_, guest, top, extra_mpu);
+    ExpectSameState(fast, ref);
+    EXPECT_EQ(fast.trustlet_interrupts, 1u);
+    EXPECT_EQ(fast.isr_error, kExcMpuFault | kErrorFromTrustlet);
+    EXPECT_EQ(fast.isr_reported_ip, kTlCode);
+    EXPECT_EQ(fast.tt_slot, 0u);  // No SP was saved.
+    EXPECT_EQ(fast.entry_checks, ref.entry_checks);
+  }
+
+  Platform reference_;
+};
+
+TEST_F(FrameSaveTest, WindowedSaveMatchesPerWordSave) {
+  const std::string guest =
+      TrustletSource(kTlDataEnd, kTlCounter) + OsSource(kRecordingIsr);
+  const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, nullptr);
+  const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, nullptr);
+  ExpectSameState(fast, ref);
+  EXPECT_EQ(fast.trustlet_interrupts, 1u);
+  EXPECT_EQ(fast.tt_slot, kTlDataEnd - kTrustletFrameBytes);
+  EXPECT_EQ(fast.isr_error, kExcIrqBase | kErrorFromTrustlet);
+  EXPECT_EQ(fast.fault_latch[2], 0u);  // No fault anywhere.
+  // The window path skipped exactly the 17 per-word stack checks; the two
+  // OS-stack pushes are checked on both.
+  EXPECT_EQ(fast.entry_checks, std::vector<uint64_t>{2});
+  EXPECT_EQ(ref.entry_checks, std::vector<uint64_t>{19});
+}
+
+TEST_F(FrameSaveTest, PerWordSaveLeavesWindowForTheNextEntry) {
+  // The trustlet never stores to its stack, so its first entry takes the
+  // per-word path; the window that save leaves behind serves the second
+  // entry, after continue() resumed the trustlet.
+  const std::string guest = TrustletSource() + OsSource(kContinueIsr);
+  const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, nullptr);
+  const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, nullptr);
+  ExpectSameState(fast, ref);
+  EXPECT_EQ(fast.trustlet_interrupts, 2u);
+  EXPECT_EQ(Word(platform_, kObsBase + 52), Word(reference_, kObsBase + 52));
+  EXPECT_EQ(Word(platform_, kObsBase + 56), Word(reference_, kObsBase + 56));
+  EXPECT_EQ(fast.entry_checks, (std::vector<uint64_t>{19, 2}));
+  EXPECT_EQ(ref.entry_checks, (std::vector<uint64_t>{19, 19}));
+}
+
+TEST_F(FrameSaveTest, FrameStraddlingTopOfDataRegionTerminates) {
+  ExpectTerminatedIdentically(kTlDataEnd + 8, AddGuardRegions);
+}
+
+TEST_F(FrameSaveTest, FrameStraddlingBaseOfDataRegionTerminates) {
+  // Two words land inside the region before the push below it faults.
+  ExpectTerminatedIdentically(kTlData + 8, AddGuardRegions);
+}
+
+TEST_F(FrameSaveTest, StackInUnwritableMemoryTerminates) {
+  ExpectTerminatedIdentically(kOsCode + 0x100);
+}
+
+TEST_F(FrameSaveTest, StackBelowFrameSizeTerminates) {
+  ExpectTerminatedIdentically(kTrustletFrameBytes - 4);
+}
+
+TEST_F(FrameSaveTest, MisalignedStackTerminates) {
+  ExpectTerminatedIdentically(kTlDataEnd - 2);
+}
+
+TEST_F(FrameSaveTest, FetchFaultSaveIsCheckedAgainstTheJumper) {
+  // B stores to its data (leaving a write window for subject B) and enters
+  // A, which points SP into B's data and jumps into the middle of B. The
+  // fetch fault's subject is A's jump, while the IP is inside B: the engine
+  // must store the frame with A's authority, which faults and terminates A.
+  const std::string guest = R"(
+.org 0x13000
+os_start:
+    li   r3, 0x17000
+    jr   r3
+os_isr:
+)" + std::string(kRecordingIsr) + R"(
+.org 0x17000
+b_entry:
+    li   r1, 0x18000
+    stw  r1, [r1]
+    li   r3, 0x11000
+    jr   r3
+    nop
+    nop
+b_middle:
+    nop
+.org 0x11000
+a_entry:
+    li   sp, 0x18100
+    li   r3, 0x17018
+    jr   r3
+)";
+  const Outcome fast =
+      RunScenario(platform_, guest, kTlBData + 0x100, AddTrustletB);
+  const Outcome ref =
+      RunScenario(reference_, guest, kTlBData + 0x100, AddTrustletB);
+  ExpectSameState(fast, ref);
+  EXPECT_EQ(fast.trustlet_interrupts, 1u);
+  EXPECT_EQ(fast.isr_error, kExcMpuFault | kErrorFromTrustlet);
+  EXPECT_EQ(fast.isr_reported_ip, kTlCode);
+  EXPECT_EQ(fast.tt_slot, 0u);
+  EXPECT_EQ(fast.fault_latch[1], 0x17018u);  // The fetch fault latched first.
 }
 
 }  // namespace

@@ -14,10 +14,12 @@
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/link.h"
+#include "src/fleet/node.h"
 #include "src/fleet/pool.h"
 #include "src/fleet/provision.h"
 #include "src/isa/assembler.h"
 #include "src/mem/layout.h"
+#include "src/platform/observe/fleet_trace.h"
 #include "src/services/attestation.h"
 
 namespace trustlite {
@@ -446,6 +448,112 @@ TEST(FleetBatchingTest, HaltFlushesHeldBurst) {
   EXPECT_TRUE(fleet.AllHalted());
   EXPECT_EQ(fleet.node(0).pending_tx_bytes(), 0u);
   EXPECT_EQ(fleet.VerifierRx(0), "abcdefghijklmnopqrstuvwxyz");
+}
+
+// --- Device ticking under observation ------------------------------------
+
+// Timer at a 40-cycle auto-reload period, first left to expire several times
+// with interrupts masked (only a tick after every instruction stamps those
+// expiries at their own cycles), then taken as interrupts until the eighth.
+constexpr char kMaskedTimerGuest[] =
+    "start:\n"
+    "    li   r1, 0xF0002000\n"
+    "    movi r2, 40\n"
+    "    stw  r2, [r1 + 4]\n"
+    "    la   r2, isr\n"
+    "    stw  r2, [r1 + 12]\n"
+    "    movi r2, 7\n"
+    "    stw  r2, [r1 + 0]\n"
+    "    movi r3, 0\n"
+    "    movi r4, 100\n"
+    "masked:\n"
+    "    addi r3, r3, 1\n"
+    "    addi r5, r5, 3\n"
+    "    bne  r3, r4, masked\n"
+    "    sti\n"
+    "idle:\n"
+    "    jmp  idle\n"
+    "isr:\n"
+    "    addi r6, r6, 1\n"
+    "    movi r7, 8\n"
+    "    beq  r6, r7, done\n"
+    "    addi sp, sp, 4\n"
+    "    iret\n"
+    "done:\n"
+    "    halt\n";
+
+class IrqRaiseRecorder : public EventSink {
+ public:
+  void OnIrqRaise(const IrqRaiseEvent& event) override {
+    cycles.push_back(event.cycle);
+  }
+  std::vector<uint64_t> cycles;
+};
+
+struct TracedNodeRun {
+  bool lazy_before_trace = false;
+  bool lazy_with_trace = false;
+  std::vector<uint64_t> irq_cycles;
+  std::string trace_json;
+  Sha256Digest digest{};
+};
+
+// Runs the guest on one fleet node with a ChromeTraceWriter attached the way
+// `tlfleet --trace-json` attaches it, in fleet-sized quanta.
+TracedNodeRun RunTracedNode(bool fast_path) {
+  PlatformConfig config;
+  config.with_mpu = false;
+  config.fast_path = fast_path;
+  FleetNode node(0, /*fleet_seed=*/42, config);
+  Platform& platform = node.platform();
+  TracedNodeRun run;
+  run.lazy_before_trace = platform.bus().lazy_ticks();
+  Result<AsmOutput> out = Assemble(kMaskedTimerGuest, 0x0003'0000);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  for (const AsmChunk& chunk : out->chunks) {
+    EXPECT_TRUE(platform.bus().HostWriteBytes(chunk.base, chunk.bytes));
+  }
+  platform.cpu().Reset(out->symbols.at("start"));
+  platform.cpu().set_reg(kRegSp, 0x0004'0000);
+
+  FleetTraceAggregator aggregator;
+  ChromeTraceWriter* writer = aggregator.AddNode(0);
+  writer->AddLane("code", 0x0003'0000, 0x0003'1000);
+  IrqRaiseRecorder recorder;
+  platform.AddEventSink(writer);
+  platform.AddEventSink(&recorder);
+  run.lazy_with_trace = platform.bus().lazy_ticks();
+  for (uint64_t target = 500; target <= 20'000 && !platform.cpu().halted();
+       target += 500) {
+    node.RunQuantum(target);
+  }
+  EXPECT_TRUE(platform.cpu().halted());
+  run.irq_cycles = recorder.cycles;
+  run.trace_json = aggregator.Json();
+  run.digest = node.StateDigest();
+  platform.RemoveEventSink(&recorder);
+  platform.RemoveEventSink(writer);
+  return run;
+}
+
+TEST(FleetNodeTickTest, TraceWriterKeepsEagerTicksAndExactIrqStamps) {
+  const TracedNodeRun fast = RunTracedNode(/*fast_path=*/true);
+  // The node's own TX capture consumes no IrqRaiseEvents: ticks stay lazy
+  // until the trace writer, which does, is attached.
+  EXPECT_TRUE(fast.lazy_before_trace);
+  EXPECT_FALSE(fast.lazy_with_trace);
+  // The reference never ticks lazily; every stamp, the trace document and
+  // the node state must match it exactly.
+  const TracedNodeRun ref = RunTracedNode(/*fast_path=*/false);
+  EXPECT_FALSE(ref.lazy_before_trace);
+  EXPECT_EQ(fast.irq_cycles, ref.irq_cycles);
+  EXPECT_EQ(fast.trace_json, ref.trace_json);
+  EXPECT_EQ(fast.digest, ref.digest);
+  // Seven expiries while masked, one per 40 cycles, each at its own cycle.
+  ASSERT_GE(fast.irq_cycles.size(), 8u);
+  for (size_t i = 1; i < 7; ++i) {
+    EXPECT_EQ(fast.irq_cycles[i] - fast.irq_cycles[i - 1], 40u) << i;
+  }
 }
 
 // --- Fleet-wide remote attestation ---------------------------------------

@@ -14,7 +14,9 @@
 
 #include "src/isa/assembler.h"
 #include "src/isa/isa.h"
+#include "src/mem/layout.h"
 #include "src/platform/platform.h"
+#include "src/snapshot/snapshot.h"
 
 namespace trustlite {
 namespace {
@@ -27,6 +29,39 @@ void Install(Platform& platform, const std::string& source) {
   const std::vector<uint8_t> image = out->Flatten(&base);
   ASSERT_TRUE(platform.bus().HostWriteBytes(base, image));
   platform.cpu().Reset(out->symbols.at("start"));
+}
+
+// Programs EA-MPU region `index` / rule `index` through the MMIO banks.
+void SetMpuRegion(Platform& platform, int index, uint32_t base, uint32_t end,
+                  uint32_t attr) {
+  const uint32_t reg = kMpuMmioBase + kMpuRegionBank +
+                       static_cast<uint32_t>(index) * kMpuRegionStride;
+  ASSERT_TRUE(platform.bus().HostWriteWord(reg + 0, base));
+  ASSERT_TRUE(platform.bus().HostWriteWord(reg + 4, end));
+  ASSERT_TRUE(platform.bus().HostWriteWord(reg + 8, attr));
+}
+
+void SetMpuRule(Platform& platform, int index, uint32_t subject,
+                uint32_t object, bool r, bool w, bool x) {
+  ASSERT_TRUE(platform.bus().HostWriteWord(
+      kMpuMmioBase + kMpuRuleBank + static_cast<uint32_t>(index) * 4,
+      EncodeMpuRule(subject, object, r, w, x)));
+}
+
+void EnableMpu(Platform& platform) {
+  ASSERT_TRUE(platform.bus().HostWriteWord(kMpuMmioBase + kMpuRegCtrl,
+                                           kMpuCtrlEnable));
+}
+
+// Restarts the installed guest at `start` with r6 = `passes` (the loop
+// bound of the guests below) and runs it to HALT. Cpu::Reset keeps the
+// decode/fusion caches and the data windows, so a second call runs warm.
+void RunPasses(Platform& platform, uint32_t start, uint32_t passes) {
+  platform.cpu().Reset(start);
+  platform.cpu().set_reg(6, passes);
+  platform.Run(1'000'000);
+  ASSERT_TRUE(platform.cpu().halted());
+  ASSERT_FALSE(platform.cpu().trap().valid) << platform.cpu().trap().reason;
 }
 
 // ---------------------------------------------------------------------------
@@ -289,6 +324,202 @@ buf:
   const FastPathStats fp = platform.fast_path_stats();
   EXPECT_EQ(fp.data_window_hits, stats.data_window_hits);
   EXPECT_EQ(fp.data_window_misses, stats.data_window_misses);
+}
+
+// ---------------------------------------------------------------------------
+// Code-cache conflict cliff: trustlet code regions start on 4 KiB
+// boundaries, and a set index that drops the page number maps the entry
+// code of every region onto the same decode and fusion sets. Blocks placed
+// exactly 4 KiB apart, plus one on a 64 KiB boundary, jump round a ring;
+// once a warm-up has run the ring, further passes must hit every time.
+
+TEST(FusionTest, PageAlignedBlocksDoNotEvictEachOther) {
+  PlatformConfig config;
+  config.with_mpu = false;
+  Platform platform(config);
+  std::string source = R"(
+.org 0x30000
+start:
+    movi r5, 0
+ring:
+    addi r3, r3, 1
+    addi r3, r3, 2
+    addi r3, r3, 3
+    jmp  block_31
+back:
+    addi r5, r5, 1
+    bne  r5, r6, ring
+    halt
+)";
+  const char* const kBlocks[][2] = {{"0x31000", "block_31"},
+                                    {"0x32000", "block_32"},
+                                    {"0x33000", "block_33"},
+                                    {"0x40000", "block_40"}};
+  for (int i = 0; i < 4; ++i) {
+    source += std::string(".org ") + kBlocks[i][0] + "\n" + kBlocks[i][1] +
+              ":\n    addi r4, r4, 1\n    addi r4, r4, 2\n"
+              "    addi r4, r4, 3\n    jmp  " +
+              (i < 3 ? kBlocks[i + 1][1] : "back") + "\n";
+  }
+  Install(platform, source);
+  const uint32_t start = 0x30000;
+  // Two passes reach every group head once (the second enters at `ring`).
+  RunPasses(platform, start, 2);
+  const CpuStats warm = platform.cpu().stats();
+  EXPECT_GT(warm.fusion_groups, 0u);
+
+  RunPasses(platform, start, 32);
+  const CpuStats& stats = platform.cpu().stats();
+  EXPECT_EQ(platform.cpu().reg(5), 32u);
+  EXPECT_GT(stats.fusion_groups, warm.fusion_groups);
+  EXPECT_EQ(stats.decode_misses, warm.decode_misses);
+  EXPECT_EQ(stats.fusion_builds, warm.fusion_builds);
+}
+
+// ---------------------------------------------------------------------------
+// Data-window set. A trustlet resuming through continue() reads its own
+// code (the Trustlet Table slot address), its Trustlet Table row and its
+// stack: three disjoint windows, interleaved here with UART status polls
+// that can never be windowed. After warm-up every RAM load must hit; the
+// only misses left are the polls.
+
+TEST(FusionTest, WindowSetHoldsContinueWorkingSetAcrossUartPolls) {
+  Platform platform{PlatformConfig{}};
+  SetMpuRegion(platform, 0, 0x11000, 0x11100, kMpuAttrEnable | kMpuAttrCode);
+  SetMpuRegion(platform, 1, 0x12000, 0x12100, kMpuAttrEnable);  // Stack.
+  SetMpuRegion(platform, 2, 0x15000, 0x15100, kMpuAttrEnable);  // TT row.
+  SetMpuRule(platform, 0, 0, 0, true, false, true);
+  SetMpuRule(platform, 1, 0, 1, true, true, false);
+  SetMpuRule(platform, 2, 0, 2, true, false, false);
+  EnableMpu(platform);
+  Install(platform, R"(
+.org 0x11000
+start:
+    la   r10, tt_slot_addr
+    li   r11, 0x15000
+    li   sp, 0x120BC
+    li   r12, 0xF0003000
+    movi r5, 0
+loop:
+    ldw  r1, [r10]
+    ldw  r4, [r12 + 4]
+    ldw  r2, [r11]
+    ldw  r4, [r12 + 4]
+    ldw  r3, [sp + 60]
+    ldw  r4, [r12 + 4]
+    addi r5, r5, 1
+    bne  r5, r6, loop
+    halt
+tt_slot_addr:
+    .word 0x15000
+)");
+  const uint32_t start = 0x11000;
+  RunPasses(platform, start, 1);
+  const CpuStats warm = platform.cpu().stats();
+
+  constexpr uint32_t kPasses = 16;
+  RunPasses(platform, start, kPasses);
+  const CpuStats& stats = platform.cpu().stats();
+  EXPECT_EQ(platform.cpu().reg(1), 0x15000u);
+  EXPECT_EQ(stats.data_window_hits - warm.data_window_hits, 3 * kPasses);
+  EXPECT_EQ(stats.data_window_misses - warm.data_window_misses,
+            3 * kPasses);  // The UART polls.
+}
+
+// A trustlet storing round three data regions keeps one write window per
+// region. Each invalidation below must reach every way, not just the most
+// recently used one.
+class WindowInvalidationTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kStart = 0x11000;
+  static constexpr uint32_t kData[3] = {0x12000, 0x13000, 0x14000};
+
+  WindowInvalidationTest() : platform_(PlatformConfig{}) {
+    SetMpuRegion(platform_, 0, 0x11000, 0x11100,
+                 kMpuAttrEnable | kMpuAttrCode);
+    SetMpuRule(platform_, 0, 0, 0, true, false, true);
+    for (int i = 0; i < 3; ++i) {
+      SetMpuRegion(platform_, i + 1, kData[i], kData[i] + 0x100,
+                   kMpuAttrEnable);
+      SetMpuRule(platform_, i + 1, 0, static_cast<uint32_t>(i + 1), true,
+                 true, false);
+    }
+    EnableMpu(platform_);
+    Install(platform_, R"(
+.org 0x11000
+start:
+    li   r1, 0x12000
+    li   r2, 0x13000
+    li   r3, 0x14000
+    movi r5, 0
+loop:
+    stw  r5, [r1]
+    stw  r5, [r2]
+    stw  r5, [r3]
+    addi r5, r5, 1
+    bne  r5, r6, loop
+    halt
+)");
+    // Warm all three ways, then prove they hold: a second run misses none.
+    RunPasses(platform_, kStart, 2);
+    const uint64_t misses = platform_.cpu().stats().data_window_misses;
+    RunPasses(platform_, kStart, 4);
+    EXPECT_EQ(platform_.cpu().stats().data_window_misses, misses);
+  }
+
+  Platform platform_;
+};
+
+TEST_F(WindowInvalidationTest, RevokedWritePermissionFaultsInEveryWay) {
+  // Region 1 was stored first in each pass, so its window sits behind the
+  // other two. Revoke the trustlet's write permission on it.
+  SetMpuRule(platform_, 1, 0, 1, true, false, false);
+  platform_.cpu().Reset(kStart);
+  platform_.cpu().set_reg(6, 4);
+  platform_.Run(1'000'000);
+  ASSERT_TRUE(platform_.cpu().halted());
+  ASSERT_TRUE(platform_.cpu().trap().valid);
+  EXPECT_EQ(platform_.cpu().trap().exception_class, kExcMpuFault);
+  EXPECT_EQ(platform_.cpu().trap().addr, kData[0]);
+  uint32_t fault_addr = 0;
+  ASSERT_TRUE(platform_.bus().HostReadWord(kMpuMmioBase + kMpuRegFaultAddr,
+                                           &fault_addr));
+  EXPECT_EQ(fault_addr, kData[0]);
+  uint32_t cell = 0;
+  ASSERT_TRUE(platform_.bus().HostReadWord(kData[0], &cell));
+  EXPECT_EQ(cell, 3u);  // The last value of the warm run, not overwritten.
+}
+
+// Records the addresses of the stores the EA-MPU checked.
+class WriteCheckRecorder : public EventSink {
+ public:
+  bool WantsMpuCheckEvents() const override { return true; }
+  void OnMpuCheck(const MpuCheckEvent& event) override {
+    if (event.kind == AccessKind::kWrite) {
+      addrs.push_back(event.addr);
+    }
+  }
+  std::vector<uint32_t> addrs;
+};
+
+TEST_F(WindowInvalidationTest, FusionSuppressionSendsEveryStoreThroughCheck) {
+  // Attaching a per-check consumer calls Cpu::SetFusionSuppressed(true).
+  WriteCheckRecorder recorder;
+  platform_.AddEventSink(&recorder);
+  RunPasses(platform_, kStart, 1);
+  platform_.RemoveEventSink(&recorder);
+  EXPECT_EQ(recorder.addrs,
+            (std::vector<uint32_t>{kData[0], kData[1], kData[2]}));
+}
+
+TEST_F(WindowInvalidationTest, SnapshotRestoreSendsEveryStoreThroughCheck) {
+  Result<std::vector<uint8_t>> snapshot = SavePlatform(platform_);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_TRUE(RestorePlatform(&platform_, *snapshot).ok());
+  const uint64_t misses = platform_.cpu().stats().data_window_misses;
+  RunPasses(platform_, kStart, 1);
+  // Each store took the full bus path (Check included) and rebuilt its way.
+  EXPECT_EQ(platform_.cpu().stats().data_window_misses - misses, 3u);
 }
 
 }  // namespace
