@@ -76,12 +76,9 @@ void BM_InterpreterWithMpu(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterWithMpu);
 
-// Dispatch ladder (DESIGN.md §15), middle rung: same workload and MPU
-// layout with superinstruction fusion switched off, isolating the fusion
-// layer's contribution on top of threaded dispatch + decode cache. The top
-// rung is BM_InterpreterWithMpu above; the bottom (portable switch) rung is
-// the same binary rebuilt with -DTRUSTLITE_PORTABLE_DISPATCH=ON
-// (tools/ci_dispatch.sh builds that configuration).
+// Same workload and MPU layout as BM_InterpreterWithMpu above with
+// superinstruction fusion switched off, isolating the fusion layer's
+// contribution on top of the decode cache (DESIGN.md §15).
 void BM_InterpreterWithMpuNoFusion(benchmark::State& state) {
   PlatformConfig config;
   config.fusion = false;
@@ -290,12 +287,9 @@ void BM_Assembler(benchmark::State& state) {
 }
 BENCHMARK(BM_Assembler);
 
-// Host-side SHA-256 hot paths (attestation measurements, fleet digests,
-// snapshot state digests). Single-stream throughput of the resolved engine
-// (SHA-NI / NEON / scalar) and the batched API that fleet provisioning and
-// FleetDigest use — on hosts without hardware SHA the batch runs 4
-// lane-parallel streams, so the two rows bracket the dispatch ladder for
-// digests the same way the interpreter rows do for the CPU loop.
+// Host-side SHA-256 hot path (attestation measurements, fleet digests,
+// snapshot state digests): single-stream throughput of the resolved engine
+// (SHA-NI or scalar).
 void BM_HostSha256(benchmark::State& state) {
   std::vector<uint8_t> data(4096);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -310,26 +304,6 @@ void BM_HostSha256(benchmark::State& state) {
   state.SetLabel(Sha256EngineName());
 }
 BENCHMARK(BM_HostSha256);
-
-void BM_HostSha256Batch(benchmark::State& state) {
-  // 64 messages of the size of a small trustlet measurement region.
-  std::vector<std::vector<uint8_t>> msgs(64);
-  for (size_t m = 0; m < msgs.size(); ++m) {
-    msgs[m].resize(600);
-    for (size_t i = 0; i < msgs[m].size(); ++i) {
-      msgs[m][i] = static_cast<uint8_t>(m * 131 + i * 31 + 7);
-    }
-  }
-  int64_t bytes = 0;
-  for (auto _ : state) {
-    std::vector<Sha256Digest> digests = Sha256BatchHash(msgs);
-    benchmark::DoNotOptimize(digests);
-    bytes += static_cast<int64_t>(msgs.size() * msgs[0].size());
-  }
-  state.SetBytesProcessed(bytes);
-  state.SetLabel(Sha256EngineName());
-}
-BENCHMARK(BM_HostSha256Batch);
 
 }  // namespace
 }  // namespace trustlite

@@ -1,28 +1,17 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
 //
 // Interpreter core. The instruction semantics live in the TL_SEMANTICS
-// X-macro below, which is expanded twice: once into the portable switch
-// inside Execute() (used by Step(), the fused-group executor, and the
-// portable-dispatch build), and once into the computed-goto label bodies of
-// RunLoop() (token-threaded dispatch, GCC/Clang only). Both expansions share
-// the exact same token sequence per opcode, so the two dispatch strategies
-// cannot drift apart; the differential harness additionally verifies them
-// against each other (tests/differential_test.cc).
+// X-macro below, expanded once into the switch inside Execute(). Every
+// dispatch path goes through it: Step() (the fast_path=false reference),
+// RunLoop()'s single-instruction dispatch, and the fused-group executor, so
+// the fast paths differ from the reference only in how they fetch, decode
+// and check, never in what an opcode does; the differential harness
+// verifies the two lockstep (tests/differential_test.cc).
 
 #include "src/cpu/cpu.h"
 
 #include <algorithm>
 #include <cassert>
-
-// Dispatch strategy selection (DESIGN.md §15). TRUSTLITE_PORTABLE_DISPATCH
-// (CMake option of the same name) forces the portable switch even under
-// compilers that support the GNU computed-goto extension.
-#if !defined(TRUSTLITE_PORTABLE_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define TRUSTLITE_COMPUTED_GOTO 1
-#else
-#define TRUSTLITE_COMPUTED_GOTO 0
-#endif
 
 namespace trustlite {
 
@@ -101,12 +90,10 @@ inline bool FusableTail(Opcode op) {
 
 }  // namespace
 
-// Per-opcode semantics, single-sourced for both dispatch strategies. The
-// expansion context provides: `insn` (the decoded instruction), `out` (the
-// ExecOutcome being built, pre-initialized to {cycles = c.alu}), `c` (the
-// cycle model), and the `rs1()`/`rs2()` register readers. Bodies must not
-// contain a bare `break` (they expand into goto-label blocks as well as
-// switch cases); multi-way outcomes are expressed with if/else.
+// Per-opcode semantics, expanded into the switch in Execute(). The expansion
+// context provides: `insn` (the decoded instruction), `out` (the ExecOutcome
+// being built, pre-initialized to {cycles = c.alu}), `c` (the cycle model),
+// and the `rs1()`/`rs2()` register readers.
 #define TL_BRANCH_BODY(cond)                      \
   const uint32_t a = regs_[insn.rd];              \
   const uint32_t b = regs_[insn.rs1];             \
@@ -770,9 +757,6 @@ StepEvent Cpu::StepOnce() {
   }
 
   const uint32_t insn_addr = ip_;
-  if (trace_hook_) {
-    trace_hook_(insn_addr, *insn);
-  }
   return FinishExecute(Execute(*insn), insn_addr, word, cycles_before);
 }
 
@@ -927,66 +911,7 @@ StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
 
     // Single-instruction dispatch.
     const uint32_t insn_addr = ip_;
-    if (trace_hook_) {
-      trace_hook_(insn_addr, *insn_ptr);
-    }
-#if TRUSTLITE_COMPUTED_GOTO
-    {
-      // Token-threaded dispatch: one indirect jump straight into the opcode
-      // body, no switch bounds check, and the table lives in one function so
-      // the branch predictor sees per-opcode jump sites. The bodies are the
-      // same TL_SEMANTICS expansion the portable switch uses.
-      static const void* const kOps[64] = {
-          &&op_kNop,       &&op_kHalt,  &&op_kAdd,  &&op_kSub,  &&op_kAnd,
-          &&op_kOr,        &&op_kXor,   &&op_kShl,  &&op_kShr,  &&op_kSra,
-          &&op_kMul,       &&op_kSltu,  &&op_kSlt,  &&op_kAddi, &&op_kAndi,
-          &&op_kOri,       &&op_kXori,  &&op_kShli, &&op_kShri, &&op_kSrai,
-          &&op_kMovi,      &&op_kLui,   &&op_kLdw,  &&op_kLdb,  &&op_kStw,
-          &&op_kStb,       &&op_kBeq,   &&op_kBne,  &&op_kBlt,  &&op_kBge,
-          &&op_kBltu,      &&op_kBgeu,  &&op_kJmp,  &&op_kJal,  &&op_kJr,
-          &&op_kJalr,      &&op_kSwi,   &&op_kIret, &&op_kCli,  &&op_kSti,
-          &&op_bad,        &&op_bad,    &&op_bad,   &&op_bad,   &&op_bad,
-          &&op_bad,        &&op_bad,    &&op_bad,   &&op_kProtect,
-          &&op_kUnprotect, &&op_kAttest,
-          &&op_bad,        &&op_bad,    &&op_bad,   &&op_bad,   &&op_bad,
-          &&op_bad,        &&op_bad,    &&op_bad,   &&op_bad,   &&op_bad,
-          &&op_bad,        &&op_bad,    &&op_bad,
-      };
-      static_assert(static_cast<int>(Opcode::kSti) == 39,
-                    "dispatch table layout");
-      static_assert(static_cast<int>(Opcode::kProtect) == 48,
-                    "dispatch table layout");
-      static_assert(static_cast<int>(Opcode::kAttest) == 50,
-                    "dispatch table layout");
-
-      ExecOutcome out;
-      out.cycles = config_.cycles.alu;
-      const Instruction& insn = *insn_ptr;
-      const auto& c = config_.cycles;
-      auto rs1 = [&]() { return regs_[insn.rs1]; };
-      auto rs2 = [&]() { return regs_[insn.rs2]; };
-      goto* kOps[static_cast<uint8_t>(insn.opcode)];
-
-#define TL_GOTO_TARGET(name, ...) \
-  op_##name : {                   \
-    __VA_ARGS__                   \
-  }                               \
-  goto tl_retire;
-      TL_SEMANTICS(TL_GOTO_TARGET)
-#undef TL_GOTO_TARGET
-
-    op_bad:
-      // Decode() never produces these opcodes; kept as a hard backstop so a
-      // decoder bug cannot jump through a wild pointer.
-      out.fault_class = kExcIllegal;
-      out.fault_addr = ip_;
-
-    tl_retire:
-      event = FinishExecute(out, insn_addr, word, cycles_before);
-    }
-#else
     event = FinishExecute(Execute(*insn_ptr), insn_addr, word, cycles_before);
-#endif
     if (event == StepEvent::kHalted) {
       break;
     }
@@ -1188,9 +1113,6 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
       // A validated tail constituent executes from its cached decode — the
       // same reuse the decode cache counts as a hit in the Step path.
       ++stats_.decode_hits;
-    }
-    if (trace_hook_) {
-      trace_hook_(op.addr, op.insn);
     }
     const ExecOutcome out = Execute(op.insn);
     event = FinishExecute(out, op.addr, op.word, cycles_before);

@@ -112,11 +112,11 @@ struct CpuConfig {
   // Host-side switch for the decoded-instruction cache (differential
   // harness). Guest-visible behavior must be identical either way.
   bool decode_cache = true;
-  // Host-side switch for the threaded-dispatch run loop: Run()/
-  // RunUntilCycle() execute through Cpu::RunLoop (token-threaded dispatch,
-  // superinstruction fusion) instead of repeated Step() calls. Step() itself
-  // always takes the plain path, so the differential harness's lockstep
-  // reference is untouched. Guest-visible behavior must be identical.
+  // Host-side switch for the fast run loop: Run()/RunUntilCycle() execute
+  // through Cpu::RunLoop (superinstruction fusion, data-access windows)
+  // instead of repeated Step() calls. Step() itself always takes the plain
+  // path, so the differential harness's lockstep reference is untouched.
+  // Guest-visible behavior must be identical.
   bool fast_dispatch = true;
   // Host-side switch for superinstruction fusion over the decode cache
   // (pairs-and-quads of straight-line instructions retired from one fused
@@ -178,11 +178,6 @@ class Cpu {
   // Charges extra cycles (used by instruction hooks modelling hardware
   // engines, e.g. the Sancus MAC unit).
   void AddCycles(uint64_t cycles) { cycles_ += cycles; }
-
-  // Optional per-instruction trace hook, invoked before execution with the
-  // instruction's address and decoded form (debugger/CLI tooling).
-  using TraceHook = std::function<void(uint32_t ip, const Instruction&)>;
-  void SetTraceHook(TraceHook hook) { trace_hook_ = std::move(hook); }
 
   // Structured-event sink for the observability layer (normally the
   // Platform's EventHub; null = tracing off). `want_insn` gates the
@@ -301,7 +296,7 @@ class Cpu {
   StepEvent FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
                           uint32_t word, uint64_t cycles_before);
 
-  // Threaded-dispatch interpreter loop backing Run()/RunUntilCycle() when
+  // Fast interpreter loop backing Run()/RunUntilCycle() when
   // config_.fast_dispatch is set. `cycle_bound` selects the RunUntilCycle
   // contract (no instruction starts at or after target_cycle) over the
   // retired-instruction budget. Guest-visible behavior is identical to the
@@ -472,7 +467,6 @@ class Cpu {
   CpuConfig config_;
   SancusHook sancus_hook_;
   InterruptGuard interrupt_guard_;
-  TraceHook trace_hook_;
   std::vector<Device*> irq_sources_;
 
   uint32_t regs_[kNumRegisters] = {};

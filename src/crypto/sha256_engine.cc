@@ -2,17 +2,9 @@
 
 #include "src/crypto/sha256_engine.h"
 
-#include <algorithm>
-#include <cstring>
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TRUSTLITE_SHA_NI_BUILD 1
 #include <immintrin.h>
-#endif
-
-#if defined(__ARM_FEATURE_SHA2)
-#define TRUSTLITE_SHA_NEON_BUILD 1
-#include <arm_neon.h>
 #endif
 
 namespace trustlite {
@@ -38,13 +30,6 @@ inline uint32_t LoadBe32(const uint8_t* p) {
   return (static_cast<uint32_t>(p[0]) << 24) |
          (static_cast<uint32_t>(p[1]) << 16) |
          (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
-}
-
-inline void StoreBe32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v >> 24);
-  p[1] = static_cast<uint8_t>(v >> 16);
-  p[2] = static_cast<uint8_t>(v >> 8);
-  p[3] = static_cast<uint8_t>(v);
 }
 
 #if defined(TRUSTLITE_SHA_NI_BUILD)
@@ -264,172 +249,6 @@ bool HostHasShaNi() {
 
 #endif  // TRUSTLITE_SHA_NI_BUILD
 
-#if defined(TRUSTLITE_SHA_NEON_BUILD)
-
-void NeonCompress(uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
-  uint32x4_t abcd = vld1q_u32(&state[0]);
-  uint32x4_t efgh = vld1q_u32(&state[4]);
-  while (nblocks-- > 0) {
-    const uint32x4_t abcd_save = abcd;
-    const uint32x4_t efgh_save = efgh;
-    uint32x4_t w[4];
-    for (int i = 0; i < 4; ++i) {
-      w[i] = vreinterpretq_u32_u8(vrev32q_u8(vld1q_u8(blocks + 16 * i)));
-    }
-    for (int r = 0; r < 16; ++r) {
-      const uint32x4_t wk = vaddq_u32(w[0], vld1q_u32(&kK[4 * r]));
-      if (r < 12) {
-        // Schedule update for rounds 16.. while the current quad retires.
-        const uint32x4_t t = vsha256su0q_u32(w[0], w[1]);
-        w[0] = vsha256su1q_u32(t, w[2], w[3]);
-      }
-      const uint32x4_t abcd_prev = abcd;
-      abcd = vsha256hq_u32(abcd, efgh, wk);
-      efgh = vsha256h2q_u32(efgh, abcd_prev, wk);
-      // Rotate the schedule window.
-      const uint32x4_t w0 = w[0];
-      w[0] = w[1];
-      w[1] = w[2];
-      w[2] = w[3];
-      w[3] = w0;
-    }
-    abcd = vaddq_u32(abcd, abcd_save);
-    efgh = vaddq_u32(efgh, efgh_save);
-    blocks += kSha256BlockSize;
-  }
-  vst1q_u32(&state[0], abcd);
-  vst1q_u32(&state[4], efgh);
-}
-
-#endif  // TRUSTLITE_SHA_NEON_BUILD
-
-// ---------------------------------------------------------------------------
-// 4-way lane-parallel portable engine.
-//
-// Four independent streams share one round sequence; every working variable
-// becomes a 4-lane vector and the compiler lowers the lane math to SSE2/NEON
-// arithmetic it can prove safe (no hardware SHA needed). Used only through
-// the batch API — single-stream callers gain nothing from idle lanes.
-// ---------------------------------------------------------------------------
-
-#if defined(__GNUC__) || defined(__clang__)
-#define TRUSTLITE_SHA_LANES_BUILD 1
-
-typedef uint32_t U32x4 __attribute__((vector_size(16)));
-
-inline U32x4 Rotr4(U32x4 x, int n) { return (x >> n) | (x << (32 - n)); }
-
-void LaneCompress4(uint32_t* const states[4], const uint8_t* const blocks[4]) {
-  U32x4 w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = U32x4{LoadBe32(blocks[0] + 4 * i), LoadBe32(blocks[1] + 4 * i),
-                 LoadBe32(blocks[2] + 4 * i), LoadBe32(blocks[3] + 4 * i)};
-  }
-  for (int i = 16; i < 64; ++i) {
-    const U32x4 s0 =
-        Rotr4(w[i - 15], 7) ^ Rotr4(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const U32x4 s1 =
-        Rotr4(w[i - 2], 17) ^ Rotr4(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  U32x4 a, b, c, d, e, f, g, h;
-  for (int l = 0; l < 4; ++l) {
-    a[l] = states[l][0];
-    b[l] = states[l][1];
-    c[l] = states[l][2];
-    d[l] = states[l][3];
-    e[l] = states[l][4];
-    f[l] = states[l][5];
-    g[l] = states[l][6];
-    h[l] = states[l][7];
-  }
-  for (int i = 0; i < 64; ++i) {
-    const U32x4 s1 = Rotr4(e, 6) ^ Rotr4(e, 11) ^ Rotr4(e, 25);
-    const U32x4 ch = (e & f) ^ (~e & g);
-    const U32x4 t1 = h + s1 + ch + kK[i] + w[i];
-    const U32x4 s0 = Rotr4(a, 2) ^ Rotr4(a, 13) ^ Rotr4(a, 22);
-    const U32x4 maj = (a & b) ^ (a & c) ^ (b & c);
-    const U32x4 t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  for (int l = 0; l < 4; ++l) {
-    states[l][0] += a[l];
-    states[l][1] += b[l];
-    states[l][2] += c[l];
-    states[l][3] += d[l];
-    states[l][4] += e[l];
-    states[l][5] += f[l];
-    states[l][6] += g[l];
-    states[l][7] += h[l];
-  }
-}
-
-#endif  // lanes
-
-// One message stream being walked block by block: the body blocks come
-// straight from the caller's buffer, the final 1-2 padded blocks from
-// `tail`. BlockPtr(i) is valid for i in [0, total_blocks).
-struct BatchStream {
-  const uint8_t* data = nullptr;
-  size_t full_blocks = 0;
-  size_t total_blocks = 0;
-  uint8_t tail[2 * kSha256BlockSize];
-  uint32_t h[8];
-
-  void Init(const uint8_t* msg, size_t len) {
-    data = msg;
-    full_blocks = len / kSha256BlockSize;
-    const size_t rem = len % kSha256BlockSize;
-    const size_t tail_blocks = (rem >= kSha256BlockSize - 8) ? 2 : 1;
-    total_blocks = full_blocks + tail_blocks;
-    std::memset(tail, 0, sizeof(tail));
-    if (rem != 0) {  // msg may be null for the empty message
-      std::memcpy(tail, msg + full_blocks * kSha256BlockSize, rem);
-    }
-    tail[rem] = 0x80;
-    const uint64_t bit_len = static_cast<uint64_t>(len) * 8;
-    uint8_t* end = tail + tail_blocks * kSha256BlockSize;
-    for (int i = 0; i < 8; ++i) {
-      end[-8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-    }
-    h[0] = 0x6a09e667;
-    h[1] = 0xbb67ae85;
-    h[2] = 0x3c6ef372;
-    h[3] = 0xa54ff53a;
-    h[4] = 0x510e527f;
-    h[5] = 0x9b05688c;
-    h[6] = 0x1f83d9ab;
-    h[7] = 0x5be0cd19;
-  }
-
-  const uint8_t* BlockPtr(size_t i) const {
-    return i < full_blocks ? data + i * kSha256BlockSize
-                           : tail + (i - full_blocks) * kSha256BlockSize;
-  }
-
-  void Emit(Sha256Digest* out) const {
-    for (int i = 0; i < 8; ++i) {
-      StoreBe32(out->data() + 4 * i, h[i]);
-    }
-  }
-};
-
-void HashOneStream(BatchStream* s) {
-  Sha256CompressFn compress = Sha256Compress();
-  // Body blocks are contiguous; hand them to the engine in one call.
-  if (s->full_blocks > 0) {
-    compress(s->h, s->data, s->full_blocks);
-  }
-  compress(s->h, s->tail, s->total_blocks - s->full_blocks);
-}
-
 }  // namespace
 
 void Sha256ScalarCompress(uint32_t state[8], const uint8_t* blocks,
@@ -489,9 +308,6 @@ ResolvedEngine ResolveEngine() {
     return {&ShaNiCompress, "sha-ni"};
   }
 #endif
-#if defined(TRUSTLITE_SHA_NEON_BUILD)
-  return {&NeonCompress, "neon-sha2"};
-#endif
   return {&Sha256ScalarCompress, "scalar"};
 }
 
@@ -505,64 +321,5 @@ const ResolvedEngine& Engine() {
 Sha256CompressFn Sha256Compress() { return Engine().fn; }
 
 const char* Sha256EngineName() { return Engine().name; }
-
-void Sha256BatchHash(const uint8_t* const* msgs, const size_t* lens,
-                     size_t count, Sha256Digest* out) {
-#if defined(TRUSTLITE_SHA_LANES_BUILD)
-  // With a hardware engine, back-to-back single streams beat lane packing;
-  // lanes only pay when the best engine is scalar.
-  const bool use_lanes = Engine().fn == &Sha256ScalarCompress;
-#else
-  const bool use_lanes = false;
-#endif
-  size_t i = 0;
-#if defined(TRUSTLITE_SHA_LANES_BUILD)
-  if (use_lanes) {
-    for (; i + 4 <= count; i += 4) {
-      BatchStream s[4];
-      for (int l = 0; l < 4; ++l) {
-        s[l].Init(msgs[i + l], lens[i + l]);
-      }
-      // Lockstep while all four lanes still have blocks; a lane that runs
-      // out (shorter message) finishes scalar below.
-      const size_t common = std::min(
-          std::min(s[0].total_blocks, s[1].total_blocks),
-          std::min(s[2].total_blocks, s[3].total_blocks));
-      for (size_t blk = 0; blk < common; ++blk) {
-        uint32_t* const states[4] = {s[0].h, s[1].h, s[2].h, s[3].h};
-        const uint8_t* const blocks[4] = {s[0].BlockPtr(blk), s[1].BlockPtr(blk),
-                                          s[2].BlockPtr(blk),
-                                          s[3].BlockPtr(blk)};
-        LaneCompress4(states, blocks);
-      }
-      for (int l = 0; l < 4; ++l) {
-        for (size_t blk = common; blk < s[l].total_blocks; ++blk) {
-          Sha256ScalarCompress(s[l].h, s[l].BlockPtr(blk), 1);
-        }
-        s[l].Emit(&out[i + l]);
-      }
-    }
-  }
-#endif
-  for (; i < count; ++i) {
-    BatchStream s;
-    s.Init(msgs[i], lens[i]);
-    HashOneStream(&s);
-    s.Emit(&out[i]);
-  }
-}
-
-std::vector<Sha256Digest> Sha256BatchHash(
-    const std::vector<std::vector<uint8_t>>& msgs) {
-  std::vector<const uint8_t*> ptrs(msgs.size());
-  std::vector<size_t> lens(msgs.size());
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    ptrs[i] = msgs[i].data();
-    lens[i] = msgs[i].size();
-  }
-  std::vector<Sha256Digest> out(msgs.size());
-  Sha256BatchHash(ptrs.data(), lens.data(), msgs.size(), out.data());
-  return out;
-}
 
 }  // namespace trustlite

@@ -2,28 +2,21 @@
 //
 // Host-side SHA-256 compression engines (DESIGN.md §15.4). The guest-visible
 // crypto is unchanged — every engine computes FIPS 180-4 SHA-256 bit-for-bit;
-// this layer only picks the fastest way to run the compression function on
-// the simulation host. Three tiers:
+// this layer only picks how the simulation host runs the compression
+// function. Two engines:
 //
-//   1. Hardware single-stream: x86 SHA-NI or ARMv8 crypto extensions,
-//      selected at runtime (x86) or compile time (ARM).
-//   2. 4-way lane-parallel portable: four independent message streams
-//      compressed in lockstep through GCC/Clang vector extensions. Slower
-//      than SHA-NI per stream but beats scalar ~3x when a batch of
-//      independent digests is needed (fleet provisioning, snapshot sweeps).
-//   3. Scalar: the same rounds the seed implementation ran; always present
-//      and the reference the other tiers are tested against.
+//   1. x86 SHA-NI, selected at runtime when the host CPU has it.
+//   2. Scalar: the same rounds the seed implementation ran; always present,
+//      used on every other host, and the reference SHA-NI is tested against.
 //
 // Sha256 (sha256.h) routes its block processing through Sha256Compress(),
-// so every existing caller gets tier 1/3 transparently. Batch callers use
-// Sha256BatchHash() to additionally unlock tier 2.
+// so every caller gets the faster engine transparently.
 
 #ifndef TRUSTLITE_SRC_CRYPTO_SHA256_ENGINE_H_
 #define TRUSTLITE_SRC_CRYPTO_SHA256_ENGINE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/crypto/sha256.h"
 
@@ -39,27 +32,13 @@ using Sha256CompressFn = void (*)(uint32_t state[8], const uint8_t* blocks,
 // on first call; stable for the process lifetime.
 Sha256CompressFn Sha256Compress();
 
-// Engine behind Sha256Compress(): "sha-ni", "neon-sha2", or "scalar".
-// Telemetry/bench label only.
+// Engine behind Sha256Compress(): "sha-ni" or "scalar". Telemetry/bench
+// label only.
 const char* Sha256EngineName();
 
-// Always-available engines, exported for differential testing and the
-// dispatch-ladder bench rows. ScalarCompress is the reference; the lane
-// engine is reached through Sha256BatchHash.
+// The always-available reference engine, exported for differential testing.
 void Sha256ScalarCompress(uint32_t state[8], const uint8_t* blocks,
                           size_t nblocks);
-
-// Hashes `count` independent messages: out[i] = SHA-256(msgs[i][0..lens[i])).
-// With a hardware engine each stream runs through it back to back; otherwise
-// groups of four equal-progress streams are compressed in lockstep by the
-// lane-parallel engine. Any count (including 0) and any mix of lengths is
-// legal; stragglers fall back to scalar.
-void Sha256BatchHash(const uint8_t* const* msgs, const size_t* lens,
-                     size_t count, Sha256Digest* out);
-
-// Convenience wrapper over owned buffers.
-std::vector<Sha256Digest> Sha256BatchHash(
-    const std::vector<std::vector<uint8_t>>& msgs);
 
 }  // namespace trustlite
 

@@ -6,8 +6,7 @@
 #include <cassert>
 #include <utility>
 
-#include "src/crypto/sha256_engine.h"
-#include "src/snapshot/snapshot.h"
+#include "src/crypto/sha256.h"
 
 namespace trustlite {
 
@@ -211,17 +210,9 @@ size_t Fleet::ConsumeControlRx(int node, size_t upto) {
 }
 
 Sha256Digest Fleet::FleetDigest() const {
-  // One state stream per node, hashed as a single batch (lane-parallel on
-  // hosts without hardware SHA, back-to-back hardware streams otherwise),
-  // then folded in node order. Identical bytes — and therefore identical
-  // digest — to hashing node->StateDigest() one at a time.
-  std::vector<std::vector<uint8_t>> streams(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    AppendPlatformStateBytes(nodes_[i]->platform(), &streams[i]);
-  }
-  const std::vector<Sha256Digest> digests = Sha256BatchHash(streams);
   Sha256 hasher;
-  for (const Sha256Digest& digest : digests) {
+  for (const auto& node : nodes_) {
+    const Sha256Digest digest = node->StateDigest();
     hasher.Update(digest.data(), digest.size());
   }
   return hasher.Finish();

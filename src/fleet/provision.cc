@@ -8,7 +8,7 @@
 #include <string>
 
 #include "src/common/rng.h"
-#include "src/crypto/sha256_engine.h"
+#include "src/crypto/sha256.h"
 #include "src/harness/injector.h"
 #include "src/loader/system_image.h"
 #include "src/mem/layout.h"
@@ -239,7 +239,6 @@ Status LocateGoldenPatchSites(Platform& platform, GoldenState* golden) {
 
 Status WarmProvisionClone(FleetNode& node, const GoldenState& golden,
                           const std::array<uint8_t, 32>& key,
-                          const Sha256Digest& measurement,
                           bool first_clone, NodeProvision* provision) {
   // High-frequency path: skip the SHA digest check on every clone (the
   // property tests cover it), and only CRC the golden buffer on the first
@@ -266,8 +265,12 @@ Status WarmProvisionClone(FleetNode& node, const GoldenState& golden,
   bus.NoteHostMutation();
 
   // 2. Fix up the trustlet's Trustlet-Table row with this clone's
-  //    precomputed measurement (all clone measurements are hashed in one
-  //    batch before the clone loop; see ProvisionAttestationFleet).
+  //    measurement: the golden attestation code with only the key spliced
+  //    in, exactly the bytes now live in the clone's SRAM.
+  std::vector<uint8_t> patched = golden.attn_code;
+  std::copy(key.begin(), key.end(),
+            patched.begin() + (golden.sram_key_addr - golden.attn_code_addr));
+  const Sha256Digest measurement = Sha256Hash(patched);
   if (!bus.HostWriteBytes(
           golden.tt_measurement_addr,
           std::vector<uint8_t>(measurement.begin(), measurement.end()))) {
@@ -399,9 +402,6 @@ Result<std::vector<NodeProvision>> ProvisionAttestationFleet(
   const std::set<int> tampered = TamperPlan(*fleet, config.tamper_count);
 
   GoldenState golden;
-  // Warm-clone Trustlet-Table measurements, hashed as one batch once the
-  // golden patch sites are known; entry i-1 belongs to clone node i.
-  std::vector<Sha256Digest> clone_measurements;
   for (int i = 0; i < fleet->num_nodes(); ++i) {
     FleetNode& node = fleet->node(i);
     NodeProvision provision;
@@ -429,23 +429,9 @@ Result<std::vector<NodeProvision>> ProvisionAttestationFleet(
           return snapshot.status();
         }
         golden.snapshot = std::move(*snapshot);
-        // Every clone hashes the same golden code with only its 32-byte key
-        // spliced in — batch all of those measurements now, in one pass.
-        const size_t key_offset = golden.sram_key_addr - golden.attn_code_addr;
-        std::vector<std::vector<uint8_t>> patched(
-            static_cast<size_t>(fleet->num_nodes() - 1));
-        for (int clone = 1; clone < fleet->num_nodes(); ++clone) {
-          const std::array<uint8_t, 32> clone_key =
-              DeriveDeviceKey(fleet->config().seed, clone);
-          patched[clone - 1] = golden.attn_code;
-          std::copy(clone_key.begin(), clone_key.end(),
-                    patched[clone - 1].begin() + key_offset);
-        }
-        clone_measurements = Sha256BatchHash(patched);
       }
     } else {
       TL_RETURN_IF_ERROR(WarmProvisionClone(node, golden, key,
-                                            clone_measurements[i - 1],
                                             /*first_clone=*/i == 1,
                                             &provision));
       // Warm clones share the golden node's FW trustlet bytes.

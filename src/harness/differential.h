@@ -57,8 +57,8 @@ class DifferentialExecutor {
   std::optional<Divergence> StepBoth(uint64_t step);
 
   // Windowed lockstep: the fast platform advances through Cpu::Run — the
-  // threaded-dispatch run loop, superinstruction fusion and data-access
-  // windows all engaged, none of which Step()-based lockstep exercises —
+  // fast run loop, superinstruction fusion and data-access windows all
+  // engaged, none of which Step()-based lockstep exercises —
   // then the reference single-steps until its cycle counter catches up
   // (cycles advance on every instruction and exception entry, unlike the
   // retire counter, and both sides must be cycle-identical). Architectural
@@ -130,7 +130,7 @@ std::optional<Divergence> RunRandomProgramDiff(
     const PlatformConfig& config = {});
 
 // Windowed variant: same scenario, but the fast platform advances through
-// the fused threaded-dispatch run loop instead of Step() (see RunWindowed).
+// the fused fast run loop instead of Step() (see RunWindowed).
 // This is the corpus entry point that actually exercises superinstruction
 // fusion and the data-access windows.
 std::optional<Divergence> RunRandomProgramDiffWindowed(

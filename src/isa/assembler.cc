@@ -503,7 +503,11 @@ class Assembler {
     location_ += 4;
   }
 
-  void EmitInsn(const Instruction& insn) { EmitWord(Encode(insn)); }
+  // Pass 1 only lays out addresses: forward labels and operand range checks
+  // are not final yet, so the instruction is encoded on the final pass only.
+  void EmitInsn(const Instruction& insn) {
+    EmitWord(final_pass_ ? Encode(insn) : 0);
+  }
 
   // --- Expression helpers ---------------------------------------------
 

@@ -49,14 +49,14 @@ struct PlatformConfig {
   bool with_dma = false;
   DmaEngine::Mode dma_mode = DmaEngine::Mode::kExecutionAware;
   // Host-side simulator fast path (decode cache, EA-MPU decision caches,
-  // bus routing memo, threaded-dispatch run loop). Disabled by the
+  // bus routing memo, Cpu::Run's fast run loop). Disabled by the
   // differential-execution harness to pit the cached interpreter against the
   // uncached reference; guest-visible behavior must be identical either way
   // (DESIGN.md Sec. 10/11).
   bool fast_path = true;
   // Superinstruction fusion on top of the fast path (DESIGN.md §15). Split
-  // out so the dispatch-ladder benches can measure threaded dispatch alone
-  // vs dispatch + fusion; no effect when fast_path is off.
+  // out so the interpreter benches can measure the fast run loop with and
+  // without fusion; no effect when fast_path is off.
   bool fusion = true;
 };
 

@@ -400,20 +400,17 @@ Device* FindDeviceByName(Platform& platform, const std::string& name) {
 
 }  // namespace
 
-void AppendPlatformStateBytes(const Platform& platform,
-                              std::vector<uint8_t>* out) {
+Sha256Digest PlatformStateDigest(const Platform& platform) {
   // Byte stream kept identical to the original FleetNode::StateDigest so
   // fleet determinism digests stay comparable across the refactor.
   Platform& p = const_cast<Platform&>(platform);
+  Sha256 hasher;
   uint8_t word[8];
   auto absorb32 = [&](uint32_t value) {
     StoreLe32(word, value);
-    out->insert(out->end(), word, word + 4);
+    hasher.Update(word, 4);
   };
   const Cpu& cpu = p.cpu();
-  const std::string& uart = p.uart().output();
-  out->reserve(out->size() + 19 * 4 + 8 + p.sram().data().size() +
-               p.dram().data().size() + uart.size());
   for (int i = 0; i < kNumRegisters; ++i) {
     absorb32(cpu.reg(i));
   }
@@ -422,17 +419,13 @@ void AppendPlatformStateBytes(const Platform& platform,
   absorb32(cpu.halted() ? 1 : 0);
   StoreLe32(word, static_cast<uint32_t>(cpu.cycles()));
   StoreLe32(word + 4, static_cast<uint32_t>(cpu.cycles() >> 32));
-  out->insert(out->end(), word, word + 8);
-  out->insert(out->end(), p.sram().data().begin(), p.sram().data().end());
-  out->insert(out->end(), p.dram().data().begin(), p.dram().data().end());
+  hasher.Update(word, 8);
+  hasher.Update(p.sram().data());
+  hasher.Update(p.dram().data());
   absorb32(p.gpio().out());
-  out->insert(out->end(), uart.begin(), uart.end());
-}
-
-Sha256Digest PlatformStateDigest(const Platform& platform) {
-  std::vector<uint8_t> bytes;
-  AppendPlatformStateBytes(platform, &bytes);
-  return Sha256Hash(bytes);
+  const std::string& uart = p.uart().output();
+  hasher.Update(reinterpret_cast<const uint8_t*>(uart.data()), uart.size());
+  return hasher.Finish();
 }
 
 Result<std::vector<uint8_t>> SavePlatform(Platform& platform,

@@ -69,23 +69,16 @@ struct SnapshotRestoreOptions {
   // provisioning restores the *same in-memory golden buffer* dozens of
   // times; it verifies the buffer on the first restore and amortizes the
   // checksum across the remaining clones by turning this off (DESIGN.md
-  // §14) — the same once-per-batch amortization the clone measurements get
-  // from Sha256BatchHash.
+  // §14).
   bool verify_checksums = true;
 };
 
 // SHA-256 over the architectural state of a platform: registers, IP,
 // FLAGS, halt latch, cycle counter, SRAM, DRAM, GPIO output and captured
 // UART output. This is the fleet determinism digest — FleetNode::
-// StateDigest delegates here — and the snapshot self-digest.
+// StateDigest delegates here — and the snapshot self-digest. The pieces are
+// hashed in place, one after another, so no copy of the memories is made.
 Sha256Digest PlatformStateDigest(const Platform& platform);
-
-// Appends the exact byte stream PlatformStateDigest hashes to `out`.
-// Exposed so fleet-wide digests can serialize many nodes' streams and hash
-// them as one Sha256BatchHash call; PlatformStateDigest itself is defined
-// as SHA-256 of these bytes, so the two can never drift apart.
-void AppendPlatformStateBytes(const Platform& platform,
-                              std::vector<uint8_t>* out);
 
 // Serializes the platform into the snapshot byte format. Byte-stable:
 // saving the same state twice produces identical bytes, and

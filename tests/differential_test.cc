@@ -45,7 +45,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, DifferentialCorpusTest,
                          ::testing::Range(0, static_cast<int>(kShardCount)));
 
 // Windowed corpus: the fast platform advances through Cpu::Run, so the
-// threaded-dispatch loop, superinstruction fusion and data-access windows
+// fast run loop, superinstruction fusion and data-access windows
 // are all live — none of which the Step()-lockstep corpus above exercises.
 // The reference side stays on the plain uncached interpreter and chases the
 // fast side's retire count.

@@ -2,7 +2,7 @@
 //
 // Invalidation tests for the superinstruction fusion layer (DESIGN.md §15)
 // and the data-access windows that ride on the same generation counters.
-// Fusion only engages inside Cpu::Run's threaded-dispatch loop, so every
+// Fusion only engages inside Cpu::Run's fast run loop, so every
 // test here drives the guest through Platform::Run — never Step() — and
 // first proves fusion actually fired (fusion_groups > 0) before asserting
 // that stale fused state did not leak into guest-visible behavior.

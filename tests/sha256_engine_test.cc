@@ -1,14 +1,12 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
 //
-// Tests for the SHA-256 compression engine ladder (scalar reference,
-// SHA-NI / NEON hardware tiers, 4-way lane-parallel batch) behind
-// src/crypto/sha256_engine.h. The resolved engine is whatever the host
-// supports — every tier must agree bit-for-bit with the scalar reference,
-// and the batch API must agree with hashing each message on its own.
+// Tests for the SHA-256 compression engines (scalar reference, SHA-NI)
+// behind src/crypto/sha256_engine.h. The resolved engine is whatever the
+// host supports — it must agree bit-for-bit with the scalar reference.
 //
 // Known answers are the NIST CAVP / FIPS 180-2 SHA-256 vectors already used
 // by crypto_test.cc, re-checked here through the engine entry points so a
-// bad hardware tier cannot hide behind a correct scalar default.
+// bad hardware engine cannot hide behind a correct scalar default.
 
 #include <cstring>
 #include <string>
@@ -91,8 +89,8 @@ TEST(Sha256EngineTest, ScalarReferencePassesKats) {
 }
 
 TEST(Sha256EngineTest, ResolvedEnginePassesKats) {
-  // On x86 with SHA-NI this exercises the hardware rounds; on ARMv8 the
-  // NEON intrinsics; elsewhere it re-checks the scalar path.
+  // On x86 with SHA-NI this exercises the hardware rounds; elsewhere it
+  // re-checks the scalar path.
   SCOPED_TRACE(std::string("engine=") + Sha256EngineName());
   for (const Kat& kat : kKats) {
     EXPECT_EQ(Hex(CompressPadded(Sha256Compress(), Pad(Bytes(kat.msg)))),
@@ -104,8 +102,7 @@ TEST(Sha256EngineTest, ResolvedEnginePassesKats) {
 TEST(Sha256EngineTest, EngineNameIsStable) {
   const char* name = Sha256EngineName();
   ASSERT_NE(name, nullptr);
-  EXPECT_TRUE(std::string(name) == "sha-ni" ||
-              std::string(name) == "neon-sha2" || std::string(name) == "scalar")
+  EXPECT_TRUE(std::string(name) == "sha-ni" || std::string(name) == "scalar")
       << name;
   EXPECT_EQ(Sha256Compress(), Sha256Compress());  // Resolution is cached.
 }
@@ -138,71 +135,6 @@ TEST(Sha256EngineTest, EngineMatchesScalarOnRandomMultiBlockRuns) {
     Sha256ScalarCompress(a, blocks.data(), nblocks);
     Sha256Compress()(b, blocks.data(), nblocks);
     ASSERT_EQ(0, std::memcmp(a, b, sizeof(a))) << "trial=" << trial;
-  }
-}
-
-TEST(Sha256BatchTest, BatchPassesKats) {
-  std::vector<std::vector<uint8_t>> msgs;
-  for (const Kat& kat : kKats) {
-    msgs.push_back(Bytes(kat.msg));
-  }
-  const std::vector<Sha256Digest> digests = Sha256BatchHash(msgs);
-  ASSERT_EQ(digests.size(), msgs.size());
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    EXPECT_EQ(Hex(digests[i]), kKats[i].digest);
-  }
-}
-
-TEST(Sha256BatchTest, BatchMatchesSingleOnRandomMixedLengths) {
-  // Mixed lengths hit the lane-parallel common-prefix path, the scalar
-  // straggler path, and both padding shapes (tail fits / needs extra
-  // block). Counts 1..9 cover empty-lane, partial-lane and multi-quad
-  // batches.
-  Xoshiro256 rng(77);
-  for (size_t count = 1; count <= 9; ++count) {
-    std::vector<std::vector<uint8_t>> msgs(count);
-    for (auto& msg : msgs) {
-      msg.resize(rng.Next32() % 300);
-      for (auto& b : msg) {
-        b = static_cast<uint8_t>(rng.Next32());
-      }
-    }
-    const std::vector<Sha256Digest> batch = Sha256BatchHash(msgs);
-    ASSERT_EQ(batch.size(), count);
-    for (size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(batch[i], Sha256Hash(msgs[i])) << "count=" << count
-                                               << " i=" << i;
-    }
-  }
-}
-
-TEST(Sha256BatchTest, PointerApiMatchesVectorApi) {
-  const std::vector<std::vector<uint8_t>> msgs = {
-      Bytes("abc"), Bytes(""), std::vector<uint8_t>(200, 0xA5)};
-  const uint8_t* ptrs[3];
-  size_t lens[3];
-  for (size_t i = 0; i < 3; ++i) {
-    ptrs[i] = msgs[i].data();
-    lens[i] = msgs[i].size();
-  }
-  Sha256Digest out[3];
-  Sha256BatchHash(ptrs, lens, 3, out);
-  const std::vector<Sha256Digest> vec = Sha256BatchHash(msgs);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(out[i], vec[i]) << i;
-  }
-}
-
-TEST(Sha256BatchTest, EmptyBatchAndIdenticalLanes) {
-  EXPECT_TRUE(Sha256BatchHash({}).empty());
-  // Four identical messages: the full-quad lockstep path with no
-  // stragglers; all lanes must produce the same digest as a single hash.
-  const std::vector<uint8_t> msg = Bytes("lockstep");
-  const std::vector<Sha256Digest> batch =
-      Sha256BatchHash({msg, msg, msg, msg});
-  const Sha256Digest single = Sha256Hash(msg);
-  for (const Sha256Digest& d : batch) {
-    EXPECT_EQ(d, single);
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
@@ -452,6 +453,42 @@ TEST(WarmBootTest, CloneKeysAndSeedsAreNodeSpecific) {
   EXPECT_EQ((*provisions)[2].key, DeriveDeviceKey(77, 2));
   // Clones are distinguishable state-wise (key bytes live in SRAM).
   EXPECT_NE(fleet.node(1).StateDigest(), fleet.node(2).StateDigest());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned digests. Every other digest check compares two runs of one build
+// (live vs restored, t1 vs t8), so a change to the hashed byte stream — or
+// to simulated behaviour that moves both sides alike — passes them all.
+// These two pin absolute values; update them only for an intended change
+// to the digest definition or to guest-visible behaviour.
+
+std::string DigestHex(const Sha256Digest& digest) {
+  return HexEncode(digest.data(), digest.size());
+}
+
+TEST(PinnedDigestTest, SecureLoaderBootedPlatform) {
+  // One node cold-booted through the Secure Loader: nanOS, the attestation
+  // and FW trustlets, the Trustlet Table and the EA-MPU layout in place.
+  FleetConfig config;
+  config.nodes = 1;
+  config.seed = 42;
+  Fleet fleet(config);
+  ASSERT_TRUE(ProvisionAttestationFleet(&fleet, FleetProvisionConfig{}).ok());
+  EXPECT_EQ(DigestHex(PlatformStateDigest(fleet.node(0).platform())),
+            "20acd53d50aaa11debc7309d8f01ea742daa371b976765401a0201458e8b1011");
+}
+
+TEST(PinnedDigestTest, WarmFleetAfterFixedQuanta) {
+  FleetConfig config;
+  config.nodes = 4;
+  config.seed = 42;
+  Fleet fleet(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  ASSERT_TRUE(ProvisionAttestationFleet(&fleet, prov).ok());
+  fleet.RunQuanta(32);
+  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+            "f704bdb92964e39244e9a001881999e18d82829063b2ffc54dd783b10739dc95");
 }
 
 }  // namespace

@@ -3,14 +3,13 @@
 #  * ASan + UBSan over the full suite: cache/invalidation bugs in the
 #    simulator fast path (decode cache, EA-MPU decision caches, bus routing
 #    memoization, superinstruction fusion's host backing pointers, the
-#    data-access windows, and the SHA-256 engine ladder incl. the 4-way
-#    batch hasher's tail padding) surface as sanitizer failures instead of
-#    heisenbugs. The fusion/windowed-differential and sha256_engine suites
-#    run here like everything else.
+#    data-access windows, and the SHA-NI/scalar SHA-256 engines) surface
+#    as sanitizer failures instead of heisenbugs. The fusion/windowed-
+#    differential and sha256_engine suites run here like everything else.
 #  * TSan over the fleet/pool tests: the multi-threaded fleet executor
 #    (QuantumPool work stealing, per-quantum Platform ownership handoff,
 #    DESIGN.md §13) must be race-free at any thread count; FleetDigest's
-#    batched state hashing runs in these tests too.
+#    per-node state hashing runs in these tests too.
 #
 # usage: tools/ci_sanitize.sh [asan-build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -19,8 +18,8 @@ BUILD_DIR="${1:-build-asan}"
 TSAN_DIR="${2:-build-tsan}"
 SRC_DIR="$(dirname "$0")/.."
 
-# RelWithDebInfo (not Debug): the tier-1 suite runs with NDEBUG — some
-# error-path tests drive Encode() past its debug-only asserts on purpose.
+# RelWithDebInfo, the tier-1 build type; tools/ci_debug.sh is the
+# asserts-on (Debug) run of the same suite.
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"

@@ -17,10 +17,11 @@
 // (docs/SNAPSHOT_FORMAT.md) every N retired instructions to
 // PREFIX-NNNN.tlsnap; --resume-from restores one and continues executing,
 // bit-identically to the uninterrupted run (no file.s needed — the program
-// travels inside the snapshot). With --trace every retired instruction is disassembled
-// to stderr. --profile prints a per-lane cycle-accounting table (one lane
-// per assembled chunk) and --trace-json exports a Chrome trace-event file
-// viewable at https://ui.perfetto.dev (DESIGN.md §12).
+// travels inside the snapshot). With --trace every retired instruction is
+// disassembled to stderr, and every exception entry gets a line of its own.
+// --profile prints a per-lane cycle-accounting table (one lane per assembled
+// chunk) and --trace-json exports a Chrome trace-event file viewable at
+// https://ui.perfetto.dev (DESIGN.md §12).
 //
 // `debug` drops into a small REPL:
 //   s [n]        step n instructions (default 1), printing each
@@ -83,6 +84,31 @@ bool ReadFile(const std::string& path, std::string* out) {
   *out = buffer.str();
   return true;
 }
+
+// --trace: disassembles every retired instruction to stderr, plus one line
+// per exception entry. A clean HALT retires as a HaltEvent, not an InsnEvent.
+class DisassemblyTrace : public EventSink {
+ public:
+  bool WantsInstructionEvents() const override { return true; }
+  bool WantsIrqRaiseEvents() const override { return false; }
+
+  void OnInstruction(const InsnEvent& event) override {
+    std::fprintf(stderr, "%08x:  %s\n", event.ip,
+                 DisassembleWord(event.word, event.ip).c_str());
+  }
+  void OnHalt(const HaltEvent& event) override {
+    if (!event.trap) {
+      std::fprintf(stderr, "%08x:  %s\n", event.ip,
+                   Disassemble(Instruction{Opcode::kHalt}, event.ip).c_str());
+    }
+  }
+  void OnTrap(const TrapEvent& event) override {
+    std::fprintf(stderr, "  -- %s class %u from %08x -> %08x (%u cycles)\n",
+                 event.interrupt ? "interrupt" : "exception",
+                 event.exception_class, event.subject_ip, event.handler,
+                 event.entry_cycles);
+  }
+};
 
 uint32_t ParseAddr(const std::string& text) {
   return static_cast<uint32_t>(std::strtoul(text.c_str(), nullptr, 0));
@@ -293,10 +319,9 @@ int CmdRun(const std::vector<std::string>& args) {
     platform.uart().PushInput(uart_in);
   }
 
+  DisassemblyTrace disassembly_trace;
   if (trace) {
-    platform.cpu().SetTraceHook([](uint32_t ip, const Instruction& insn) {
-      std::fprintf(stderr, "%08x:  %s\n", ip, Disassemble(insn, ip).c_str());
-    });
+    platform.AddEventSink(&disassembly_trace);
   }
 
   // Observability sinks (DESIGN.md §12): one lane per assembled chunk so a
