@@ -13,6 +13,7 @@ start:
     movi r6, 0             ; tick count
     sti
 idle:
+    wfi                    ; sleep until the next tick
     jmp  idle
 
 isr:

@@ -237,6 +237,8 @@ inline bool FusableTail(Opcode op) {
     })                                                                        \
   X(kCli, flags_ &= ~kFlagIf;)                                                \
   X(kSti, flags_ |= kFlagIf;)                                                 \
+  /* Wait() decides whether a wfi sleeps; its retire is a nop. */             \
+  X(kWfi, ;)                                                                  \
   X(kProtect, TL_SANCUS_BODY)                                                 \
   X(kUnprotect, TL_SANCUS_BODY)                                               \
   X(kAttest, TL_SANCUS_BODY)
@@ -318,6 +320,14 @@ bool Cpu::PendingIrq(Device** source) const {
     }
   }
   return false;
+}
+
+uint64_t Cpu::CyclesUntilWake() const {
+  uint64_t wake = kNoIrqDeadline;
+  for (const Device* device : irq_sources_) {
+    wake = std::min(wake, device->CyclesUntilIrq());
+  }
+  return wake;
 }
 
 bool Cpu::SaveTrustletState(int region_index, uint32_t resume_ip,
@@ -689,6 +699,33 @@ StepEvent Cpu::FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
   return StepEvent::kExecuted;
 }
 
+StepEvent Cpu::Wait(const Instruction& insn, uint32_t word, uint64_t bound) {
+  // Pending and deadline are device state: land deferred ticks first.
+  bus_->FlushTicks();
+  Device* source = nullptr;
+  if (!PendingIrq(&source)) {
+    const uint64_t wake = CyclesUntilWake();
+    uint64_t span = std::min(wake, bound);
+    if (span == kNoIrqDeadline) {
+      span = 1;  // Nothing armed, no bound: the caller decides what next.
+    }
+    cycles_ += span;
+    stats_.sleep_cycles += span;
+    if (sink_ != nullptr) {
+      sink_->OnSleep(SleepEvent{cycles_, ip_, span});
+    }
+    // One span: Tick(a + b) lands where Tick(a) then Tick(b) does, so a
+    // sleep stepped one cycle at a time reaches the same device state.
+    bus_->TickDevices(span);
+    if (span != wake) {
+      return StepEvent::kSleep;
+    }
+  }
+  const uint32_t insn_addr = ip_;
+  const uint64_t cycles_before = cycles_;
+  return FinishExecute(Execute(insn), insn_addr, word, cycles_before);
+}
+
 StepEvent Cpu::Step() {
   const StepEvent event = StepOnce();
   // Single-stepping hands control back to a caller who may inspect devices
@@ -756,6 +793,9 @@ StepEvent Cpu::StepOnce() {
     insn = &cached.insn;
   }
 
+  if (insn->opcode == Opcode::kWfi) {
+    return Wait(*insn, word, /*bound=*/1);
+  }
   const uint32_t insn_addr = ip_;
   return FinishExecute(Execute(*insn), insn_addr, word, cycles_before);
 }
@@ -850,6 +890,24 @@ StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
       }
       cached = DecodeEntry{ip_, word, mem_gen, true, *decoded};
       insn_ptr = &cached.insn;
+    }
+
+    // A wfi never fuses: it sleeps to the earliest IRQ deadline, or to the
+    // cycle target. Sleeping is not an exception storm, so only its retire
+    // counts toward the watchdog. A kSleep ends the run: a cycle-bound run
+    // has reached its target, and an instruction-bound one has no IRQ
+    // source armed, so nothing can wake the core.
+    if (insn_ptr->opcode == Opcode::kWfi) {
+      event = Wait(*insn_ptr, word,
+                   cycle_bound ? target_cycle - cycles_ : kNoIrqDeadline);
+      if (event == StepEvent::kSleep) {
+        break;
+      }
+      if (++safety > safety_limit) {
+        HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
+        return StepEvent::kHalted;
+      }
+      continue;
     }
 
     // Superinstruction fusion: execute a validated straight-line group from
@@ -1139,6 +1197,14 @@ StepEvent Cpu::Run(uint64_t max_instructions) {
     if (event == StepEvent::kHalted) {
       break;
     }
+    if (event == StepEvent::kSleep) {
+      // Sleeping is not an exception storm. Step() sleeps one cycle at a
+      // time; like RunLoop, stop when no IRQ source can ever wake the core.
+      if (CyclesUntilWake() == kNoIrqDeadline) {
+        break;
+      }
+      continue;
+    }
     // Exception storms do not retire instructions; bound them separately.
     if (++safety > max_instructions * 8 + 1024) {
       HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
@@ -1162,6 +1228,9 @@ StepEvent Cpu::RunUntilCycle(uint64_t target_cycle) {
     event = Step();
     if (event == StepEvent::kHalted) {
       break;
+    }
+    if (event == StepEvent::kSleep) {
+      continue;  // Sleeping is not an exception storm.
     }
     // Every architectural step costs at least one cycle; bound pathological
     // zero-cost storms the same way Run() bounds exception storms.

@@ -88,6 +88,8 @@ enum class StepEvent : uint8_t {
   kException,   // Exception entry performed (fault or SWI).
   kInterrupt,   // Hardware IRQ entry performed.
   kHalted,      // CPU is halted (HALT executed or unrecoverable trap).
+  kSleep,       // Slept in `wfi` without reaching an IRQ deadline; IP stays
+                // on the wfi, which issues again on the next step.
 };
 
 // Details of the trap that halted the CPU (unhandled exception / double
@@ -150,6 +152,10 @@ struct CpuStats {
   // served from a resolved window vs through the full bus path.
   uint64_t data_window_hits = 0;
   uint64_t data_window_misses = 0;
+  // Cycles spent asleep in `wfi` (Cpu::Wait). Deterministic, but kept with
+  // the host telemetry rather than ArchState: a sleeping core is fully
+  // described by its IP on the wfi, so snapshots need no sleep field.
+  uint64_t sleep_cycles = 0;
 };
 
 class Cpu {
@@ -205,18 +211,21 @@ class Cpu {
   // vector, interrupts disabled. Memory is untouched.
   void Reset(uint32_t reset_vector);
 
-  // Executes one instruction or exception transition.
+  // Executes one instruction or exception transition, or sleeps one cycle
+  // in a `wfi` (kSleep).
   StepEvent Step();
 
   // Runs until HALT, trap, or `max_instructions` retired. Returns the final
-  // event.
+  // event. A `wfi` sleeps to the earliest IRQ deadline; when no IRQ source
+  // is armed nothing can ever wake the core, so the run returns kSleep
+  // after one cycle with the core still asleep.
   StepEvent Run(uint64_t max_instructions);
 
   // Runs until the cycle counter reaches `target_cycle` (or HALT/trap).
   // The last instruction may overshoot the target by its own cost; the
   // fleet executor's quantum barrier relies only on "no instruction
-  // *starts* at or after the target". Returns immediately when already
-  // halted or past the target.
+  // *starts* at or after the target". A `wfi` sleep stops exactly on the
+  // target. Returns immediately when already halted or past the target.
   StepEvent RunUntilCycle(uint64_t target_cycle);
 
   // --- State access ---
@@ -295,6 +304,17 @@ class Cpu {
   // retire accounting, events, IP advance, device ticks.
   StepEvent FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
                           uint32_t word, uint64_t cycles_before);
+  // Issues the `wfi` at ip_ (DESIGN.md §15, "Sleeping instead of
+  // yielding"). With an IRQ source pending (IF is not consulted) it retires
+  // like nop. Otherwise the core sleeps min(CyclesUntilWake(), bound)
+  // cycles as one tick span, fetching and retiring nothing, and the wfi
+  // retires in the same step only if the sleep reached the wake deadline;
+  // else kSleep. `bound` is the caller's cycle budget (kNoIrqDeadline for
+  // none); with neither a deadline nor a bound the core sleeps one cycle.
+  StepEvent Wait(const Instruction& insn, uint32_t word, uint64_t bound);
+  // Earliest Device::CyclesUntilIrq() over the IRQ sources (flushed device
+  // state), kNoIrqDeadline when none is armed.
+  uint64_t CyclesUntilWake() const;
 
   // Fast interpreter loop backing Run()/RunUntilCycle() when
   // config_.fast_dispatch is set. `cycle_bound` selects the RunUntilCycle

@@ -17,6 +17,7 @@
 #ifndef TRUSTLITE_SRC_DEV_TIMER_H_
 #define TRUSTLITE_SRC_DEV_TIMER_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/mem/device.h"
@@ -50,6 +51,13 @@ class Timer : public Device {
   }
   uint32_t IrqHandler() const override { return handler_; }
   void IrqAck() override { pending_ = false; }
+  // Tick() expires the countdown once count_ cycles have passed (at the
+  // next tick when count_ is already 0).
+  uint64_t CyclesUntilIrq() const override {
+    constexpr uint32_t kArmed = kTimerCtrlEnable | kTimerCtrlIrqEnable;
+    return (ctrl_ & kArmed) == kArmed ? std::max<uint64_t>(count_, 1)
+                                      : kNoIrqDeadline;
+  }
 
   uint64_t fire_count() const { return fire_count_; }
 

@@ -66,7 +66,7 @@ TrustletBuildSpec FirmwareSpec(const FleetProvisionConfig& config) {
   // appended default) so the payload window is the exact tail of the code
   // region — update campaigns overwrite [code_end - capacity, code_end).
   spec.body =
-      "tl_main:\n    swi 0\n    jmp tl_main\n"
+      "tl_main:\n    wfi\n    jmp tl_main\n"
       "tl_handle_call:\n    jr lr\n";
   spec.body += PayloadDirectives(config.payload, PaddedPayloadCapacity(config));
   return spec;

@@ -29,6 +29,7 @@ const char* EventName(StepEvent event) {
     case StepEvent::kException: return "exception";
     case StepEvent::kInterrupt: return "interrupt";
     case StepEvent::kHalted: return "halted";
+    case StepEvent::kSleep: return "sleep";
   }
   return "?";
 }
@@ -142,13 +143,16 @@ std::optional<Divergence> DifferentialExecutor::CompareFinalState(
   const CpuStats& sb = ref_->cpu().stats();
   if (sa.instructions != sb.instructions || sa.exceptions != sb.exceptions ||
       sa.interrupts != sb.interrupts ||
-      sa.trustlet_interrupts != sb.trustlet_interrupts) {
+      sa.trustlet_interrupts != sb.trustlet_interrupts ||
+      sa.sleep_cycles != sb.sleep_cycles) {
     return Divergence{step, "retirement counters: fast=" +
                                 Hex(sa.instructions) + "/" +
                                 Hex(sa.exceptions) + "/" + Hex(sa.interrupts) +
+                                "/" + Hex(sa.sleep_cycles) +
                                 " ref=" + Hex(sb.instructions) + "/" +
                                 Hex(sb.exceptions) + "/" +
-                                Hex(sb.interrupts)};
+                                Hex(sb.interrupts) + "/" +
+                                Hex(sb.sleep_cycles)};
   }
   const TrapInfo& ta = fast_->cpu().trap();
   const TrapInfo& tb = ref_->cpu().trap();
@@ -191,9 +195,13 @@ std::optional<Divergence> DifferentialExecutor::RunWindowed(uint64_t max_steps,
     // ended on exception entries. Every step costs at least one cycle and
     // both sides must be cycle-identical, so equal cycles means the same
     // instruction boundary. The step bound only guards against a divergence
-    // where the reference's cycle stream falls behind forever.
+    // where the reference's cycle stream falls behind forever. It is
+    // budgeted in cycles: the fast side sleeps a whole wfi span in one go,
+    // the reference one cycle per Step().
     const uint64_t target_cycle = fast_->cpu().cycles();
-    uint64_t chase_guard = 16 * quota + 4096;
+    uint64_t chase_guard =
+        (target_cycle - std::min(target_cycle, ref_->cpu().cycles())) +
+        16 * quota + 4096;
     while (!ref_->cpu().halted() && ref_->cpu().cycles() < target_cycle) {
       ref_->cpu().Step();
       if (--chase_guard == 0) {
@@ -397,13 +405,13 @@ uint32_t RandomInstructionWord(Xoshiro256& rng, uint32_t program_base) {
     case 10:
       return Encode(
           {Opcode::kSwi, 0, 0, 0, static_cast<int32_t>(rng.NextBelow(4))});
-    case 11: {  // System / flag ops.
+    case 11: {  // System / flag ops; wfi sleeps under the random timer.
       const Opcode sys[] = {Opcode::kCli, Opcode::kSti, Opcode::kIret,
-                            Opcode::kNop};
-      return Encode({sys[rng.NextBelow(4)], 0, 0, 0, 0});
+                            Opcode::kNop, Opcode::kWfi};
+      return Encode({sys[rng.NextBelow(5)], 0, 0, 0, 0});
     }
     case 12:  // Undefined opcode word (illegal-instruction path).
-      return (static_cast<uint32_t>(40 + rng.NextBelow(8)) << 26) |
+      return (static_cast<uint32_t>(41 + rng.NextBelow(7)) << 26) |
              rng.NextBelow(1u << 26);
     default: {  // ALU filler.
       const Opcode alu[] = {Opcode::kAdd, Opcode::kSub,  Opcode::kXor,

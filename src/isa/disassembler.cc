@@ -10,13 +10,11 @@ namespace trustlite {
 
 std::string Disassemble(const Instruction& insn, uint32_t addr) {
   const std::string name = OpcodeName(insn.opcode);
+  if (FormatOf(insn.opcode) == InstructionFormat::kNone) {
+    return name;
+  }
   char buf[96];
   switch (insn.opcode) {
-    case Opcode::kNop:
-    case Opcode::kHalt:
-    case Opcode::kIret:
-    case Opcode::kCli:
-    case Opcode::kSti:
     case Opcode::kUnprotect:
       return name;
     case Opcode::kJr:

@@ -57,6 +57,7 @@ constexpr OpcodeInfo kOpcodeTable[] = {
     {Opcode::kIret, "iret", InstructionFormat::kNone},
     {Opcode::kCli, "cli", InstructionFormat::kNone},
     {Opcode::kSti, "sti", InstructionFormat::kNone},
+    {Opcode::kWfi, "wfi", InstructionFormat::kNone},
     {Opcode::kProtect, "protect", InstructionFormat::kR},
     {Opcode::kUnprotect, "unprotect", InstructionFormat::kR},
     {Opcode::kAttest, "attest", InstructionFormat::kR},

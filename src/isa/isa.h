@@ -86,6 +86,7 @@ enum class Opcode : uint8_t {
   kIret = 37,  // pop ip, then flags, from the current stack
   kCli = 38,   // clear interrupt-enable flag
   kSti = 39,   // set interrupt-enable flag
+  kWfi = 40,   // wait for interrupt: sleep until an IRQ source is pending
   // Sancus baseline ISA extension (illegal without the Sancus unit).
   kProtect = 48,    // R-type: rs1 = ptr to section descriptor
   kUnprotect = 49,  // R-type: no operands

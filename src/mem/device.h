@@ -17,6 +17,9 @@
 
 namespace trustlite {
 
+// Device::CyclesUntilIrq() of a source that cannot raise its IRQ on its own.
+inline constexpr uint64_t kNoIrqDeadline = UINT64_MAX;
+
 class Device {
  public:
   Device(std::string name, uint32_t base, uint32_t size)
@@ -96,6 +99,11 @@ class Device {
   virtual uint32_t IrqHandler() const { return 0; }
   // Called by the CPU when it takes the interrupt.
   virtual void IrqAck() {}
+  // Cycles of Tick() after which IrqPending() becomes true, or
+  // kNoIrqDeadline when ticking alone never raises the line. A `wfi` sleeps
+  // straight to the earliest deadline its IRQ sources report, so a source
+  // whose Tick() can raise its line must report when.
+  virtual uint64_t CyclesUntilIrq() const { return kNoIrqDeadline; }
 
   // Restores power-on state. Backing memory contents are preserved
   // (TrustLite does *not* require volatile memory to be purged on reset —

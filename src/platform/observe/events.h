@@ -11,6 +11,7 @@
 //
 // Attribution rules (who an event "belongs" to):
 //  * InsnEvent.ip       — address of the retired instruction.
+//  * SleepEvent.ip      — address of the sleeping `wfi`.
 //  * TrapEvent.subject_ip — the interrupted/faulting *subject*: the
 //    instruction whose execution the exception displaced (for fetch faults
 //    the jumper, not the never-executed target — mirroring the EA-MPU's
@@ -42,6 +43,17 @@ struct InsnEvent {
   uint32_t ip = 0;     // Address of the retired instruction.
   uint32_t word = 0;   // Raw encoding (for disassembly).
   uint32_t cost = 0;   // Cycles charged to this instruction (incl. waits).
+};
+
+// The core slept in `wfi` at `ip` for `cycles` cycles, ending at `cycle`:
+// nothing was fetched or retired. The wfi itself retires (InsnEvent) only
+// when an IRQ source is pending at issue or a sleep reaches the earliest
+// IRQ deadline, so one wfi may sleep over several events when a run bound
+// cuts its sleep short.
+struct SleepEvent {
+  uint64_t cycle = 0;
+  uint32_t ip = 0;
+  uint64_t cycles = 0;
 };
 
 // Exception or interrupt entry (successful or halting). Emitted by the
@@ -156,6 +168,7 @@ class EventSink {
   virtual bool WantsIrqRaiseEvents() const { return true; }
 
   virtual void OnInstruction(const InsnEvent&) {}
+  virtual void OnSleep(const SleepEvent&) {}
   virtual void OnTrap(const TrapEvent&) {}
   virtual void OnHalt(const HaltEvent&) {}
   virtual void OnUartTx(const UartTxEvent&) {}

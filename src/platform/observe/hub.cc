@@ -60,6 +60,12 @@ void EventHub::OnInstruction(const InsnEvent& event) {
   }
 }
 
+void EventHub::OnSleep(const SleepEvent& event) {
+  for (EventSink* sink : sinks_) {
+    sink->OnSleep(event);
+  }
+}
+
 void EventHub::OnTrap(const TrapEvent& event) {
   for (EventSink* sink : sinks_) {
     sink->OnTrap(event);

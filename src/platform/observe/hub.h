@@ -43,6 +43,7 @@ class EventHub final : public EventSink {
   bool WantsMpuCheckEvents() const override { return AnyWantsMpuCheckEvents(); }
   bool WantsIrqRaiseEvents() const override { return AnyWantsIrqRaiseEvents(); }
   void OnInstruction(const InsnEvent& event) override;
+  void OnSleep(const SleepEvent& event) override;
   void OnTrap(const TrapEvent& event) override;
   void OnHalt(const HaltEvent& event) override;
   void OnUartTx(const UartTxEvent& event) override;

@@ -35,15 +35,26 @@ void TrustletProfiler::ConfigureFromReport(const EaMpu& mpu,
 
 int TrustletProfiler::Ensure(uint32_t ip) { return map_.LaneFor(ip); }
 
-void TrustletProfiler::OnInstruction(const InsnEvent& event) {
-  const int lane = Ensure(event.ip);
+LaneProfile& TrustletProfiler::Enter(uint32_t ip) {
+  const int lane = Ensure(ip);
   LaneProfile& profile = lanes_[lane];
   if (lane != current_) {
     ++profile.entries;
     current_ = lane;
   }
+  return profile;
+}
+
+void TrustletProfiler::OnInstruction(const InsnEvent& event) {
+  LaneProfile& profile = Enter(event.ip);
   ++profile.instructions;
   profile.cycles += event.cost;
+}
+
+void TrustletProfiler::OnSleep(const SleepEvent& event) {
+  LaneProfile& profile = Enter(event.ip);
+  profile.sleep_cycles += event.cycles;
+  profile.cycles += event.cycles;
 }
 
 void TrustletProfiler::OnTrap(const TrapEvent& event) {
@@ -68,13 +79,7 @@ void TrustletProfiler::OnHalt(const HaltEvent& event) {
   // Clean HALT retires carry an instruction cost but no InsnEvent (the
   // tracer's instruction count excludes it); the cycles still belong to the
   // halting lane. Trap halts carry cost == 0.
-  const int lane = Ensure(event.ip);
-  LaneProfile& profile = lanes_[lane];
-  if (lane != current_) {
-    ++profile.entries;
-    current_ = lane;
-  }
-  profile.cycles += event.cost;
+  Enter(event.ip).cycles += event.cost;
 }
 
 void TrustletProfiler::OnUartTx(const UartTxEvent& event) {
@@ -128,6 +133,7 @@ void TrustletProfiler::Clear() {
   for (LaneProfile& profile : lanes_) {
     profile.instructions = 0;
     profile.cycles = 0;
+    profile.sleep_cycles = 0;
     profile.entry_cycles = 0;
     profile.exceptions = 0;
     profile.interrupts = 0;
@@ -148,17 +154,20 @@ void TrustletProfiler::Clear() {
 std::string TrustletProfiler::ToString() const {
   std::string out;
   char line[256];
-  std::snprintf(line, sizeof(line), "%-14s %12s %12s %10s %6s %6s %7s %6s %5s\n",
-                "lane", "instructions", "cycles", "entry-cyc", "exc", "irq",
-                "sec-ent", "fault", "uart");
+  std::snprintf(line, sizeof(line),
+                "%-14s %12s %12s %10s %10s %6s %6s %7s %6s %5s\n", "lane",
+                "instructions", "cycles", "sleep-cyc", "entry-cyc", "exc",
+                "irq", "sec-ent", "fault", "uart");
   out += line;
   const uint64_t total = total_cycles();
   for (const LaneProfile& profile : lanes_) {
     std::snprintf(line, sizeof(line),
-                  "%-14s %12" PRIu64 " %12" PRIu64 " %10" PRIu64 " %6" PRIu64
-                  " %6" PRIu64 " %7" PRIu64 " %6" PRIu64 " %5" PRIu64 "\n",
+                  "%-14s %12" PRIu64 " %12" PRIu64 " %10" PRIu64 " %10" PRIu64
+                  " %6" PRIu64 " %6" PRIu64 " %7" PRIu64 " %6" PRIu64
+                  " %5" PRIu64 "\n",
                   profile.name.c_str(), profile.instructions, profile.cycles,
-                  profile.entry_cycles, profile.exceptions, profile.interrupts,
+                  profile.sleep_cycles, profile.entry_cycles,
+                  profile.exceptions, profile.interrupts,
                   profile.secure_entries, profile.mpu_faults,
                   profile.uart_bytes);
     out += line;

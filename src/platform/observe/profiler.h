@@ -15,8 +15,9 @@
 //
 // Accounting invariant: every cycle the CPU charges while the profiler is
 // attached lands in exactly one lane — instruction costs (incl. wait
-// states) via InsnEvent/HaltEvent, exception-entry costs via TrapEvent — so
-// the lane totals sum to the CPU cycle delta over the attachment window.
+// states) via InsnEvent/HaltEvent, `wfi` sleep via SleepEvent,
+// exception-entry costs via TrapEvent — so the lane totals sum to the CPU
+// cycle delta over the attachment window.
 
 #ifndef TRUSTLITE_SRC_PLATFORM_OBSERVE_PROFILER_H_
 #define TRUSTLITE_SRC_PLATFORM_OBSERVE_PROFILER_H_
@@ -36,7 +37,8 @@ struct LaneProfile {
   uint32_t code_base = 0;
   uint32_t code_end = 0;
   uint64_t instructions = 0;
-  uint64_t cycles = 0;         // Execution cycles + entry_cycles.
+  uint64_t cycles = 0;         // Execution cycles + sleep + entry_cycles.
+  uint64_t sleep_cycles = 0;   // Cycles asleep in this lane's `wfi`s.
   uint64_t entry_cycles = 0;   // Exception/interrupt entry overhead charged
                                // to this lane (subject-attributed).
   uint64_t exceptions = 0;     // Faults/SWIs that displaced this lane.
@@ -59,6 +61,7 @@ class TrustletProfiler : public EventSink {
   // --- EventSink ---
   bool WantsInstructionEvents() const override { return true; }
   void OnInstruction(const InsnEvent& event) override;
+  void OnSleep(const SleepEvent& event) override;
   void OnTrap(const TrapEvent& event) override;
   void OnHalt(const HaltEvent& event) override;
   void OnUartTx(const UartTxEvent& event) override;
@@ -94,6 +97,8 @@ class TrustletProfiler : public EventSink {
 
  private:
   int Ensure(uint32_t ip);  // LaneFor + lazy lane-0 bookkeeping.
+  // The lane of code at `ip`, counting an entry when execution moved there.
+  LaneProfile& Enter(uint32_t ip);
 
   LaneMap map_;
   std::vector<LaneProfile> lanes_ = {LaneProfile{"untrusted"}};

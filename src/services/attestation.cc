@@ -190,7 +190,7 @@ rattn_poll:
     ldw  r5, [r4 + UART_RXCOUNT]
     movi r6, 9
     bgeu r5, r6, rattn_frame
-    swi  0                       ; nothing pending: yield
+    wfi                          ; nothing pending: sleep to the next tick
     jmp  rattn_poll
 
 rattn_frame:

@@ -14,9 +14,12 @@
 //   tlfuzz diff   --seed <S> --programs 1
 //   tlfuzz inject --seed <S> --campaigns 1
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/harness/differential.h"
+#include "src/isa/assembler.h"
 #include "src/harness/injector.h"
 
 namespace trustlite {
@@ -66,6 +69,65 @@ TEST_P(WindowedDifferentialCorpusTest, FusedRunLoopMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, WindowedDifferentialCorpusTest,
                          ::testing::Range(0, 4));
+
+// The corpus generator draws wfi among its system ops, so windows end
+// mid-sleep and the fast run loop's one-span sleeps are chased by the
+// reference's one-cycle Step() sleeps. Guard that the corpus keeps doing
+// so: some programs must sleep, some past an armed timer deadline.
+TEST(WindowedDifferentialTest, CorpusSleepsUnderRandomTimers) {
+  int slept = 0;
+  uint64_t longest = 0;
+  for (uint64_t seed = 1; seed <= 250; ++seed) {
+    DifferentialExecutor diff{PlatformConfig{}};
+    BuildRandomScenario(diff, seed, RandomProgramOptions{});
+    const std::optional<Divergence> d = diff.RunWindowed(2000, 64);
+    ASSERT_FALSE(d.has_value())
+        << "seed=" << seed << " step=" << d->step << ": " << d->what;
+    const uint64_t sleep = diff.fast().cpu().stats().sleep_cycles;
+    slept += sleep > 0 ? 1 : 0;
+    longest = std::max(longest, sleep);
+  }
+  EXPECT_GE(slept, 5);
+  EXPECT_GE(longest, 8u);  // Longer than the timer's shortest period.
+}
+
+// One fast Run() window covers several 20,000-cycle sleeps; the reference
+// needs one Step() per slept cycle to chase it, far more steps than the
+// window has instructions.
+TEST(WindowedDifferentialTest, LongSleepsAreChasedCycleByCycle) {
+  Result<AsmOutput> out = Assemble(R"(
+.org 0x30000
+start:
+    li   r1, 0xF0002000
+    movi r2, 20000
+    stw  r2, [r1 + 4]      ; PERIOD
+    la   r2, isr
+    stw  r2, [r1 + 12]     ; HANDLER
+    movi r2, 7             ; enable | irq enable | auto-reload
+    stw  r2, [r1 + 0]
+    li   sp, 0x3c000
+    sti
+idle:
+    wfi
+    jmp  idle
+isr:
+    addi r6, r6, 1
+    addi sp, sp, 4         ; pop the error code
+    iret
+)");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  DifferentialExecutor diff{PlatformConfig{}};
+  diff.ForBoth([&](Platform& platform) {
+    for (const AsmChunk& chunk : out->chunks) {
+      ASSERT_TRUE(platform.bus().HostWriteBytes(chunk.base, chunk.bytes));
+    }
+    platform.cpu().Reset(out->symbols.at("start"));
+  });
+  const std::optional<Divergence> d = diff.RunWindowed(120, /*window=*/64);
+  ASSERT_FALSE(d.has_value()) << "step=" << d->step << ": " << d->what;
+  EXPECT_GE(diff.fast().cpu().reg(6), 10u);  // Ticks taken.
+  EXPECT_GT(diff.fast().cpu().stats().sleep_cycles, 200'000u);
+}
 
 // Window sizes bracketing the fusion group length (1..4 constituents):
 // window=1 forces a fused group to start on every Run() call, window=3

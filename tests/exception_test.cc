@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/bytes.h"
 #include "src/cpu/cpu.h"
 #include "src/isa/assembler.h"
 #include "src/mem/layout.h"
@@ -110,9 +111,11 @@ class ExceptionTest : public ::testing::Test {
   uint32_t Word(uint32_t addr) { return Word(platform_, addr); }
 
   // The trustlet program: entry vector + dispatch + continue() restore +
-  // main loop that sets recognizable register values.
+  // main loop that sets recognizable register values. With `sleep` the loop
+  // waits for an interrupt (at label tl_wfi) after every count.
   static std::string TrustletSource(uint32_t stack_init = kTlDataEnd,
-                                    uint32_t counter_addr = kCountAddr) {
+                                    uint32_t counter_addr = kCountAddr,
+                                    bool sleep = false) {
     std::string src;
     src += ".org 0x11000\n";
     src += R"(
@@ -133,6 +136,11 @@ tl_main:
 loop:
     addi r1, r1, 1
     stw  r1, [r4]
+)";
+    if (sleep) {
+      src += "tl_wfi:\n    wfi\n";
+    }
+    src += R"(
     jmp  loop
 do_continue:
     li   r15, 0x15000
@@ -753,6 +761,196 @@ a_entry:
   EXPECT_EQ(fast.isr_reported_ip, kTlCode);
   EXPECT_EQ(fast.tt_slot, 0u);
   EXPECT_EQ(fast.fault_latch[1], 0x17018u);  // The fetch fault latched first.
+}
+
+// ---------------------------------------------------------------------------
+// wfi (DESIGN.md §15, "Sleeping instead of yielding"). The fast run loop
+// sleeps to the earliest IRQ deadline in one span; Step() sleeps one cycle
+// at a time. Every scenario runs on both and must agree bit for bit.
+
+class WfiTest : public FrameSaveTest {
+ protected:
+  // Untrusted program at kAppCode; `sleep` labels its wfi.
+  static constexpr uint32_t kAppCode = 0x0001'8000;
+
+  void LoadApp(Platform& p, const std::string& body) {
+    std::map<std::string, uint32_t> symbols;
+    LoadGuest(p, ".org 0x18000\nstart:\n" + body, &symbols);
+    sleep_ = symbols.at("sleep");
+    p.cpu().Reset(kAppCode);
+    p.cpu().set_reg(kRegSp, 0x19000);
+  }
+
+  static void ExpectSameCpu(Platform& fast, Platform& ref) {
+    EXPECT_EQ(fast.cpu().cycles(), ref.cpu().cycles());
+    EXPECT_EQ(fast.cpu().ip(), ref.cpu().ip());
+    EXPECT_EQ(fast.cpu().halted(), ref.cpu().halted());
+    EXPECT_EQ(fast.cpu().stats().instructions, ref.cpu().stats().instructions);
+    EXPECT_EQ(fast.cpu().stats().interrupts, ref.cpu().stats().interrupts);
+    EXPECT_EQ(fast.cpu().stats().sleep_cycles, ref.cpu().stats().sleep_cycles);
+    EXPECT_EQ(Word(fast, kTimerBase + kTimerRegCount),
+              Word(ref, kTimerBase + kTimerRegCount));
+    for (int r = 0; r < kNumRegisters; ++r) {
+      EXPECT_EQ(fast.cpu().reg(r), ref.cpu().reg(r)) << RegisterName(r);
+    }
+  }
+
+  uint32_t sleep_ = 0;
+};
+
+TEST_F(WfiTest, TimerTickWakesSleepingTrustletAfterTheWfi) {
+  // The trustlet counts once and sleeps. Each one-shot tick wakes it: the
+  // wfi retires, the secure engine saves a frame that resumes after it, and
+  // continue() runs exactly one more count before the next sleep.
+  const std::string guest =
+      TrustletSource(kTlDataEnd, kCountAddr, /*sleep=*/true) +
+      OsSource(kContinueIsr, /*timer_period=*/300);
+  Result<AsmOutput> assembled = Assemble(guest);
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  const uint32_t tl_wfi = assembled->symbols.at("tl_wfi");
+
+  const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, nullptr);
+  const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, nullptr);
+  ExpectSameState(fast, ref);  // Includes the 42-cycle entry on both.
+  ExpectSameCpu(platform_, reference_);
+  EXPECT_EQ(fast.trustlet_interrupts, 2u);
+  EXPECT_EQ(platform_.cpu().stats().interrupts, 2u);
+  EXPECT_EQ(platform_.cpu().stats().exceptions, 2u);  // No yields, no faults.
+  EXPECT_GT(platform_.cpu().stats().sleep_cycles, 300u);
+  EXPECT_EQ(fast.tt_slot, kTlDataEnd - kTrustletFrameBytes);
+  EXPECT_EQ(LoadLe32(fast.frame.data() + 60), tl_wfi + 4);  // Resume IP.
+  EXPECT_EQ(Word(platform_, kObsBase + 52), 1u);  // Count at the first tick.
+  EXPECT_EQ(Word(platform_, kObsBase + 56), 2u);  // ... and at the second.
+}
+
+TEST_F(WfiTest, MaskedWfiWakesAtFirstExpiryWithoutTakingTheIrq) {
+  const std::string body = R"(
+    li   r1, 0xF0002000
+    movi r2, 100
+    stw  r2, [r1 + 4]      ; PERIOD
+    la   r2, isr
+    stw  r2, [r1 + 12]     ; HANDLER
+    movi r2, 3             ; enable | irq enable, one shot; IF stays clear
+    stw  r2, [r1 + 0]
+sleep:
+    wfi
+    ldw  r3, [r1 + 16]     ; STATUS: expired and still pending
+    wfi                    ; pending, though masked: retires at once
+    halt
+isr:
+    movi r4, 1
+    halt
+)";
+  LoadApp(platform_, body);
+  LoadApp(reference_, body);
+  ASSERT_TRUE(platform_.RunUntilIp(sleep_, 100));
+  ASSERT_TRUE(reference_.RunUntilIp(sleep_, 100));
+  ASSERT_EQ(platform_.cpu().cycles(), reference_.cpu().cycles());
+
+  // Stepped: one cycle per Step(); the wfi retires in the step in which the
+  // timer expires, not a cycle later.
+  uint64_t sleep_steps = 0;
+  while (reference_.cpu().ip() == sleep_) {
+    ASSERT_EQ(reference_.timer().fire_count(), 0u);
+    const uint64_t before = reference_.cpu().cycles();
+    const StepEvent event = reference_.cpu().Step();
+    if (event == StepEvent::kSleep) {
+      ASSERT_EQ(reference_.cpu().cycles(), before + 1);
+      ++sleep_steps;
+      ASSERT_LT(sleep_steps, 200u);
+    } else {
+      ASSERT_EQ(event, StepEvent::kExecuted);
+      EXPECT_EQ(reference_.cpu().cycles(), before + 2);  // Wake + retire.
+    }
+  }
+  EXPECT_EQ(reference_.timer().fire_count(), 1u);
+  EXPECT_EQ(reference_.cpu().ip(), sleep_ + 4);
+
+  // Fast: one Run(1) sleeps to the same cycle and retires the wfi.
+  EXPECT_EQ(platform_.cpu().Run(1), StepEvent::kExecuted);
+  ExpectSameCpu(platform_, reference_);
+  EXPECT_EQ(platform_.cpu().stats().sleep_cycles, sleep_steps + 1);
+
+  platform_.Run(100);
+  reference_.Run(100);
+  ExpectSameCpu(platform_, reference_);
+  EXPECT_TRUE(platform_.cpu().halted());
+  EXPECT_FALSE(platform_.cpu().trap().valid);
+  EXPECT_EQ(platform_.cpu().reg(3), 1u);  // Pending ...
+  EXPECT_EQ(platform_.cpu().reg(4), 0u);  // ... but never taken.
+  EXPECT_EQ(platform_.cpu().stats().interrupts, 0u);
+  EXPECT_EQ(platform_.cpu().stats().sleep_cycles, sleep_steps + 1);
+}
+
+TEST_F(WfiTest, RunWithNothingArmedReturnsAsleep) {
+  const std::string body = R"(
+    sti
+sleep:
+    wfi
+    halt
+)";
+  for (Platform* p : {&platform_, &reference_}) {
+    LoadApp(*p, body);
+    // Nothing can wake the core: each instruction-bound run sleeps one
+    // cycle and returns, neither spinning nor tripping the watchdog.
+    EXPECT_EQ(p->Run(1000), StepEvent::kSleep);
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_EQ(p->Run(1), StepEvent::kSleep);
+    }
+    EXPECT_FALSE(p->cpu().halted());
+    EXPECT_FALSE(p->cpu().trap().valid);
+    EXPECT_EQ(p->cpu().ip(), sleep_);
+    EXPECT_EQ(p->cpu().stats().instructions, 1u);  // The sti.
+    EXPECT_EQ(p->cpu().stats().sleep_cycles, 5001u);
+    EXPECT_EQ(p->cpu().cycles(), 5002u);
+    // A cycle-bound run sleeps exactly to its target.
+    EXPECT_EQ(p->RunUntilCycle(9000), StepEvent::kSleep);
+    EXPECT_EQ(p->cpu().cycles(), 9000u);
+  }
+  ExpectSameCpu(platform_, reference_);
+}
+
+TEST_F(WfiTest, RunUntilCycleStopsExactlyOnItsTargetMidSleep) {
+  const std::string body = R"(
+    li   r1, 0xF0002000
+    movi r2, 5000
+    stw  r2, [r1 + 4]      ; PERIOD
+    la   r2, isr
+    stw  r2, [r1 + 12]     ; HANDLER
+    movi r2, 3             ; enable | irq enable, one shot
+    stw  r2, [r1 + 0]
+    sti
+sleep:
+    wfi
+    halt
+isr:
+    movi r4, 1
+    halt
+)";
+  LoadApp(platform_, body);
+  LoadApp(reference_, body);
+  for (const uint64_t target : {1000ull, 1001ull, 3333ull}) {
+    EXPECT_EQ(platform_.RunUntilCycle(target), StepEvent::kSleep);
+    EXPECT_EQ(reference_.RunUntilCycle(target), StepEvent::kSleep);
+    EXPECT_EQ(platform_.cpu().cycles(), target);
+    EXPECT_EQ(platform_.cpu().ip(), sleep_);
+    ExpectSameCpu(platform_, reference_);
+  }
+  // Step() sleeps one cycle, on either platform.
+  EXPECT_EQ(platform_.cpu().Step(), StepEvent::kSleep);
+  EXPECT_EQ(reference_.cpu().Step(), StepEvent::kSleep);
+  EXPECT_EQ(platform_.cpu().cycles(), 3334u);
+  ExpectSameCpu(platform_, reference_);
+
+  // Past the deadline: the wfi retires, the IRQ is taken after it.
+  platform_.RunUntilCycle(10000);
+  reference_.RunUntilCycle(10000);
+  ExpectSameCpu(platform_, reference_);
+  EXPECT_TRUE(platform_.cpu().halted());
+  EXPECT_FALSE(platform_.cpu().trap().valid);
+  EXPECT_EQ(platform_.cpu().reg(4), 1u);
+  EXPECT_EQ(platform_.cpu().stats().interrupts, 1u);
+  EXPECT_EQ(Word(platform_, 0x19000 - 8), sleep_ + 4);  // Resume IP.
 }
 
 }  // namespace

@@ -556,6 +556,41 @@ TEST(FleetNodeTickTest, TraceWriterKeepsEagerTicksAndExactIrqStamps) {
   }
 }
 
+// --- Idle nodes sleep -----------------------------------------------------
+
+TEST(FleetIdleTest, IdleNodesTakeOnlyTimerInterrupts) {
+  // Guard against the idle yield storm: the FW and attestation trustlets
+  // wait in `wfi`, so an idle node enters the secure engine once per nanOS
+  // tick (Sec. 5.4's 42 cycles each) and never through an SWI yield.
+  FleetConfig config;
+  config.nodes = 4;
+  config.seed = 42;
+  Fleet fleet(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  ASSERT_TRUE(ProvisionAttestationFleet(&fleet, prov).ok());
+  std::vector<CpuStats> before;
+  for (int i = 0; i < fleet.num_nodes(); ++i) {
+    before.push_back(fleet.node(i).platform().cpu().stats());
+  }
+  constexpr uint64_t kQuanta = 32;
+  fleet.RunQuanta(kQuanta);
+  const uint64_t ticks = kQuanta * config.quantum / prov.timer_period;
+  for (int i = 0; i < fleet.num_nodes(); ++i) {
+    const CpuStats& after = fleet.node(i).platform().cpu().stats();
+    const CpuStats& b = before[static_cast<size_t>(i)];
+    const uint64_t irqs = after.interrupts - b.interrupts;
+    EXPECT_GE(irqs + 1, ticks) << "node " << i;
+    EXPECT_EQ(after.trustlet_interrupts - b.trustlet_interrupts, irqs)
+        << "node " << i;
+    EXPECT_EQ(after.exceptions - b.exceptions, irqs) << "node " << i;
+    // Asleep for most of the window.
+    EXPECT_GT(after.sleep_cycles - b.sleep_cycles,
+              kQuanta * config.quantum / 2)
+        << "node " << i;
+  }
+}
+
 // --- Fleet-wide remote attestation ---------------------------------------
 
 struct AttestRun {

@@ -45,8 +45,8 @@ TEST(IsaTest, OpcodeNamesRoundTrip) {
 }
 
 TEST(IsaTest, UndefinedOpcodesDecodeToNothing) {
-  // Opcodes 40..47 and 51..63 are unassigned.
-  EXPECT_FALSE(Decode(40u << 26).has_value());
+  // Opcodes 41..47 and 51..63 are unassigned.
+  EXPECT_FALSE(Decode(41u << 26).has_value());
   EXPECT_FALSE(Decode(47u << 26).has_value());
   EXPECT_FALSE(Decode(51u << 26).has_value());
   EXPECT_FALSE(Decode(63u << 26).has_value());

@@ -108,8 +108,10 @@ struct PreemptiveSystem {
 };
 
 // Replicates the paper-eval scenario (Fig. 6): two trustlets spinning under
-// nanOS round-robin scheduling with a fast timer tick.
-std::unique_ptr<PreemptiveSystem> BuildPreemptiveSystem(uint32_t timer_period) {
+// nanOS round-robin scheduling with a fast timer tick. With `t0_sleeps`, T0
+// counts once per tick and sleeps in `wfi` in between.
+std::unique_ptr<PreemptiveSystem> BuildPreemptiveSystem(
+    uint32_t timer_period, bool t0_sleeps = false) {
   auto sys = std::make_unique<PreemptiveSystem>();
   SystemImage image;
   for (int i = 0; i < 2; ++i) {
@@ -119,7 +121,11 @@ std::unique_ptr<PreemptiveSystem> BuildPreemptiveSystem(uint32_t timer_period) {
     spec.data_addr = 0x12000 + static_cast<uint32_t>(i) * 0x2000;
     spec.data_size = 0x400;
     spec.stack_size = 0x100;
-    spec.body = "tl_main:\nloop:\n    addi r1, r1, 1\n    jmp loop\n";
+    spec.body = "tl_main:\nloop:\n    addi r1, r1, 1\n";
+    if (i == 0 && t0_sleeps) {
+      spec.body += "    wfi\n";
+    }
+    spec.body += "    jmp loop\n";
     image.Add(*BuildTrustlet(spec));
   }
   NanosConfig os_config;
@@ -208,6 +214,53 @@ TEST(ProfilerTest, Fig6ScheduleReproducesSec54EntryCosts) {
   const std::string table = profiler.ToString();
   EXPECT_NE(table.find("os"), std::string::npos);
   EXPECT_NE(table.find("split:"), std::string::npos);
+}
+
+TEST(ProfilerTest, SleepingTrustletCyclesLandInItsLane) {
+  auto sys = BuildPreemptiveSystem(/*timer_period=*/500, /*t0_sleeps=*/true);
+  ASSERT_NE(sys, nullptr);
+  Platform& platform = sys->platform;
+  TrustletProfiler profiler;
+  profiler.ConfigureFromReport(*platform.mpu(), sys->report);
+  platform.AddEventSink(&profiler);
+  const uint64_t cycles_before = platform.cpu().cycles();
+  const uint64_t sleep_before = platform.cpu().stats().sleep_cycles;
+
+  // Cycle-bound slices out of phase with the 2-tick schedule: some end while
+  // T0 sleeps, and the cycles slept up to the cut must already be in the
+  // profile.
+  int cut_mid_sleep = 0;
+  for (int i = 0; i < 40; ++i) {
+    platform.RunUntilCycle(platform.cpu().cycles() + 613);
+    uint32_t word = 0;
+    ASSERT_TRUE(platform.bus().HostReadWord(platform.cpu().ip(), &word));
+    if (word == Encode(Instruction{Opcode::kWfi})) {
+      ++cut_mid_sleep;
+    }
+    ASSERT_EQ(profiler.total_cycles(), platform.cpu().cycles() - cycles_before);
+  }
+  platform.RemoveEventSink(&profiler);
+  EXPECT_GT(cut_mid_sleep, 0);
+  ASSERT_FALSE(platform.cpu().halted());
+
+  const LaneProfile& t0 = profiler.lane(1);
+  const LaneProfile& t1 = profiler.lane(2);
+  ASSERT_EQ(t0.code_base, 0x11000u);
+  ASSERT_EQ(t1.code_base, 0x13000u);
+  EXPECT_EQ(t0.sleep_cycles,
+            platform.cpu().stats().sleep_cycles - sleep_before);
+  EXPECT_GT(t0.sleep_cycles, t0.cycles / 2);  // T0 mostly sleeps.
+  EXPECT_EQ(t1.sleep_cycles, 0u);
+  EXPECT_GT(t1.instructions, t0.instructions);
+  // Sleeping replaced yielding: T0 is displaced only by ticks.
+  EXPECT_EQ(t0.exceptions, 0u);
+  EXPECT_GT(t0.interrupts, 0u);
+  uint64_t lane_cycle_sum = 0;
+  for (int i = 0; i < profiler.num_lanes(); ++i) {
+    lane_cycle_sum += profiler.lane(i).cycles;
+  }
+  EXPECT_EQ(lane_cycle_sum, platform.cpu().cycles() - cycles_before);
+  EXPECT_NE(profiler.ToString().find("sleep-cyc"), std::string::npos);
 }
 
 TEST(ProfilerTest, ClearKeepsLaneConfiguration) {

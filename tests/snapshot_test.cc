@@ -455,6 +455,43 @@ TEST(WarmBootTest, CloneKeysAndSeedsAreNodeSpecific) {
   EXPECT_NE(fleet.node(1).StateDigest(), fleet.node(2).StateDigest());
 }
 
+TEST(WarmBootTest, NodeSnapshottedMidSleepTracksTheLiveNode) {
+  // Idle fleet trustlets wait in `wfi`, so a quantum barrier cuts a sleep.
+  // The sleeping core is just its IP on the wfi (no ArchState field): the
+  // restored node re-issues the wfi and must stay bit-identical to the live
+  // node across the following quanta, ticks and trustlet switches included.
+  FleetConfig config;
+  config.nodes = 2;
+  config.seed = 42;
+  Fleet fleet(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  ASSERT_TRUE(ProvisionAttestationFleet(&fleet, prov).ok());
+  fleet.RunQuanta(3);
+  Platform& live = fleet.node(1).platform();
+  ASSERT_EQ(live.cpu().cycles(), fleet.now());  // Stopped on the barrier.
+  uint32_t word = 0;
+  ASSERT_TRUE(live.bus().HostReadWord(live.cpu().ip(), &word));
+  ASSERT_EQ(word, Encode(Instruction{Opcode::kWfi}));
+
+  Result<std::vector<uint8_t>> saved = SavePlatform(live);
+  ASSERT_TRUE(saved.ok());
+  Result<PlatformConfig> restored_config = SnapshotPlatformConfig(*saved);
+  ASSERT_TRUE(restored_config.ok());
+  Platform restored(*restored_config);
+  ASSERT_TRUE(RestorePlatform(&restored, *saved).ok());
+  EXPECT_EQ(PlatformStateDigest(restored), PlatformStateDigest(live));
+
+  const uint64_t interrupts_before = live.cpu().stats().interrupts;
+  for (int q = 0; q < 8; ++q) {
+    fleet.RunQuanta(1);
+    restored.RunUntilCycle(fleet.now());
+    ASSERT_EQ(PlatformStateDigest(restored), PlatformStateDigest(live))
+        << "quantum " << q;
+  }
+  EXPECT_GT(live.cpu().stats().interrupts, interrupts_before + 8);
+}
+
 // ---------------------------------------------------------------------------
 // Pinned digests. Every other digest check compares two runs of one build
 // (live vs restored, t1 vs t8), so a change to the hashed byte stream — or
@@ -475,7 +512,7 @@ TEST(PinnedDigestTest, SecureLoaderBootedPlatform) {
   Fleet fleet(config);
   ASSERT_TRUE(ProvisionAttestationFleet(&fleet, FleetProvisionConfig{}).ok());
   EXPECT_EQ(DigestHex(PlatformStateDigest(fleet.node(0).platform())),
-            "20acd53d50aaa11debc7309d8f01ea742daa371b976765401a0201458e8b1011");
+            "759396a8752900ebfb6f9bf7365bd4b8346812382ce959c81d7cef67710da109");
 }
 
 TEST(PinnedDigestTest, WarmFleetAfterFixedQuanta) {
@@ -488,7 +525,7 @@ TEST(PinnedDigestTest, WarmFleetAfterFixedQuanta) {
   ASSERT_TRUE(ProvisionAttestationFleet(&fleet, prov).ok());
   fleet.RunQuanta(32);
   EXPECT_EQ(DigestHex(fleet.FleetDigest()),
-            "f704bdb92964e39244e9a001881999e18d82829063b2ffc54dd783b10739dc95");
+            "90f814fb8ed5ea57e4e2b59d189e86a7becc7de15aaba1502a8c37d97c0a32f6");
 }
 
 }  // namespace

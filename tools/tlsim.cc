@@ -427,6 +427,14 @@ int CmdRun(const std::vector<std::string>& args) {
     std::printf("  %-12s builds %-11llu invalidations %llu\n", "fusion-cache",
                 static_cast<unsigned long long>(fp.fusion_builds),
                 static_cast<unsigned long long>(fp.fusion_invalidations));
+    // Cycles asleep in wfi: fetched and retired nothing.
+    std::printf("  %-12s cycles %-11llu of %llu (%5.1f%%)\n", "wfi-sleep",
+                static_cast<unsigned long long>(cpu.stats().sleep_cycles),
+                static_cast<unsigned long long>(cpu.cycles()),
+                cpu.cycles() == 0
+                    ? 0.0
+                    : 100.0 * static_cast<double>(cpu.stats().sleep_cycles) /
+                          static_cast<double>(cpu.cycles()));
     if (!no_mpu) {
       print_cache("mpu-subject", fp.mpu.subject_hits, fp.mpu.subject_misses);
       print_cache("mpu-decision", fp.mpu.decision_hits, fp.mpu.decision_misses);
