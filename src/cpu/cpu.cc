@@ -88,6 +88,15 @@ inline bool FusableTail(Opcode op) {
   return IsBranch(op) || IsJump(op) || op == Opcode::kHalt;
 }
 
+// Exception-storm watchdog of a run budgeted `budget` instructions (or
+// cycles): exception entries retire nothing (and zero-cost ones do not
+// advance the clock), so every run loop halts after budget * 8 + 1024
+// steps. Saturated: a budget of 2^61 or more must not wrap to a small bound.
+constexpr uint64_t RunWatchdogLimit(uint64_t budget) {
+  constexpr uint64_t kSlack = 1024;
+  return budget > (UINT64_MAX - kSlack) / 8 ? UINT64_MAX : budget * 8 + kSlack;
+}
+
 }  // namespace
 
 // Per-opcode semantics, expanded into the switch in Execute(). The expansion
@@ -320,6 +329,25 @@ bool Cpu::PendingIrq(Device** source) const {
     }
   }
   return false;
+}
+
+Device* Cpu::PollIrq() {
+  // IRQ-pending is device state: deferred ticks must land before the poll or
+  // a timer expiry inside the deferred span would be missed.
+  bus_->FlushTicks();
+  ++stats_.irq_polls;
+  Device* source = nullptr;
+  if (PendingIrq(&source)) {
+    irq_horizon_ = 0;
+    return source;
+  }
+  // Nothing is pending, and nothing can be until a source's Tick() reaches
+  // its deadline or a bus access reaches a device (device.h).
+  const uint64_t wake = CyclesUntilWake();
+  irq_horizon_ =
+      wake >= kNoIrqDeadline - cycles_ ? kNoIrqDeadline : cycles_ + wake;
+  irq_horizon_device_generation_ = bus_->device_generation();
+  return nullptr;
 }
 
 uint64_t Cpu::CyclesUntilWake() const {
@@ -584,11 +612,8 @@ Cpu::ExecOutcome Cpu::Execute(const Instruction& insn) {
 }
 
 bool Cpu::RecognizeIrq(StepEvent* event, uint64_t cycles_before) {
-  // IRQ-pending is device state: deferred ticks must land before the poll or
-  // a timer expiry inside the deferred span would be missed.
-  bus_->FlushTicks();
-  Device* source = nullptr;
-  if (!PendingIrq(&source)) {
+  Device* source = PollIrq();
+  if (source == nullptr) {
     return false;
   }
   if (interrupt_guard_ && !interrupt_guard_(ip_)) {
@@ -700,10 +725,7 @@ StepEvent Cpu::FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
 }
 
 StepEvent Cpu::Wait(const Instruction& insn, uint32_t word, uint64_t bound) {
-  // Pending and deadline are device state: land deferred ticks first.
-  bus_->FlushTicks();
-  Device* source = nullptr;
-  if (!PendingIrq(&source)) {
+  if (PollIrq() == nullptr) {
     const uint64_t wake = CyclesUntilWake();
     uint64_t span = std::min(wake, bound);
     if (span == kNoIrqDeadline) {
@@ -805,20 +827,22 @@ StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
   const uint64_t start = stats_.instructions;
   // Exception storms do not retire instructions (and zero-cost storms do not
   // advance the clock); bound them separately, exactly like the Step loops.
-  const uint64_t budget =
+  const uint64_t safety_limit = RunWatchdogLimit(
       cycle_bound ? (target_cycle > cycles_ ? target_cycle - cycles_ : 0)
-                  : max_instructions;
-  const uint64_t safety_limit = budget * 8 + 1024;
+                  : max_instructions);
   uint64_t safety = 0;
   StepEvent event = StepEvent::kExecuted;
+  // The host may have touched devices since the last run.
+  irq_horizon_ = 0;
 
   while (!halted_ &&
          (cycle_bound ? cycles_ < target_cycle
                       : stats_.instructions - start < max_instructions)) {
     const uint64_t cycles_before = cycles_;
 
-    // Interrupt recognition happens between instructions.
-    if ((flags_ & kFlagIf) != 0) {
+    // Interrupt recognition happens between instructions; inside the IRQ
+    // horizon no source can be pending, so the poll is skipped.
+    if ((flags_ & kFlagIf) != 0 && !IrqHorizonOpen()) {
       StepEvent irq_event = StepEvent::kExecuted;
       if (RecognizeIrq(&irq_event, cycles_before)) {
         event = irq_event;
@@ -847,22 +871,40 @@ StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
     }
 
     // Fetch, subject = prev_ip_ (entry-vector rule), exactly as in Step().
-    AccessContext fetch_ctx;
-    fetch_ctx.curr_ip = prev_ip_;
-    fetch_ctx.kind = AccessKind::kFetch;
-    fetch_ctx.privileged = (flags_ & kFlagUser) == 0;
+    // Only the source of the word differs for a group head pinned to this
+    // predecessor: its host backing, as that fetch is known to pass.
+    // Fusion is suppressed while a consumer wants per-fetch MpuCheckEvents
+    // (tail fetch checks are precomputed and pinned heads skip theirs, so
+    // the per-check event stream would under-report).
+    FusionEntry* fe =
+        config_.fusion && config_.decode_cache && !fusion_suppressed_
+            ? &fusion_cache_[CodeCacheIndex(ip_, kFusionCacheSize - 1)]
+            : nullptr;
+    const bool fe_current =
+        fe != nullptr && fe->valid && fe->head_addr == ip_ &&
+        fe->user_mode == ((flags_ & kFlagUser) != 0) &&
+        fe->mpu_generation == CurrentMpuGeneration() &&
+        fe->topology_generation == bus_->topology_generation();
     uint32_t word = 0;
-    const AccessResult fetch = bus_->Read(fetch_ctx, ip_, 4, &word);
-    if (fetch != AccessResult::kOk) {
-      event = TakeFetchFault(ExcClassOf(fetch), cycles_before);
-      if (event == StepEvent::kHalted) {
-        break;
+    if (fe_current && fe->count >= 2 && fe->head_prev_ip == prev_ip_) {
+      word = LoadWordLe(fe->ops[0].backing);
+    } else {
+      AccessContext fetch_ctx;
+      fetch_ctx.curr_ip = prev_ip_;
+      fetch_ctx.kind = AccessKind::kFetch;
+      fetch_ctx.privileged = (flags_ & kFlagUser) == 0;
+      const AccessResult fetch = bus_->Read(fetch_ctx, ip_, 4, &word);
+      if (fetch != AccessResult::kOk) {
+        event = TakeFetchFault(ExcClassOf(fetch), cycles_before);
+        if (event == StepEvent::kHalted) {
+          break;
+        }
+        if (++safety > safety_limit) {
+          HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
+          return StepEvent::kHalted;
+        }
+        continue;
       }
-      if (++safety > safety_limit) {
-        HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-        return StepEvent::kHalted;
-      }
-      continue;
     }
 
     const uint64_t mem_gen = bus_->memory_generation();
@@ -911,50 +953,43 @@ StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
     }
 
     // Superinstruction fusion: execute a validated straight-line group from
-    // one cache entry. Suppressed while a consumer wants per-fetch
-    // MpuCheckEvents (tail fetch checks are precomputed, so the per-check
-    // event stream would under-report).
-    if (config_.fusion && config_.decode_cache && !fusion_suppressed_) {
-      FusionEntry& fe =
-          fusion_cache_[CodeCacheIndex(ip_, kFusionCacheSize - 1)];
-      const bool user_now = (flags_ & kFlagUser) != 0;
+    // one cache entry.
+    if (fe != nullptr) {
       bool run_group = false;
-      if (fe.valid && fe.head_addr == ip_ && fe.ops[0].word == word &&
-          fe.user_mode == user_now &&
-          fe.mpu_generation == CurrentMpuGeneration() &&
-          fe.topology_generation == bus_->topology_generation()) {
-        if (fe.count >= 2) {
+      if (fe_current && fe->ops[0].word == word) {
+        if (fe->count >= 2) {
           // Re-compare the tail words through their stable host backing on
-          // every dispatch (the head's word is the fresh fetch above). Like
+          // every dispatch (the head's word is the fetch above). Like
           // the decode cache's always-compare rule, this stays exact even
           // for out-of-band host mutations that never bumped the bus memory
           // generation (Ram::LoadBytes program reloads in tests/tools).
           bool intact = true;
-          for (int i = 1; i < fe.count; ++i) {
-            if (LoadWordLe(fe.ops[i].backing) != fe.ops[i].word) {
+          for (int i = 1; i < fe->count; ++i) {
+            if (LoadWordLe(fe->ops[i].backing) != fe->ops[i].word) {
               intact = false;
               break;
             }
           }
           if (intact) {
-            fe.mem_generation = mem_gen;
+            fe->mem_generation = mem_gen;
+            fe->head_prev_ip = prev_ip_;  // This fetch passed: re-pin.
             run_group = true;
           } else {
             ++stats_.fusion_invalidations;
-            fe.valid = false;
+            fe->valid = false;
           }
         }
         // count == 1 is a tombstone: the head is not fusable under the
         // current word/MPU configuration — fall through to single dispatch.
       } else {
-        if (fe.valid) {
+        if (fe->valid) {
           ++stats_.fusion_invalidations;
         }
-        BuildFusionGroup(fe, ip_, word, *insn_ptr, mem_gen);
-        run_group = fe.count >= 2;
+        BuildFusionGroup(*fe, ip_, word, *insn_ptr, mem_gen);
+        run_group = fe->count >= 2;
       }
       if (run_group) {
-        event = ExecuteFusedGroup(fe, max_instructions, target_cycle,
+        event = ExecuteFusedGroup(*fe, max_instructions, target_cycle,
                                   cycle_bound, start, &safety);
         if (event == StepEvent::kHalted) {
           break;
@@ -990,15 +1025,16 @@ void Cpu::BuildFusionGroup(FusionEntry& entry, uint32_t head_ip,
   entry.mem_generation = mem_gen;
   entry.mpu_generation = CurrentMpuGeneration();
   entry.topology_generation = bus_->topology_generation();
+  entry.head_prev_ip = prev_ip_;
   entry.user_mode = (flags_ & kFlagUser) != 0;
   entry.valid = true;
   entry.count = 1;  // Tombstone unless a group forms below.
   entry.ops[0].insn = head;
   entry.ops[0].addr = head_ip;
   entry.ops[0].word = head_word;
-  entry.ops[0].backing = nullptr;  // Head word is validated by the real fetch.
+  entry.ops[0].backing = bus_->HostMemSpan(head_ip, 4);
 
-  if (!FusableInterior(head.opcode)) {
+  if (!FusableInterior(head.opcode) || entry.ops[0].backing == nullptr) {
     return;
   }
   // Tail fetch permissions are precomputed with the EA-MPU's advisory query
@@ -1128,12 +1164,9 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
               : stats_.instructions - start_instructions >= max_instructions) {
         break;
       }
-      if ((flags_ & kFlagIf) != 0) {
-        bus_->FlushTicks();  // Pending-IRQ poll observes device time.
-        Device* source = nullptr;
-        if (PendingIrq(&source)) {
-          break;  // Outer loop runs full interrupt recognition.
-        }
+      if ((flags_ & kFlagIf) != 0 && !IrqHorizonOpen() &&
+          PollIrq() != nullptr) {
+        break;  // Outer loop runs full interrupt recognition.
       }
       if (ip_ != entry.ops[i].addr) {
         break;  // A hook or fault redirected control mid-group.
@@ -1190,6 +1223,7 @@ StepEvent Cpu::Run(uint64_t max_instructions) {
     return event;
   }
   const uint64_t start = stats_.instructions;
+  const uint64_t safety_limit = RunWatchdogLimit(max_instructions);
   uint64_t safety = 0;
   StepEvent event = StepEvent::kExecuted;
   while (!halted_ && stats_.instructions - start < max_instructions) {
@@ -1206,7 +1240,7 @@ StepEvent Cpu::Run(uint64_t max_instructions) {
       continue;
     }
     // Exception storms do not retire instructions; bound them separately.
-    if (++safety > max_instructions * 8 + 1024) {
+    if (++safety > safety_limit) {
       HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
       return StepEvent::kHalted;
     }
@@ -1222,8 +1256,8 @@ StepEvent Cpu::RunUntilCycle(uint64_t target_cycle) {
   }
   StepEvent event = StepEvent::kExecuted;
   uint64_t safety = 0;
-  const uint64_t budget =
-      target_cycle > cycles_ ? target_cycle - cycles_ : 0;
+  const uint64_t safety_limit =
+      RunWatchdogLimit(target_cycle > cycles_ ? target_cycle - cycles_ : 0);
   while (!halted_ && cycles_ < target_cycle) {
     event = Step();
     if (event == StepEvent::kHalted) {
@@ -1234,7 +1268,7 @@ StepEvent Cpu::RunUntilCycle(uint64_t target_cycle) {
     }
     // Every architectural step costs at least one cycle; bound pathological
     // zero-cost storms the same way Run() bounds exception storms.
-    if (++safety > budget * 8 + 1024) {
+    if (++safety > safety_limit) {
       HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
       return StepEvent::kHalted;
     }

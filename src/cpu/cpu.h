@@ -156,6 +156,10 @@ struct CpuStats {
   // the host telemetry rather than ArchState: a sleeping core is fully
   // described by its IP on the wfi, so snapshots need no sleep field.
   uint64_t sleep_cycles = 0;
+  // Flush-and-polls of the IRQ sources: one per IF-set boundary in Step(),
+  // one per `wfi` reached, and in the fast run loop one per boundary past the
+  // IRQ horizon (DESIGN.md §15, "Polling at deadlines").
+  uint64_t irq_polls = 0;
 };
 
 class Cpu {
@@ -218,7 +222,9 @@ class Cpu {
   // Runs until HALT, trap, or `max_instructions` retired. Returns the final
   // event. A `wfi` sleeps to the earliest IRQ deadline; when no IRQ source
   // is armed nothing can ever wake the core, so the run returns kSleep
-  // after one cycle with the core still asleep.
+  // after one cycle with the core still asleep. An exception storm that
+  // retires nothing halts with a watchdog trap after about 8 steps per
+  // budgeted instruction (saturating: UINT64_MAX means unbounded).
   StepEvent Run(uint64_t max_instructions);
 
   // Runs until the cycle counter reaches `target_cycle` (or HALT/trap).
@@ -295,6 +301,20 @@ class Cpu {
   // step was consumed (guard reset or exception entry), with *event set;
   // false for no-pending and for the spurious ack-and-drop case.
   bool RecognizeIrq(StepEvent* event, uint64_t cycles_before);
+  // Flushes deferred ticks and polls the IRQ sources (one irq_polls);
+  // returns the highest-priority pending source, else null. Either way it
+  // resets the IRQ horizon: expired when a source is pending, else open
+  // until the earliest CyclesUntilWake() deadline or the next non-memory
+  // bus access. Step() polls regardless of the horizon.
+  Device* PollIrq();
+  // True while no IRQ source can be pending (see PollIrq): RunLoop and
+  // ExecuteFusedGroup skip their IF-set polls. Every RunLoop call starts
+  // with the horizon expired, since the host may touch devices between
+  // runs.
+  bool IrqHorizonOpen() const {
+    return cycles_ < irq_horizon_ &&
+           bus_->device_generation() == irq_horizon_device_generation_;
+  }
   // Fetch-side fault entry (misaligned IP, fetch MPU/bus fault). The
   // interrupted subject is prev_ip_ (the jumper), per the entry-vector rule.
   StepEvent TakeFetchFault(uint32_t exception_class, uint64_t cycles_before);
@@ -376,6 +396,15 @@ class Cpu {
   // bus memory generation moved (self-modifying code, loaders, snapshot
   // restore). count == 1 marks a tombstone: the head is not fusable, don't
   // retry until its word or the MPU configuration changes.
+  //
+  // The head is pinned to one predecessor: head_prev_ip is the prev_ip_
+  // whose real fetch of the head last passed. That decision depends only on
+  // (predecessor, head address, FLAGS.User, EA-MPU configuration), which
+  // the entry's generations and user_mode already pin, so re-entering the
+  // group from the same predecessor reads the head word through
+  // ops[0].backing instead of the bus. Any other predecessor (a foreign
+  // jump, an exception vector, a fall-through from elsewhere) takes the
+  // real fetch and its entry-vector check.
   static constexpr int kMaxFusedOps = 4;
   struct FusedOp {
     Instruction insn;
@@ -388,6 +417,7 @@ class Cpu {
     uint64_t mem_generation = 0;  // Bus memory generation at build/revalidate.
     uint64_t mpu_generation = 0;  // EA-MPU config generation at build.
     uint64_t topology_generation = 0;  // Bus topology generation at build.
+    uint32_t head_prev_ip = 0;  // Pinned predecessor of the head (above).
     bool valid = false;
     bool user_mode = false;  // FLAGS.User at build (fetch privilege).
     uint8_t count = 0;       // 1 = tombstone; 2..4 = fused group.
@@ -406,7 +436,8 @@ class Cpu {
   }
 
   // Builds (or tombstones) the fusion entry for the instruction at
-  // `head_ip`, already fetched as `head_word` and decoded as `head`.
+  // `head_ip`, already fetched by prev_ip_ as `head_word` and decoded as
+  // `head`. A group's head must be memory-backed, so it can be pinned.
   void BuildFusionGroup(FusionEntry& entry, uint32_t head_ip,
                         uint32_t head_word, const Instruction& head,
                         uint64_t mem_gen);
@@ -508,6 +539,10 @@ class Cpu {
   bool data_window_enabled_ = false;
   DataWindow read_windows_[kDataWindowWays];   // Most recently used first.
   DataWindow write_windows_[kDataWindowWays];  // Most recently used first.
+  // IRQ horizon (IrqHorizonOpen): cycle of the next possible IRQ and the
+  // bus device generation it was computed under. 0 = expired.
+  uint64_t irq_horizon_ = 0;
+  uint64_t irq_horizon_device_generation_ = 0;
 };
 
 }  // namespace trustlite

@@ -172,13 +172,21 @@ std::optional<Divergence> DifferentialExecutor::RunWindowed(uint64_t max_steps,
     window = 1;
   }
   uint64_t done = 0;
+  bool cycle_window = false;
   while (done < max_steps &&
          !(fast_->cpu().halted() && ref_->cpu().halted())) {
     const uint64_t quota = std::min(window, max_steps - done);
+    // Windows alternate between the two entry points of the fast run loop:
+    // an instruction budget, and a cycle target like a fleet quantum's.
     if (!fast_->cpu().halted()) {
-      fast_->cpu().Run(quota);
+      if (cycle_window) {
+        fast_->cpu().RunUntilCycle(fast_->cpu().cycles() + quota);
+      } else {
+        fast_->cpu().Run(quota);
+      }
     }
-    // Cpu::Run's exception-storm watchdog is a host-side DoS bound, not
+    cycle_window = !cycle_window;
+    // The run loop's exception-storm watchdog is a host-side DoS bound, not
     // architecture: where exactly it halts inside a storm depends on the
     // run-call quantum, which the Step()-driven reference does not share.
     // Every window before the storm has already been compared; stop here

@@ -56,10 +56,12 @@ class DifferentialExecutor {
   // own perturbations). `step` is only used for reporting.
   std::optional<Divergence> StepBoth(uint64_t step);
 
-  // Windowed lockstep: the fast platform advances through Cpu::Run — the
-  // fast run loop, superinstruction fusion and data-access windows all
-  // engaged, none of which Step()-based lockstep exercises —
-  // then the reference single-steps until its cycle counter catches up
+  // Windowed lockstep: the fast platform advances through the fast run
+  // loop — superinstruction fusion, data-access windows and the IRQ horizon
+  // all engaged, none of which Step()-based lockstep exercises — in windows
+  // that alternate between Cpu::Run(window) and Cpu::RunUntilCycle(cycles +
+  // window), the fleet's quantum primitive. After each window the
+  // reference single-steps until its cycle counter catches up
   // (cycles advance on every instruction and exception entry, unlike the
   // retire counter, and both sides must be cycle-identical). Architectural
   // state is compared at every window boundary and the full final-state

@@ -84,9 +84,7 @@ AccessResult Bus::Read(const AccessContext& ctx, uint32_t addr, uint32_t width,
     EmitBusError(ctx, addr);
     return AccessResult::kBusError;
   }
-  if (lazy_ticks_ && !device->IsMemory()) {
-    FlushTicks();  // MMIO reads observe device time (timer count, sysctl).
-  }
+  NoteAccess(device);
   if (wait_states != nullptr) {
     *wait_states = device->WaitStates(addr - device->base(), width, ctx.kind);
   }
@@ -117,9 +115,7 @@ AccessResult Bus::Write(const AccessContext& ctx, uint32_t addr, uint32_t width,
     EmitBusError(ctx, addr);
     return AccessResult::kBusError;
   }
-  if (lazy_ticks_ && !device->IsMemory()) {
-    FlushTicks();  // MMIO writes interact with device time (timer ctrl).
-  }
+  NoteAccess(device);
   if (wait_states != nullptr) {
     *wait_states = device->WaitStates(addr - device->base(), width, ctx.kind);
   }
@@ -138,9 +134,7 @@ bool Bus::HostReadWord(uint32_t addr, uint32_t* value) {
   if (device == nullptr || (addr & 3) != 0) {
     return false;
   }
-  if (lazy_ticks_ && !device->IsMemory()) {
-    FlushTicks();
-  }
+  NoteAccess(device);
   return device->Read(addr - device->base(), 4, value) == AccessResult::kOk;
 }
 
@@ -149,9 +143,7 @@ bool Bus::HostWriteWord(uint32_t addr, uint32_t value) {
   if (device == nullptr || (addr & 3) != 0) {
     return false;
   }
-  if (lazy_ticks_ && !device->IsMemory()) {
-    FlushTicks();
-  }
+  NoteAccess(device);
   if (device->IsMemory()) {
     ++memory_generation_;
   }
@@ -175,9 +167,7 @@ bool Bus::HostReadBytes(uint32_t addr, uint32_t count,
     if (device == nullptr) {
       return false;
     }
-    if (lazy_ticks_ && !device->IsMemory()) {
-      FlushTicks();
-    }
+    NoteAccess(device);
     // Read the whole run that falls inside this device without re-routing.
     const uint64_t run_end = std::min<uint64_t>(end, device->end());
     for (; pos < run_end; ++pos) {
@@ -203,9 +193,7 @@ bool Bus::HostWriteBytes(uint32_t addr, const std::vector<uint8_t>& bytes) {
     if (device == nullptr) {
       return false;
     }
-    if (lazy_ticks_ && !device->IsMemory()) {
-      FlushTicks();
-    }
+    NoteAccess(device);
     if (device->IsMemory()) {
       ++memory_generation_;
     }

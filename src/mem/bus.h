@@ -122,6 +122,13 @@ class Bus {
   // caches revalidate.
   void NoteHostMutation() { ++memory_generation_; }
 
+  // Monotonic counter bumped on every guest, engine or host access routed
+  // to a non-memory device (MMIO reads included: a register read may have
+  // side effects). Besides Tick(), such an access is the only way a
+  // device's IRQ state can change, so the CPU's IRQ horizon keys on it
+  // (DESIGN.md §15, "Polling at deadlines").
+  uint64_t device_generation() const { return device_generation_; }
+
   // Host-side switch for the last-device routing memo (differential
   // harness). Routing results are identical either way.
   void SetRouteMemo(bool enabled) {
@@ -171,6 +178,15 @@ class Bus {
  private:
   void EmitBusError(const AccessContext& ctx, uint32_t addr);
   void TickDevicesNow(uint64_t cycles);
+  // Bookkeeping for an access routed to `device`, before it happens: a
+  // non-memory device bumps the device generation and observes device time,
+  // so deferred ticks land first (timer count, sysctl, timer ctrl writes).
+  void NoteAccess(const Device* device) {
+    if (!device->IsMemory()) {
+      ++device_generation_;
+      FlushTicks();
+    }
+  }
 
   std::vector<Device*> devices_;       // Sorted by base address.
   std::vector<Device*> tick_devices_;  // Subset with WantsTick().
@@ -178,6 +194,7 @@ class Bus {
   EventSink* sink_ = nullptr;
   uint64_t memory_generation_ = 1;
   uint64_t topology_generation_ = 1;
+  uint64_t device_generation_ = 1;
   uint64_t tick_debt_ = 0;  // Deferred tick cycles (lazy mode only).
   bool lazy_ticks_ = false;
   bool route_memo_ = true;

@@ -101,8 +101,12 @@ class Device {
   virtual void IrqAck() {}
   // Cycles of Tick() after which IrqPending() becomes true, or
   // kNoIrqDeadline when ticking alone never raises the line. A `wfi` sleeps
-  // straight to the earliest deadline its IRQ sources report, so a source
-  // whose Tick() can raise its line must report when.
+  // straight to the earliest deadline its IRQ sources report, and the busy
+  // run loop relies on it too: once a poll finds no IRQ pending, it polls
+  // again only at that deadline or after a bus access to a non-memory
+  // device (Bus::device_generation). So a source whose Tick() can raise its
+  // line must report when, and a line raised any other way than by Tick()
+  // or a bus access would be missed.
   virtual uint64_t CyclesUntilIrq() const { return kNoIrqDeadline; }
 
   // Restores power-on state. Backing memory contents are preserved

@@ -393,5 +393,41 @@ target:
   EXPECT_NE(cpu_->reg(6), 0xBADu);
 }
 
+TEST_F(CpuEdgeTest, LargestBudgetsRunToCleanHalt) {
+  // The exception-storm watchdog allows budget * 8 + 1024 steps. For a
+  // budget of 2^61 or more that product used to wrap, and UINT64_MAX
+  // ("unbounded") tripped the watchdog after 1,017 clean instructions. The
+  // bound saturates now, on the fast run loop and on the Step() loops, for
+  // instruction and cycle budgets alike.
+  Result<AsmOutput> out = Assemble(R"(
+    movi r1, 0
+    movi r2, 1000
+loop:
+    addi r1, r1, 1
+    bne  r1, r2, loop
+    halt
+)",
+                                   kOrigin);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  uint32_t base = 0;
+  ram_.LoadBytes(kOrigin, out->Flatten(&base));
+  for (const bool fast_dispatch : {true, false}) {
+    for (const bool cycle_bound : {false, true}) {
+      CpuConfig config;
+      config.fast_dispatch = fast_dispatch;
+      Cpu cpu(&bus_, &sysctl_, config);
+      cpu.Reset(kOrigin);
+      const StepEvent event =
+          cycle_bound ? cpu.RunUntilCycle(UINT64_MAX) : cpu.Run(UINT64_MAX);
+      SCOPED_TRACE(testing::Message() << "fast_dispatch=" << fast_dispatch
+                                      << " cycle_bound=" << cycle_bound);
+      EXPECT_EQ(event, StepEvent::kHalted);
+      EXPECT_FALSE(cpu.trap().valid) << cpu.trap().reason;
+      EXPECT_EQ(cpu.reg(1), 1000u);
+      EXPECT_EQ(cpu.stats().instructions, 2003u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace trustlite

@@ -129,6 +129,70 @@ isr:
   EXPECT_GT(diff.fast().cpu().stats().sleep_cycles, 200'000u);
 }
 
+// The guest arms its timer from inside an IF-set fused loop: PERIOD cut from
+// 100,000 to 60 cycles and CTRL written by two MMIO stores in the middle of
+// a straight-line group. Before those stores no IRQ source is armed, so the
+// run loop's IRQ horizon is open-ended; the stores must close it
+// (Bus::device_generation) so that every tick lands at the reference's
+// cycle, with windows of either kind cutting the run anywhere.
+TEST(WindowedDifferentialTest, TimerArmedInsideFusedLoopInterruptsOnTime) {
+  Result<AsmOutput> out = Assemble(R"(
+.org 0x30000
+start:
+    li   r9, 0xF0002000
+    li   r1, 100000
+    stw  r1, [r9 + 4]      ; PERIOD, timer still disabled
+    la   r1, isr
+    stw  r1, [r9 + 12]     ; HANDLER
+    li   sp, 0x3c000
+    movi r1, 0
+    movi r7, 50
+    movi r10, 7            ; enable | irq enable | auto-reload
+    movi r11, 60           ; the shortened PERIOD
+    sti
+loop:
+    addi r1, r1, 1
+    addi r2, r2, 3
+    bne  r1, r7, loop
+    addi r3, r3, 1
+    stw  r11, [r9 + 4]     ; PERIOD = 60
+    stw  r10, [r9 + 0]     ; CTRL: armed, first tick 60 cycles out
+    addi r3, r3, 1
+spin:
+    addi r4, r4, 1
+    addi r4, r4, 2
+    addi r4, r4, 3
+    jmp  spin
+isr:
+    addi r6, r6, 1
+    movi r5, 5
+    beq  r6, r5, done
+    addi sp, sp, 4         ; pop the error code
+    iret
+done:
+    halt
+)");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  for (const uint64_t window : {7ull, 64ull, 100'000ull}) {
+    DifferentialExecutor diff{PlatformConfig{}};
+    diff.ForBoth([&](Platform& platform) {
+      for (const AsmChunk& chunk : out->chunks) {
+        ASSERT_TRUE(platform.bus().HostWriteBytes(chunk.base, chunk.bytes));
+      }
+      platform.cpu().Reset(out->symbols.at("start"));
+    });
+    const std::optional<Divergence> d = diff.RunWindowed(200'000, window);
+    ASSERT_FALSE(d.has_value())
+        << "window=" << window << " step=" << d->step << ": " << d->what;
+    const Cpu& fast = diff.fast().cpu();
+    EXPECT_TRUE(fast.halted());
+    EXPECT_FALSE(fast.trap().valid) << fast.trap().reason;
+    EXPECT_EQ(fast.reg(6), 5u);  // Ticks taken, the last one halts.
+    EXPECT_EQ(fast.stats().interrupts, 5u);
+    EXPECT_GT(fast.stats().fusion_groups, 0u);
+  }
+}
+
 // Window sizes bracketing the fusion group length (1..4 constituents):
 // window=1 forces a fused group to start on every Run() call, window=3
 // makes budgets expire mid-quad, large windows let groups go hot.

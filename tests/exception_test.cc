@@ -763,6 +763,42 @@ a_entry:
   EXPECT_EQ(fast.fault_latch[1], 0x17018u);  // The fetch fault latched first.
 }
 
+TEST_F(FrameSaveTest, ForeignJumpIntoPinnedLoopHeadFaults) {
+  // The trustlet's loop runs as a fused group whose head is pinned to the
+  // loop's back edge, so its re-entries skip the fetch Check (DESIGN.md §15,
+  // "Polling at deadlines"). The timer preempts it, and the OS ISR jumps
+  // straight to that head instead of the entry vector. The fetch has a
+  // foreign predecessor, so it must take the real fetch and fault, at the
+  // reference's cycle and with its fault registers.
+  const std::string guest =
+      TrustletSource(kTlDataEnd, kTlCounter) + OsSource(R"(
+    ldw  r5, [sp + 0]      ; error code
+    movi r6, 0
+    beq  r5, r6, fault     ; class 0 from the OS: the fetch fault below
+    la   r3, loop          ; the trustlet's loop head, not its entry vector
+    jr   r3
+fault:
+)" + std::string(kRecordingIsr),
+                                                        /*timer_period=*/400);
+  Result<AsmOutput> assembled = Assemble(guest);
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  const uint32_t loop = assembled->symbols.at("loop");
+  const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, nullptr);
+  const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, nullptr);
+  EXPECT_GT(platform_.cpu().stats().fusion_groups, 50u);
+  EXPECT_EQ(fast.cycles, ref.cycles);
+  EXPECT_EQ(fast.entry_cycles, ref.entry_cycles);
+  EXPECT_EQ(fast.trustlet_interrupts, 1u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(fast.fault_latch[i], ref.fault_latch[i]) << "latch " << i;
+  }
+  EXPECT_EQ(fast.fault_latch[1], loop);
+  EXPECT_EQ(fast.isr_error, kExcMpuFault);
+  EXPECT_EQ(fast.isr_reported_ip, loop);
+  EXPECT_EQ(ref.isr_error, fast.isr_error);
+  EXPECT_EQ(ref.isr_reported_ip, fast.isr_reported_ip);
+}
+
 // ---------------------------------------------------------------------------
 // wfi (DESIGN.md §15, "Sleeping instead of yielding"). The fast run loop
 // sleeps to the earliest IRQ deadline in one span; Step() sleeps one cycle

@@ -14,9 +14,12 @@
 
 #include "src/isa/assembler.h"
 #include "src/isa/isa.h"
+#include "src/loader/system_image.h"
 #include "src/mem/layout.h"
+#include "src/os/nanos.h"
 #include "src/platform/platform.h"
 #include "src/snapshot/snapshot.h"
+#include "src/trustlet/builder.h"
 
 namespace trustlite {
 namespace {
@@ -424,6 +427,110 @@ tt_slot_addr:
   EXPECT_EQ(stats.data_window_hits - warm.data_window_hits, 3 * kPasses);
   EXPECT_EQ(stats.data_window_misses - warm.data_window_misses,
             3 * kPasses);  // The UART polls.
+}
+
+// ---------------------------------------------------------------------------
+// The busy path (DESIGN.md §15, "Polling at deadlines").
+
+// BM_PreemptiveSystem's image: nanOS preempting two busy trustlets on a
+// 500-cycle tick, with IF set in every trustlet instruction. The run loop
+// polls its IRQ sources when the horizon expires and after the ISR's MMIO
+// accesses, a few times per interrupt; the Step() reference polls at every
+// IF-set instruction. Both take every interrupt at the same cycle.
+TEST(FusionTest, BusyLoopPollsIrqOncePerDeadline) {
+  SystemImage image;
+  for (int i = 0; i < 2; ++i) {
+    TrustletBuildSpec spec;
+    spec.name = "T" + std::to_string(i);
+    spec.code_addr = 0x11000 + static_cast<uint32_t>(i) * 0x2000;
+    spec.data_addr = 0x12000 + static_cast<uint32_t>(i) * 0x2000;
+    spec.data_size = 0x400;
+    spec.stack_size = 0x100;
+    spec.body = "tl_main:\nloop:\n    addi r1, r1, 1\n    jmp loop\n";
+    Result<TrustletMeta> trustlet = BuildTrustlet(spec);
+    ASSERT_TRUE(trustlet.ok()) << trustlet.status().ToString();
+    image.Add(std::move(*trustlet));
+  }
+  NanosConfig os_config;
+  os_config.timer_period = 500;
+  Result<TrustletMeta> os = BuildNanos(os_config);
+  ASSERT_TRUE(os.ok()) << os.status().ToString();
+  image.Add(std::move(*os));
+
+  PlatformConfig reference_config;
+  reference_config.fast_path = false;
+  Platform fast;
+  Platform reference(reference_config);
+  for (Platform* p : {&fast, &reference}) {
+    ASSERT_TRUE(p->InstallImage(image).ok());
+    ASSERT_TRUE(p->BootAndLaunch().ok());
+    p->Run(200'000);
+  }
+  const CpuStats& stats = fast.cpu().stats();
+  const CpuStats& ref = reference.cpu().stats();
+  EXPECT_GT(stats.fusion_retired, 100'000u);
+  ASSERT_GT(stats.interrupts, 100u);
+  EXPECT_LE(stats.irq_polls, 4 * stats.interrupts + 64);
+  EXPECT_GT(ref.irq_polls, 100'000u);
+  EXPECT_EQ(stats.instructions, ref.instructions);
+  EXPECT_EQ(stats.interrupts, ref.interrupts);
+  EXPECT_EQ(fast.cpu().cycles(), reference.cpu().cycles());
+  EXPECT_EQ(fast.cpu().ip(), reference.cpu().ip());
+}
+
+// A hot fused loop under the EA-MPU, shaped like the compute fleet's: two
+// groups per iteration, one entered by the back edge, one by fall-through.
+// Each group head pays a full fetch Check once per predecessor; re-entries
+// read it through the host backing, so the checks of a warm run do not
+// grow with its iterations.
+TEST(FusionTest, PinnedHeadsSkipFetchChecksInHotLoops) {
+  constexpr uint32_t kStart = 0x11000;
+  Platform platform;
+  SetMpuRegion(platform, 0, 0x11000, 0x11100, kMpuAttrEnable | kMpuAttrCode);
+  SetMpuRegion(platform, 1, 0x12000, 0x12100, kMpuAttrEnable);
+  SetMpuRule(platform, 0, 0, 0, true, false, true);
+  SetMpuRule(platform, 1, 0, 1, true, true, false);
+  EnableMpu(platform);
+  Install(platform, R"(
+.org 0x11000
+start:
+    li   r1, 0x12000
+    movi r5, 0
+loop:
+    ldw  r2, [r1 + 4]
+    add  r2, r2, r5
+    mul  r3, r2, r5
+    stw  r3, [r1 + 4]
+    addi r5, r5, 1
+    stw  r5, [r1]
+    bne  r5, r6, loop
+    halt
+)");
+  RunPasses(platform, kStart, 8);  // Builds the groups and data windows.
+  struct Delta {
+    uint64_t checks = 0;
+    uint64_t builds = 0;
+    uint64_t fused = 0;
+  };
+  auto warm_run = [&](uint32_t passes) {
+    const uint64_t checks = platform.mpu()->stats().checks;
+    const CpuStats before = platform.cpu().stats();
+    RunPasses(platform, kStart, passes);
+    const CpuStats& after = platform.cpu().stats();
+    uint32_t counter = 0;
+    EXPECT_TRUE(platform.bus().HostReadWord(0x12000, &counter));
+    EXPECT_EQ(counter, passes);
+    return Delta{platform.mpu()->stats().checks - checks,
+                 after.fusion_builds - before.fusion_builds,
+                 after.fusion_retired - before.fusion_retired};
+  };
+  const Delta short_run = warm_run(8);
+  const Delta long_run = warm_run(4096);
+  EXPECT_GT(long_run.fused, 6u * 4000u);
+  EXPECT_EQ(short_run.builds, 0u);
+  EXPECT_EQ(long_run.builds, 0u);
+  EXPECT_EQ(long_run.checks, short_run.checks);
+  EXPECT_LE(long_run.checks, 4u);
 }
 
 // A trustlet storing round three data regions keeps one write window per

@@ -28,12 +28,16 @@ fi
 
 echo "wrote $OUT"
 
-# Observability overhead summary: tracing-off vs tracing-on interpreter
-# throughput (BM_InterpreterWithMpu vs BM_InterpreterWithMpuProfiled).
-# Budget: tracing off must be free (<1%); tracing on is allowed to cost.
+# Interpreter summary lines against the straight-line BM_InterpreterWithMpu:
+# - observability overhead, tracing on (BM_InterpreterWithMpuProfiled) vs
+#   off. Budget: tracing off must be free (<1%); tracing on may cost.
+# - per-instruction interrupt cost: BM_PreemptiveSystem runs nanOS and two
+#   busy trustlets with IF set under a 500-cycle tick. A ratio well below 1
+#   means the run loop pays for interrupts per instruction, not per event.
 awk '
   /"name": "BM_InterpreterWithMpu"/          { want = 1 }
   /"name": "BM_InterpreterWithMpuProfiled"/  { want = 2 }
+  /"name": "BM_PreemptiveSystem"/            { want = 3 }
   /"items_per_second"/ && want {
     gsub(/[^0-9.e+]/, "", $2)
     ips[want] = $2 + 0
@@ -43,6 +47,10 @@ awk '
     if (ips[1] > 0 && ips[2] > 0) {
       printf "tracing off: %.3g insn/s   tracing on: %.3g insn/s   on/off: %.1f%%\n",
              ips[1], ips[2], 100.0 * ips[2] / ips[1]
+    }
+    if (ips[1] > 0 && ips[3] > 0) {
+      printf "preemptive: %.3g insn/s   straight-line: %.3g insn/s   preemptive/straight: %.2f\n",
+             ips[3], ips[1], ips[3] / ips[1]
     }
   }
 ' "$OUT"

@@ -2,10 +2,11 @@
 # Fixed-seed tlfuzz campaign runner (DESIGN.md Sec. 11).
 #
 # Runs the full-size differential campaign (10k seeded random TL32 programs,
-# fast-path caches vs uncached reference) and the fault-injection campaign
-# (seeded spurious-IRQ / bit-flip / hostile-DMA / MPU-reprogram / mid-run
-# reset streams with Sec. 7 invariant checks) — first in a plain build, then
-# under ASan/UBSan so cache-invalidation bugs fail loudly.
+# fast-path caches vs uncached reference, each compared after every step and
+# at the window boundaries of the fast run loop) and the fault-injection
+# campaign (seeded spurious-IRQ / bit-flip / hostile-DMA / MPU-reprogram /
+# mid-run reset streams with Sec. 7 invariant checks) — first in a plain
+# build, then under ASan/UBSan so cache-invalidation bugs fail loudly.
 #
 # Every tlfuzz failure line carries the responsible seed; reproduce with
 #   tlfuzz diff   --seed <S> --programs 1

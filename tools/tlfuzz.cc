@@ -6,7 +6,8 @@
 //   tlfuzz diff   [--programs N] [--seed S] [--steps M]
 //       Runs N seeded random TL32 programs (seeds S, S+1, ...) through the
 //       differential executor: fast-path caches enabled vs force-disabled,
-//       architectural state compared in lockstep. Exit 1 on divergence.
+//       architectural state compared after every step, then again at the
+//       window boundaries of the fast run loop. Exit 1 on divergence.
 //
 //   tlfuzz inject [--campaigns N] [--events E] [--seed S] [--steps M]
 //       Runs N seeded fault-injection campaigns (spurious IRQs, bit-flips,
@@ -49,11 +50,20 @@ int RunDiff(uint64_t programs, uint64_t seed0, uint64_t steps) {
   uint64_t divergences = 0;
   for (uint64_t i = 0; i < programs; ++i) {
     const uint64_t seed = seed0 + i;
-    if (std::optional<Divergence> d =
-            trustlite::RunRandomProgramDiff(seed, steps)) {
+    // Each program runs twice against the Step() reference: in per-step
+    // lockstep, then through the fast run loop in 64-step windows that
+    // alternate Cpu::Run and Cpu::RunUntilCycle (fusion, data windows and
+    // the IRQ horizon engaged).
+    const char* mode = "lockstep";
+    std::optional<Divergence> d = trustlite::RunRandomProgramDiff(seed, steps);
+    if (!d.has_value()) {
+      mode = "windowed";
+      d = trustlite::RunRandomProgramDiffWindowed(seed, steps, /*window=*/64);
+    }
+    if (d.has_value()) {
       ++divergences;
-      std::printf("DIVERGENCE seed=%llu step=%llu: %s\n",
-                  static_cast<unsigned long long>(seed),
+      std::printf("DIVERGENCE seed=%llu %s step=%llu: %s\n",
+                  static_cast<unsigned long long>(seed), mode,
                   static_cast<unsigned long long>(d->step), d->what.c_str());
     }
     if ((i + 1) % 1000 == 0) {

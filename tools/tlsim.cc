@@ -32,11 +32,14 @@
 //   u            uart output so far      q              quit
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -110,8 +113,36 @@ class DisassemblyTrace : public EventSink {
   }
 };
 
-uint32_t ParseAddr(const std::string& text) {
-  return static_cast<uint32_t>(std::strtoul(text.c_str(), nullptr, 0));
+// Parses `text`, the value of `what`, as an unsigned number that fits T:
+// decimal, 0x hex or 0-prefixed octal, as strtoull with base 0. Empty,
+// signed, trailing-garbage and out-of-range text is rejected with a message,
+// so a typo fails the command instead of running with 0.
+template <typename T>
+bool ParseNumber(const char* what, const std::string& text, T* out) {
+  constexpr unsigned long long kMax = std::numeric_limits<T>::max();
+  if (!text.empty() && std::isdigit(static_cast<unsigned char>(text[0]))) {
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
+    if (*end == '\0' && errno == 0 && value <= kMax) {
+      *out = static_cast<T>(value);
+      return true;
+    }
+  }
+  std::fprintf(stderr, "tlsim: %s: '%s' is not a number in 0..%llu\n", what,
+               text.c_str(), kMax);
+  return false;
+}
+
+// `text` as a symbol of the assembled program, else as a number.
+bool ResolveAddr(const std::map<std::string, uint32_t>& symbols,
+                 const char* what, const std::string& text, uint32_t* addr) {
+  auto it = symbols.find(text);
+  if (it != symbols.end()) {
+    *addr = it->second;
+    return true;
+  }
+  return ParseNumber(what, text, addr);
 }
 
 int CmdAsm(const std::vector<std::string>& args) {
@@ -123,7 +154,9 @@ int CmdAsm(const std::vector<std::string>& args) {
     if (args[i] == "-o" && i + 1 < args.size()) {
       output = args[++i];
     } else if (args[i] == "--origin" && i + 1 < args.size()) {
-      origin = ParseAddr(args[++i]);
+      if (!ParseNumber("--origin", args[++i], &origin)) {
+        return 1;
+      }
     } else if (args[i] == "--symbols") {
       symbols = true;
     } else if (input.empty()) {
@@ -172,7 +205,9 @@ int CmdDisas(const std::vector<std::string>& args) {
   uint32_t base = 0;
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--base" && i + 1 < args.size()) {
-      base = ParseAddr(args[++i]);
+      if (!ParseNumber("--base", args[++i], &base)) {
+        return 1;
+      }
     } else if (input.empty()) {
       input = args[i];
     } else {
@@ -215,9 +250,13 @@ int CmdRun(const std::vector<std::string>& args) {
     if (args[i] == "--entry" && i + 1 < args.size()) {
       entry_text = args[++i];
     } else if (args[i] == "--sp" && i + 1 < args.size()) {
-      sp = ParseAddr(args[++i]);
+      if (!ParseNumber("--sp", args[++i], &sp)) {
+        return 1;
+      }
     } else if (args[i] == "--max" && i + 1 < args.size()) {
-      max_instructions = std::strtoull(args[++i].c_str(), nullptr, 0);
+      if (!ParseNumber("--max", args[++i], &max_instructions)) {
+        return 1;
+      }
     } else if (args[i] == "--trace") {
       trace = true;
     } else if (args[i] == "--no-mpu") {
@@ -231,7 +270,9 @@ int CmdRun(const std::vector<std::string>& args) {
     } else if (args[i] == "--uart-in" && i + 1 < args.size()) {
       uart_in = args[++i];
     } else if (args[i] == "--snapshot-every" && i + 1 < args.size()) {
-      snapshot_every = std::strtoull(args[++i].c_str(), nullptr, 0);
+      if (!ParseNumber("--snapshot-every", args[++i], &snapshot_every)) {
+        return 1;
+      }
     } else if (args[i] == "--snapshot-out" && i + 1 < args.size()) {
       snapshot_out = args[++i];
     } else if (args[i] == "--resume-from" && i + 1 < args.size()) {
@@ -306,8 +347,10 @@ int CmdRun(const std::vector<std::string>& args) {
   if (resume_from.empty()) {
     entry = out->chunks.empty() ? 0 : out->chunks.front().base;
     if (!entry_text.empty()) {
-      auto it = out->symbols.find(entry_text);
-      entry = it != out->symbols.end() ? it->second : ParseAddr(entry_text);
+      if (!ResolveAddr(out->symbols, "--entry (no such symbol)", entry_text,
+                       &entry)) {
+        return 1;
+      }
     } else {
       auto it = out->symbols.find("start");
       if (it != out->symbols.end()) {
@@ -435,6 +478,11 @@ int CmdRun(const std::vector<std::string>& args) {
                     ? 0.0
                     : 100.0 * static_cast<double>(cpu.stats().sleep_cycles) /
                           static_cast<double>(cpu.cycles()));
+    // IRQ-source polls: the fast run loop polls only at IRQ deadlines and
+    // after MMIO accesses, so a busy IF-set guest shows a few per interrupt.
+    std::printf("  %-12s polls %-12llu interrupts %llu\n", "irq",
+                static_cast<unsigned long long>(cpu.stats().irq_polls),
+                static_cast<unsigned long long>(cpu.stats().interrupts));
     if (!no_mpu) {
       print_cache("mpu-subject", fp.mpu.subject_hits, fp.mpu.subject_misses);
       print_cache("mpu-decision", fp.mpu.decision_hits, fp.mpu.decision_misses);
@@ -477,14 +525,6 @@ struct LoadedProgram {
   uint32_t entry = 0;
 };
 
-uint32_t ResolveAddr(const LoadedProgram& prog, const std::string& text) {
-  auto it = prog.symbols.find(text);
-  if (it != prog.symbols.end()) {
-    return it->second;
-  }
-  return ParseAddr(text);
-}
-
 void PrintRegs(const Cpu& cpu) {
   for (int i = 0; i < kNumRegisters; ++i) {
     std::printf("%4s=%08x%s", RegisterName(i).c_str(), cpu.reg(i),
@@ -516,7 +556,9 @@ int CmdDebug(const std::vector<std::string>& args) {
     if (args[i] == "--entry" && i + 1 < args.size()) {
       entry_text = args[++i];
     } else if (args[i] == "--sp" && i + 1 < args.size()) {
-      sp = ParseAddr(args[++i]);
+      if (!ParseNumber("--sp", args[++i], &sp)) {
+        return 1;
+      }
     } else if (input.empty()) {
       input = args[i];
     } else {
@@ -544,7 +586,10 @@ int CmdDebug(const std::vector<std::string>& args) {
   LoadedProgram prog{&platform, out->symbols, 0};
   prog.entry = out->chunks.empty() ? 0 : out->chunks.front().base;
   if (!entry_text.empty()) {
-    prog.entry = ResolveAddr(prog, entry_text);
+    if (!ResolveAddr(prog.symbols, "--entry (no such symbol)", entry_text,
+                     &prog.entry)) {
+      return 1;
+    }
   } else if (out->symbols.count("start") != 0) {
     prog.entry = out->symbols.at("start");
   }
@@ -614,20 +659,29 @@ int CmdDebug(const std::vector<std::string>& args) {
     } else if (cmd == "b" || cmd == "break") {
       std::string where;
       iss >> where;
-      const uint32_t addr = ResolveAddr(prog, where);
-      breakpoints.insert(addr);
-      std::printf("breakpoint set at %s\n", Hex32(addr).c_str());
+      uint32_t addr = 0;
+      if (ResolveAddr(prog.symbols, "break", where, &addr)) {
+        breakpoints.insert(addr);
+        std::printf("breakpoint set at %s\n", Hex32(addr).c_str());
+      }
     } else if (cmd == "del") {
       std::string where;
       iss >> where;
-      breakpoints.erase(ResolveAddr(prog, where));
+      uint32_t addr = 0;
+      if (ResolveAddr(prog.symbols, "del", where, &addr)) {
+        breakpoints.erase(addr);
+      }
     } else if (cmd == "r" || cmd == "regs") {
       PrintRegs(platform.cpu());
     } else if (cmd == "m" || cmd == "mem") {
       std::string where;
       int count = 8;
       iss >> where >> count;
-      uint32_t addr = ResolveAddr(prog, where) & ~3u;
+      uint32_t addr = 0;
+      if (!ResolveAddr(prog.symbols, "mem", where, &addr)) {
+        continue;
+      }
+      addr &= ~3u;
       for (int i = 0; i < count; ++i) {
         uint32_t word = 0;
         if (!platform.bus().HostReadWord(addr, &word)) {
@@ -641,8 +695,10 @@ int CmdDebug(const std::vector<std::string>& args) {
       std::string where;
       int count = 8;
       iss >> where >> count;
-      const uint32_t addr =
-          where.empty() ? platform.cpu().ip() : ResolveAddr(prog, where);
+      uint32_t addr = platform.cpu().ip();
+      if (!where.empty() && !ResolveAddr(prog.symbols, "disas", where, &addr)) {
+        continue;
+      }
       PrintDisas(platform, addr, count);
     } else if (cmd == "sym") {
       for (const auto& [name, value] : prog.symbols) {
