@@ -169,7 +169,7 @@ void DmaEngine::SerializeState(std::vector<uint8_t>* out) const {
   AppendLe64(*out, words_transferred_);
 }
 
-Status DmaEngine::RestoreState(const uint8_t* data, size_t size) {
+Status DmaEngine::RestoreState(const uint8_t* data, size_t size, bool commit) {
   ByteReader reader(data, size);
   uint32_t src = 0;
   uint32_t dst = 0;
@@ -187,6 +187,9 @@ Status DmaEngine::RestoreState(const uint8_t* data, size_t size) {
   reader.ReadU64(&words_transferred);
   if (!reader.Done()) {
     return InvalidArgument("dma snapshot payload malformed");
+  }
+  if (!commit) {
+    return OkStatus();
   }
   src_ = src;
   dst_ = dst;

@@ -72,7 +72,7 @@ class DmaEngine : public Device {
 
  protected:
   void SerializeState(std::vector<uint8_t>* out) const override;
-  Status RestoreState(const uint8_t* data, size_t size) override;
+  Status RestoreState(const uint8_t* data, size_t size, bool commit) override;
 
  private:
   void RunTransfer();

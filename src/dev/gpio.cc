@@ -56,7 +56,7 @@ void Gpio::SerializeState(std::vector<uint8_t>* out) const {
   }
 }
 
-Status Gpio::RestoreState(const uint8_t* data, size_t size) {
+Status Gpio::RestoreState(const uint8_t* data, size_t size, bool commit) {
   ByteReader reader(data, size);
   uint32_t out_word = 0;
   uint32_t in_word = 0;
@@ -66,6 +66,9 @@ Status Gpio::RestoreState(const uint8_t* data, size_t size) {
   reader.ReadU32(&history_len);
   if (!reader.ok() || reader.remaining() != size_t{history_len} * 4) {
     return InvalidArgument("gpio snapshot payload malformed");
+  }
+  if (!commit) {
+    return OkStatus();
   }
   std::vector<uint32_t> history(history_len);
   for (uint32_t& word : history) {

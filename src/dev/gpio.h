@@ -34,7 +34,7 @@ class Gpio : public Device {
 
  protected:
   void SerializeState(std::vector<uint8_t>* out) const override;
-  Status RestoreState(const uint8_t* data, size_t size) override;
+  Status RestoreState(const uint8_t* data, size_t size, bool commit) override;
 
  private:
   uint32_t out_ = 0;

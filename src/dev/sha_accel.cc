@@ -127,7 +127,7 @@ void ShaAccel::SerializeState(std::vector<uint8_t>* out) const {
   out->push_back(digest_valid_ ? 1 : 0);
 }
 
-Status ShaAccel::RestoreState(const uint8_t* data, size_t size) {
+Status ShaAccel::RestoreState(const uint8_t* data, size_t size, bool commit) {
   ByteReader reader(data, size);
   uint64_t absorbed_bytes = 0;
   Sha256::State hasher{};
@@ -144,6 +144,9 @@ Status ShaAccel::RestoreState(const uint8_t* data, size_t size) {
   reader.ReadU8(&digest_valid);
   if (!reader.Done() || hasher.buffer_len > kSha256BlockSize) {
     return InvalidArgument("sha snapshot payload malformed");
+  }
+  if (!commit) {
+    return OkStatus();
   }
   absorbed_bytes_ = absorbed_bytes;
   hasher_.RestoreState(hasher);

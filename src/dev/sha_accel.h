@@ -57,7 +57,7 @@ class ShaAccel : public Device {
 
  protected:
   void SerializeState(std::vector<uint8_t>* out) const override;
-  Status RestoreState(const uint8_t* data, size_t size) override;
+  Status RestoreState(const uint8_t* data, size_t size, bool commit) override;
 
  private:
   uint32_t cycles_per_block_;

@@ -101,7 +101,7 @@ void SysCtl::SerializeState(std::vector<uint8_t>* out) const {
   out->push_back(reset_requested_ ? 1 : 0);
 }
 
-Status SysCtl::RestoreState(const uint8_t* data, size_t size) {
+Status SysCtl::RestoreState(const uint8_t* data, size_t size, bool commit) {
   ByteReader reader(data, size);
   std::array<uint32_t, kSysCtlNumHandlers> handlers{};
   uint32_t scratch = 0;
@@ -117,6 +117,9 @@ Status SysCtl::RestoreState(const uint8_t* data, size_t size) {
   reader.ReadU8(&reset_requested);
   if (!reader.Done()) {
     return InvalidArgument("sysctl snapshot payload malformed");
+  }
+  if (!commit) {
+    return OkStatus();
   }
   handlers_ = handlers;
   scratch_ = scratch;

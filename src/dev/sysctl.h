@@ -65,7 +65,7 @@ class SysCtl : public Device {
 
  protected:
   void SerializeState(std::vector<uint8_t>* out) const override;
-  Status RestoreState(const uint8_t* data, size_t size) override;
+  Status RestoreState(const uint8_t* data, size_t size, bool commit) override;
 
  private:
   std::array<uint32_t, kSysCtlNumHandlers> handlers_{};

@@ -110,7 +110,7 @@ void Timer::SerializeState(std::vector<uint8_t>* out) const {
   AppendLe64(*out, fire_count_);
 }
 
-Status Timer::RestoreState(const uint8_t* data, size_t size) {
+Status Timer::RestoreState(const uint8_t* data, size_t size, bool commit) {
   ByteReader reader(data, size);
   uint32_t ctrl = 0;
   uint32_t period = 0;
@@ -126,6 +126,9 @@ Status Timer::RestoreState(const uint8_t* data, size_t size) {
   reader.ReadU64(&fire_count);
   if (!reader.Done()) {
     return InvalidArgument("timer snapshot payload malformed");
+  }
+  if (!commit) {
+    return OkStatus();
   }
   ctrl_ = ctrl;
   period_ = period;

@@ -34,7 +34,7 @@ void Trng::SerializeState(std::vector<uint8_t>* out) const {
   }
 }
 
-Status Trng::RestoreState(const uint8_t* data, size_t size) {
+Status Trng::RestoreState(const uint8_t* data, size_t size, bool commit) {
   ByteReader reader(data, size);
   std::array<uint64_t, 4> state{};
   for (uint64_t& word : state) {
@@ -42,6 +42,9 @@ Status Trng::RestoreState(const uint8_t* data, size_t size) {
   }
   if (!reader.Done()) {
     return InvalidArgument("trng snapshot payload malformed");
+  }
+  if (!commit) {
+    return OkStatus();
   }
   rng_.set_state(state);
   return OkStatus();

@@ -80,7 +80,7 @@ void Uart::SerializeState(std::vector<uint8_t>* out) const {
   out->insert(out->end(), input_.begin(), input_.end());
 }
 
-Status Uart::RestoreState(const uint8_t* data, size_t size) {
+Status Uart::RestoreState(const uint8_t* data, size_t size, bool commit) {
   ByteReader reader(data, size);
   uint32_t out_len = 0;
   std::string output;
@@ -92,6 +92,9 @@ Status Uart::RestoreState(const uint8_t* data, size_t size) {
   reader.ReadBytes(&input, in_len);
   if (!reader.Done()) {
     return InvalidArgument("uart snapshot payload malformed");
+  }
+  if (!commit) {
+    return OkStatus();
   }
   output_ = std::move(output);
   input_.assign(input.begin(), input.end());

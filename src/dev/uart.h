@@ -49,7 +49,7 @@ class Uart : public Device {
 
  protected:
   void SerializeState(std::vector<uint8_t>* out) const override;
-  Status RestoreState(const uint8_t* data, size_t size) override;
+  Status RestoreState(const uint8_t* data, size_t size, bool commit) override;
 
  private:
   std::string output_;

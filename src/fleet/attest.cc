@@ -3,6 +3,7 @@
 #include "src/fleet/attest.h"
 
 #include <cstdio>
+#include <string_view>
 
 #include "src/common/rng.h"
 #include "src/services/attestation.h"
@@ -85,12 +86,19 @@ uint32_t FleetAttestor::ChallengeFor(int node, int issue_index) const {
 }
 
 void FleetAttestor::Log(int node, const std::string& event) {
-  char prefix[48];
-  std::snprintf(prefix, sizeof(prefix), "@%llu node=%d ",
-                static_cast<unsigned long long>(fleet_->now()), node);
-  transcript_ += prefix;
-  transcript_ += event;
-  transcript_ += '\n';
+  AppendTranscriptLine(&transcript_, fleet_->now(),
+                       "node=" + std::to_string(node), event);
+}
+
+void FleetAttestor::LogReject(int node, const std::string& event) {
+  NodeState& state = nodes_[static_cast<size_t>(node)];
+  if (state.reject_logs < policy_.max_reject_logs) {
+    ++state.reject_logs;
+    Log(node, event);
+  } else if (state.reject_logs == policy_.max_reject_logs) {
+    ++state.reject_logs;
+    Log(node, "reject-log cap reached; counting until resolution");
+  }
 }
 
 void FleetAttestor::SendChallenge(int node) {
@@ -145,83 +153,60 @@ void FleetAttestor::PumpNode(int node) {
     // challenge verifies; reports for retired challenges are suspected
     // replays, anything else is mismatch or line noise. The scanner tells
     // us exactly how far the cursor may advance, so corrupted/reflected
-    // garbage costs O(new bytes) and is reclaimed from the fleet below.
-    const std::string& rx = fleet_->VerifierRx(node);
+    // garbage costs O(new bytes) and is reclaimed from the fleet.
     uint32_t status = 0;
     Sha256Digest report{};
-    while (state.state == AttestNodeState::kAwaitingResponse) {
-      size_t frame_start = 0;
-      size_t next_offset = 0;
-      const AttestScan scan = ScanAttestationResponse(
-          rx, state.rx_offset, &frame_start, &next_offset, &status, &report);
-      if (scan == AttestScan::kNoFrame) {
-        state.noise_bytes += rx.size() - state.rx_offset;
-        state.rx_offset = rx.size();
-        break;
-      }
-      if (scan == AttestScan::kNeedMore) {
-        state.noise_bytes += frame_start - state.rx_offset;
-        state.rx_offset = frame_start;
-        break;
-      }
-      state.noise_bytes += frame_start - state.rx_offset;
-      state.rx_offset = next_offset;
-      if (status != kAttestStatusOk) {
-        // Error frames ride the same flood-control budget as rejected
-        // reports: an adversary can mint 2-byte error frames even more
-        // cheaply than forged 34-byte reports.
-        ++state.mismatches;
-        if (state.reject_logs < policy_.max_reject_logs) {
-          ++state.reject_logs;
-          char event[48];
-          std::snprintf(event, sizeof(event), "response status=%u", status);
-          Log(node, event);
-        } else if (state.reject_logs == policy_.max_reject_logs) {
-          ++state.reject_logs;
-          Log(node, "reject-log cap reached; counting until resolution");
-        }
-        continue;
-      }
-      const bool fresh =
-          !state.expected.empty() && report == state.expected.back();
-      bool stale = false;
-      if (!fresh) {
-        for (size_t k = 0; k + 1 < state.expected.size(); ++k) {
-          if (report == state.expected[k]) {
-            stale = true;
-            break;
+    fleet_->DrainRx(
+        node, Channel::kAttest, &state.rx_offset, &state.noise_bytes,
+        [&](const std::string& rx, size_t offset, size_t* frame_start,
+            size_t* next_offset) {
+          return ScanAttestationResponse(rx, offset, frame_start,
+                                         next_offset, &status, &report);
+        },
+        [&](std::string_view) {
+          if (status != kAttestStatusOk) {
+            // Error frames ride the same flood-control budget as rejected
+            // reports: an adversary can mint 2-byte error frames even more
+            // cheaply than forged 34-byte reports.
+            ++state.mismatches;
+            char event[48];
+            std::snprintf(event, sizeof(event), "response status=%u", status);
+            LogReject(node, event);
+            return true;
           }
-        }
-      }
-      if (fresh || (stale && policy_.accept_stale_reports)) {
-        state.state = AttestNodeState::kVerified;
-        state.last_verified_cycle = now;
-        std::string event = fresh ? "verified" : "verified (STALE REPORT "
-                                                 "honored: vulnerable mode)";
-        event += RejectSummary(state.mismatches, state.stale_hits,
-                               state.noise_bytes, state.retired_dropped);
-        Log(node, event);
-        continue;
-      }
-      // Rejected report: count always, log up to the per-node cap, then
-      // one explicit suppression line — never silent.
-      if (stale) {
-        ++state.stale_hits;
-      } else {
-        ++state.mismatches;
-      }
-      if (state.reject_logs < policy_.max_reject_logs) {
-        ++state.reject_logs;
-        Log(node, stale ? "stale-report rejected (replay suspected)"
-                        : "report-mismatch");
-      } else if (state.reject_logs == policy_.max_reject_logs) {
-        ++state.reject_logs;
-        Log(node, "reject-log cap reached; counting until resolution");
-      }
-    }
-    // Everything before the cursor is consumed or noise: hand it back to
-    // the fleet so a garbage flood cannot grow the RX stream unboundedly.
-    state.rx_offset -= fleet_->ConsumeVerifierRx(node, state.rx_offset);
+          const bool fresh =
+              !state.expected.empty() && report == state.expected.back();
+          bool stale = false;
+          if (!fresh) {
+            for (size_t k = 0; k + 1 < state.expected.size(); ++k) {
+              if (report == state.expected[k]) {
+                stale = true;
+                break;
+              }
+            }
+          }
+          if (fresh || (stale && policy_.accept_stale_reports)) {
+            state.state = AttestNodeState::kVerified;
+            state.last_verified_cycle = now;
+            std::string event = fresh ? "verified"
+                                      : "verified (STALE REPORT "
+                                        "honored: vulnerable mode)";
+            event += RejectSummary(state.mismatches, state.stale_hits,
+                                   state.noise_bytes, state.retired_dropped);
+            Log(node, event);
+            return false;
+          }
+          // Rejected report: count always, log up to the per-node cap, then
+          // one explicit suppression line — never silent.
+          if (stale) {
+            ++state.stale_hits;
+          } else {
+            ++state.mismatches;
+          }
+          LogReject(node, stale ? "stale-report rejected (replay suspected)"
+                                : "report-mismatch");
+          return true;
+        });
     if (state.state == AttestNodeState::kAwaitingResponse &&
         now >= state.deadline) {
       if (state.attempts >= policy_.max_attempts) {
@@ -278,21 +263,20 @@ bool FleetAttestor::Done() const {
   return true;
 }
 
-std::vector<int> FleetAttestor::Verified() const {
-  std::vector<int> out;
-  for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
-    if (nodes_[static_cast<size_t>(i)].state == AttestNodeState::kVerified) {
-      out.push_back(i);
+bool FleetAttestor::Done(const std::vector<int>& subset) const {
+  for (int node : subset) {
+    if (state(node) != AttestNodeState::kVerified &&
+        state(node) != AttestNodeState::kQuarantined) {
+      return false;
     }
   }
-  return out;
+  return true;
 }
 
-std::vector<int> FleetAttestor::Quarantined() const {
+std::vector<int> FleetAttestor::NodesIn(AttestNodeState want) const {
   std::vector<int> out;
   for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
-    if (nodes_[static_cast<size_t>(i)].state ==
-        AttestNodeState::kQuarantined) {
+    if (nodes_[static_cast<size_t>(i)].state == want) {
       out.push_back(i);
     }
   }

@@ -31,7 +31,7 @@
 // surfaced in the node's resolution line — no silent truncation.
 //
 // Determinism. The attestor acts only at quantum boundaries and only on
-// fleet-owned state (VerifierRx streams, SendToNode), in node-id order, so
+// fleet-owned state (kAttest channels, SendToNode), in node-id order, so
 // its transcript is bit-identical across host thread counts.
 
 #ifndef TRUSTLITE_SRC_FLEET_ATTEST_H_
@@ -119,8 +119,10 @@ class FleetAttestor {
   // Pumps every per-node state machine; call once after each RunQuantum.
   void OnQuantumBoundary();
 
-  // True once every node is verified or quarantined.
+  // True once every node (or every node of `subset`) is verified or
+  // quarantined.
   bool Done() const;
+  bool Done(const std::vector<int>& subset) const;
 
   AttestNodeState state(int node) const {
     return nodes_[static_cast<size_t>(node)].state;
@@ -149,8 +151,13 @@ class FleetAttestor {
     return nodes_[static_cast<size_t>(node)].noise_bytes;
   }
   int rounds() const { return rounds_; }
-  std::vector<int> Verified() const;
-  std::vector<int> Quarantined() const;
+  std::vector<int> Verified() const {
+    return NodesIn(AttestNodeState::kVerified);
+  }
+  std::vector<int> Quarantined() const {
+    return NodesIn(AttestNodeState::kQuarantined);
+  }
+  std::vector<int> NodesIn(AttestNodeState state) const;
 
   // Provisioned identity of a node (device key, FW geometry, golden code)
   // — update campaigns re-sign containers and locate the payload window
@@ -185,7 +192,7 @@ class FleetAttestor {
     int attempts = 0;            // Timeouts this round.
     int issued = 0;              // Challenges ever issued (never resets:
                                  // keeps nonces fresh across rounds).
-    size_t rx_offset = 0;        // Scan cursor into fleet->VerifierRx(node).
+    size_t rx_offset = 0;        // Scan cursor into the kAttest channel.
     uint64_t deadline = 0;       // Timeout cycle while awaiting.
     uint64_t resume = 0;         // Re-challenge cycle while backing off.
     // Expected reports, oldest first; back() is the only live challenge.
@@ -208,6 +215,9 @@ class FleetAttestor {
   void SendChallenge(int node);
   void PumpNode(int node);
   void Log(int node, const std::string& event);
+  // Logs a rejected frame against the per-node cap, then one suppression
+  // line; rejects past it are only counted.
+  void LogReject(int node, const std::string& event);
   uint32_t ChallengeFor(int node, int issue_index) const;
 
   Fleet* fleet_;

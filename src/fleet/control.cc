@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
+#include <string_view>
+#include <utility>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/snapshot/snapshot.h"
 
@@ -17,19 +19,12 @@ namespace {
 // key/tamper/challenge/campaign streams).
 constexpr uint64_t kConfigSalt = 0x636F6E6669672020ull;  // "config  "
 
-constexpr size_t kConfigHeaderSize = 1 + 4 + 4 + 2;  // marker, pid, gen, len
-constexpr size_t kConfigAckSize = 1 + 4 + 4 + 32 + 4;
-constexpr size_t kHealthFrameSize = 1 + 8 + 8 + 8 + 8 + 4 + 1 + 4;
-
-void AppendU64(std::string* out, uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
+// Appends `,"name":value` to a JSON object under construction.
+void AppendField(std::string* out, const char* name, uint64_t value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), ",\"%s\":%llu", name,
                 static_cast<unsigned long long>(value));
   *out += buf;
-}
-
-uint32_t FrameCrc(const std::vector<uint8_t>& frame) {
-  return Crc32(frame.data(), frame.size());
 }
 
 }  // namespace
@@ -58,139 +53,44 @@ std::string EncodeConfigBlob(
   return blob;
 }
 
-Sha256Digest ConfigRegionDigest(uint32_t generation, const std::string& blob) {
+std::vector<uint8_t> ConfigRegionImage(uint32_t generation,
+                                       std::string_view blob) {
   std::vector<uint8_t> region(kNodeConfigRegionSize, 0);
   StoreLe32(region.data(), generation);
   StoreLe32(region.data() + 4, static_cast<uint32_t>(blob.size()));
   std::copy(blob.begin(), blob.end(), region.begin() + 8);
-  return Sha256Hash(region);
+  return region;
+}
+
+Sha256Digest ConfigRegionDigest(uint32_t generation, const std::string& blob) {
+  return Sha256Hash(ConfigRegionImage(generation, blob));
 }
 
 std::string EncodeConfigFrame(uint32_t push_id, uint32_t generation,
                               const std::string& blob) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kConfigHeaderSize + blob.size() + 4);
-  frame.push_back(kConfigFrameMarker);
-  AppendLe32(frame, push_id);
-  AppendLe32(frame, generation);
-  frame.push_back(static_cast<uint8_t>(blob.size()));
-  frame.push_back(static_cast<uint8_t>(blob.size() >> 8));
-  frame.insert(frame.end(), blob.begin(), blob.end());
-  AppendLe32(frame, FrameCrc(frame));
-  return std::string(frame.begin(), frame.end());
+  return EncodeDataFrame(kConfigFrameMarker, push_id, generation,
+                         reinterpret_cast<const uint8_t*>(blob.data()),
+                         blob.size());
 }
 
 std::string EncodeConfigAck(uint32_t push_id, uint32_t generation,
                             const Sha256Digest& digest) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kConfigAckSize);
-  frame.push_back(kConfigAckMarker);
+  std::vector<uint8_t> frame = {kConfigAckMarker};
   AppendLe32(frame, push_id);
   AppendLe32(frame, generation);
   frame.insert(frame.end(), digest.begin(), digest.end());
-  AppendLe32(frame, FrameCrc(frame));
-  return std::string(frame.begin(), frame.end());
+  return SealFrame(std::move(frame));
 }
 
 std::string EncodeHealthFrame(const HealthBeacon& beacon) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kHealthFrameSize);
-  frame.push_back(kHealthFrameMarker);
+  std::vector<uint8_t> frame = {kHealthFrameMarker};
   AppendLe64(frame, beacon.cycle);
   AppendLe64(frame, beacon.instructions);
   AppendLe64(frame, beacon.tx_bytes);
   AppendLe64(frame, beacon.rx_bytes);
   AppendLe32(frame, beacon.config_generation);
   frame.push_back(beacon.halted ? 1 : 0);
-  AppendLe32(frame, FrameCrc(frame));
-  return std::string(frame.begin(), frame.end());
-}
-
-ControlScan ScanConfigFrame(const std::string& rx, size_t offset,
-                            size_t* frame_start, size_t* next_offset,
-                            uint32_t* push_id, uint32_t* generation,
-                            std::string* blob) {
-  const size_t n = rx.size();
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(rx.data());
-  size_t pos = offset;
-  while (true) {
-    while (pos < n && bytes[pos] != kConfigFrameMarker) {
-      ++pos;
-    }
-    if (pos >= n) {
-      return ControlScan::kNoFrame;
-    }
-    *frame_start = pos;
-    if (n - pos < kConfigHeaderSize) {
-      return ControlScan::kNeedMore;
-    }
-    const uint8_t* p = bytes + pos;
-    const uint16_t len = LoadLe16(p + 9);
-    if (len > kMaxConfigBlobBytes) {
-      // A corrupted length would otherwise stall the scanner waiting for a
-      // frame that can never complete; skip the marker byte as noise.
-      ++pos;
-      continue;
-    }
-    const size_t total = kConfigHeaderSize + len + 4;
-    if (n - pos < total) {
-      return ControlScan::kNeedMore;
-    }
-    if (LoadLe32(p + kConfigHeaderSize + len) !=
-        Crc32(p, kConfigHeaderSize + len)) {
-      ++pos;
-      continue;
-    }
-    *next_offset = pos + total;
-    *push_id = LoadLe32(p + 1);
-    *generation = LoadLe32(p + 5);
-    blob->assign(reinterpret_cast<const char*>(p + kConfigHeaderSize), len);
-    return ControlScan::kFrame;
-  }
-}
-
-ControlScan ScanControlFrame(const std::string& rx, size_t offset,
-                             size_t* frame_start, size_t* next_offset,
-                             ControlFrame* frame) {
-  const size_t n = rx.size();
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(rx.data());
-  size_t pos = offset;
-  while (true) {
-    while (pos < n && bytes[pos] != kConfigAckMarker &&
-           bytes[pos] != kHealthFrameMarker) {
-      ++pos;
-    }
-    if (pos >= n) {
-      return ControlScan::kNoFrame;
-    }
-    *frame_start = pos;
-    const bool is_ack = bytes[pos] == kConfigAckMarker;
-    const size_t total = is_ack ? kConfigAckSize : kHealthFrameSize;
-    if (n - pos < total) {
-      return ControlScan::kNeedMore;
-    }
-    const uint8_t* p = bytes + pos;
-    if (LoadLe32(p + total - 4) != Crc32(p, total - 4)) {
-      ++pos;
-      continue;
-    }
-    *next_offset = pos + total;
-    if (is_ack) {
-      frame->kind = ControlFrame::Kind::kConfigAck;
-      frame->push_id = LoadLe32(p + 1);
-      frame->generation = LoadLe32(p + 5);
-      std::copy(p + 9, p + 9 + 32, frame->digest.begin());
-    } else {
-      frame->kind = ControlFrame::Kind::kHealth;
-      frame->beacon.cycle = LoadLe64(p + 1);
-      frame->beacon.instructions = LoadLe64(p + 9);
-      frame->beacon.tx_bytes = LoadLe64(p + 17);
-      frame->beacon.rx_bytes = LoadLe64(p + 25);
-      frame->beacon.config_generation = LoadLe32(p + 33);
-      frame->beacon.halted = p[37] != 0;
-    }
-    return ControlScan::kFrame;
-  }
+  return SealFrame(std::move(frame));
 }
 
 // --- FleetController -----------------------------------------------------
@@ -209,12 +109,7 @@ FleetController::FleetController(Fleet* fleet,
 }
 
 void FleetController::Log(const std::string& event) {
-  char prefix[32];
-  std::snprintf(prefix, sizeof(prefix), "@%llu fleetd ",
-                static_cast<unsigned long long>(fleet_->now()));
-  transcript_ += prefix;
-  transcript_ += event;
-  transcript_ += '\n';
+  AppendTranscriptLine(&transcript_, fleet_->now(), "fleetd", event);
 }
 
 void FleetController::Pump() {
@@ -253,45 +148,28 @@ void FleetController::PumpNodeAgents() {
     // newer generation is applied (region write + ack); any other valid
     // frame re-acks the currently applied state, which makes verifier
     // retransmits idempotent.
-    const std::string& rx = fleet_->ConfigRx(i);
-    while (true) {
-      size_t frame_start = 0;
-      size_t next_offset = 0;
-      uint32_t push_id = 0;
-      uint32_t generation = 0;
-      std::string blob;
-      const ControlScan scan =
-          ScanConfigFrame(rx, agent.config_rx_offset, &frame_start,
-                          &next_offset, &push_id, &generation, &blob);
-      if (scan == ControlScan::kNoFrame) {
-        agent.config_noise_bytes += rx.size() - agent.config_rx_offset;
-        agent.config_rx_offset = rx.size();
-        break;
-      }
-      if (scan == ControlScan::kNeedMore) {
-        agent.config_noise_bytes += frame_start - agent.config_rx_offset;
-        agent.config_rx_offset = frame_start;
-        break;
-      }
-      agent.config_noise_bytes += frame_start - agent.config_rx_offset;
-      agent.config_rx_offset = next_offset;
-      if (generation > agent.applied_generation || !agent.has_applied) {
-        std::vector<uint8_t> region(kNodeConfigRegionSize, 0);
-        StoreLe32(region.data(), generation);
-        StoreLe32(region.data() + 4, static_cast<uint32_t>(blob.size()));
-        std::copy(blob.begin(), blob.end(), region.begin() + 8);
-        node.platform().bus().HostWriteBytes(kNodeConfigRegionAddr, region);
-        agent.applied_generation = generation;
-        agent.applied_push_id = push_id;
-        agent.applied_digest = Sha256Hash(region);
-        agent.has_applied = true;
-      }
-      fleet_->SendToVerifier(
-          i, EncodeConfigAck(agent.applied_push_id, agent.applied_generation,
-                             agent.applied_digest));
-    }
-    agent.config_rx_offset -=
-        fleet_->ConsumeConfigRx(i, agent.config_rx_offset);
+    fleet_->DrainFrames(
+        i, Channel::kConfig, &agent.config_rx_offset,
+        [&](std::string_view frame) {
+          const uint8_t* p = reinterpret_cast<const uint8_t*>(frame.data());
+          const uint32_t push_id = LoadLe32(p + 1);
+          const uint32_t generation = LoadLe32(p + 5);
+          if (generation > agent.applied_generation || !agent.has_applied) {
+            const std::vector<uint8_t> region =
+                ConfigRegionImage(generation, DataOf(frame));
+            node.platform().bus().HostWriteBytes(kNodeConfigRegionAddr,
+                                                 region);
+            agent.applied_generation = generation;
+            agent.applied_push_id = push_id;
+            agent.applied_digest = Sha256Hash(region);
+            agent.has_applied = true;
+          }
+          fleet_->SendToVerifier(
+              i, EncodeConfigAck(agent.applied_push_id,
+                                 agent.applied_generation,
+                                 agent.applied_digest));
+          return true;
+        });
 
     // Health agent: one beacon every beacon_every_quanta quanta.
     if (policy_.beacon_every_quanta > 0 && --agent.beacon_countdown == 0) {
@@ -311,55 +189,49 @@ void FleetController::PumpNodeAgents() {
 void FleetController::ProcessControlRx() {
   const bool push_active = active_push_id_ != 0;
   for (int i = 0; i < fleet_->num_nodes(); ++i) {
-    size_t& cursor = control_rx_offset_[static_cast<size_t>(i)];
-    const std::string& rx = fleet_->ControlRx(i);
-    while (true) {
-      size_t frame_start = 0;
-      size_t next_offset = 0;
-      ControlFrame frame;
-      const ControlScan scan =
-          ScanControlFrame(rx, cursor, &frame_start, &next_offset, &frame);
-      if (scan == ControlScan::kNoFrame) {
-        cursor = rx.size();
-        break;
-      }
-      if (scan == ControlScan::kNeedMore) {
-        cursor = frame_start;
-        break;
-      }
-      cursor = next_offset;
-      NodeHealth& health = health_[static_cast<size_t>(i)];
-      if (frame.kind == ControlFrame::Kind::kHealth) {
-        health.beacon = frame.beacon;
-        health.beacon_seen_cycle = fleet_->now();
-        continue;
-      }
-      // Config ack. Only an ack for the active push with the exact region
-      // digest settles the node; a digest mismatch means the region the
-      // node applied is not the one we pushed (corruption that survived to
-      // the agent, or a hostile replay of an old ack) — keep waiting, the
-      // retransmit path re-sends until the retry budget runs out.
-      PushState& push = push_[static_cast<size_t>(i)];
-      if (push_active && push.target && !push.acked &&
-          frame.push_id == active_push_id_ &&
-          frame.generation == config_generation_) {
-        if (frame.digest == active_digest_) {
-          push.acked = true;
-          health.config_generation = frame.generation;
-          char event[64];
-          std::snprintf(event, sizeof(event), "config-ack node=%d gen=%u", i,
-                        frame.generation);
-          Log(event);
-        } else {
-          char event[80];
-          std::snprintf(event, sizeof(event),
-                        "config-ack DIGEST MISMATCH node=%d gen=%u", i,
-                        frame.generation);
-          Log(event);
-        }
-      }
-    }
-    cursor -= fleet_->ConsumeControlRx(i, cursor);
+    NodeHealth& health = health_[static_cast<size_t>(i)];
+    PushState& push = push_[static_cast<size_t>(i)];
+    fleet_->DrainFrames(
+        i, Channel::kControl, &control_rx_offset_[static_cast<size_t>(i)],
+        [&](std::string_view frame) {
+          const uint8_t* p = reinterpret_cast<const uint8_t*>(frame.data());
+          if (p[0] == kHealthFrameMarker) {
+            health.beacon.cycle = LoadLe64(p + 1);
+            health.beacon.instructions = LoadLe64(p + 9);
+            health.beacon.tx_bytes = LoadLe64(p + 17);
+            health.beacon.rx_bytes = LoadLe64(p + 25);
+            health.beacon.config_generation = LoadLe32(p + 33);
+            health.beacon.halted = p[37] != 0;
+            health.beacon_seen_cycle = fleet_->now();
+            return true;
+          }
+          // Config ack. Only an ack for the active push with the exact
+          // region digest settles the node; a digest mismatch means the
+          // region the node applied is not the one we pushed (corruption
+          // that survived to the agent, or a hostile replay of an old ack)
+          // — keep waiting, the retransmit path re-sends until the retry
+          // budget runs out.
+          const uint32_t push_id = LoadLe32(p + 1);
+          const uint32_t generation = LoadLe32(p + 5);
+          if (push_active && push.target && !push.acked &&
+              push_id == active_push_id_ &&
+              generation == config_generation_) {
+            char event[80];
+            if (std::equal(active_digest_.begin(), active_digest_.end(),
+                           p + 9)) {
+              push.acked = true;
+              health.config_generation = generation;
+              std::snprintf(event, sizeof(event),
+                            "config-ack node=%d gen=%u", i, generation);
+            } else {
+              std::snprintf(event, sizeof(event),
+                            "config-ack DIGEST MISMATCH node=%d gen=%u", i,
+                            generation);
+            }
+            Log(event);
+          }
+          return true;
+        });
   }
 
   // Retransmit pass for the active push (stop-and-wait per node).
@@ -408,20 +280,10 @@ int FleetController::RefreshRoster(const std::vector<int>& subset) {
   return newly_quarantined;
 }
 
-std::vector<int> FleetController::Admitted() const {
+std::vector<int> FleetController::NodesIn(RosterState roster) const {
   std::vector<int> out;
   for (int i = 0; i < num_nodes(); ++i) {
-    if (health_[static_cast<size_t>(i)].roster == RosterState::kAdmitted) {
-      out.push_back(i);
-    }
-  }
-  return out;
-}
-
-std::vector<int> FleetController::Quarantined() const {
-  std::vector<int> out;
-  for (int i = 0; i < num_nodes(); ++i) {
-    if (health_[static_cast<size_t>(i)].roster == RosterState::kQuarantined) {
+    if (health_[static_cast<size_t>(i)].roster == roster) {
       out.push_back(i);
     }
   }
@@ -437,13 +299,9 @@ Status FleetController::RunAdmission() {
   if (!PumpUntil([&] { return attestor_.Done(); })) {
     return Internal("admission round did not resolve within the phase budget");
   }
-  const int quarantined = RefreshRoster([&] {
-    std::vector<int> all(static_cast<size_t>(fleet_->num_nodes()));
-    for (int i = 0; i < fleet_->num_nodes(); ++i) {
-      all[static_cast<size_t>(i)] = i;
-    }
-    return all;
-  }());
+  std::vector<int> all(static_cast<size_t>(fleet_->num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  const int quarantined = RefreshRoster(all);
   EmitEpoch("admission");
   if (policy_.halt_on_quarantine && quarantined > 0) {
     return FailedPrecondition("halt-on-quarantine: admission quarantined " +
@@ -464,17 +322,7 @@ Status FleetController::RunReattestEpoch() {
                 roster.size());
   Log(event);
   attestor_.Begin(roster);
-  auto resolved = [&] {
-    for (int node : roster) {
-      const AttestNodeState state = attestor_.state(node);
-      if (state != AttestNodeState::kVerified &&
-          state != AttestNodeState::kQuarantined) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (!PumpUntil(resolved)) {
+  if (!PumpUntil([&] { return attestor_.Done(roster); })) {
     return Internal("re-attestation epoch did not resolve within the budget");
   }
   const int quarantined = RefreshRoster(roster);
@@ -552,17 +400,7 @@ Status FleetController::PushConfig(
   // Re-measure: the acks pinned the config content; a re-attestation round
   // over the pushed nodes pins the code that consumes it.
   attestor_.Begin(roster);
-  auto resolved = [&] {
-    for (int node : roster) {
-      const AttestNodeState state = attestor_.state(node);
-      if (state != AttestNodeState::kVerified &&
-          state != AttestNodeState::kQuarantined) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (!PumpUntil(resolved)) {
+  if (!PumpUntil([&] { return attestor_.Done(roster); })) {
     return Internal("post-push re-attestation did not resolve in budget");
   }
   const int quarantined = RefreshRoster(roster);
@@ -632,17 +470,7 @@ Status FleetController::ScaleUp(int count) {
     Log(event);
   }
   attestor_.Begin(new_ids);
-  auto resolved = [&] {
-    for (int node : new_ids) {
-      const AttestNodeState state = attestor_.state(node);
-      if (state != AttestNodeState::kVerified &&
-          state != AttestNodeState::kQuarantined) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (!PumpUntil(resolved)) {
+  if (!PumpUntil([&] { return attestor_.Done(new_ids); })) {
     return Internal("scale-up re-attestation did not resolve in budget");
   }
   const int quarantined = RefreshRoster(new_ids);
@@ -667,52 +495,34 @@ void FleetController::Drain() {
 void FleetController::EmitEpoch(const char* phase) {
   std::string json = "{\"phase\":\"";
   json += phase;
-  json += "\",\"epoch\":";
-  AppendU64(&json, static_cast<uint64_t>(epochs_));
-  json += ",\"cycle\":";
-  AppendU64(&json, fleet_->now());
-  json += ",\"quanta\":";
-  AppendU64(&json, quanta_run_);
-  json += ",\"nodes\":";
-  AppendU64(&json, static_cast<uint64_t>(num_nodes()));
-  json += ",\"admitted\":";
-  AppendU64(&json, static_cast<uint64_t>(Admitted().size()));
-  json += ",\"quarantined\":";
-  AppendU64(&json, static_cast<uint64_t>(Quarantined().size()));
-  json += ",\"config_generation\":";
-  AppendU64(&json, config_generation_);
+  json += '"';
+  AppendField(&json, "epoch", static_cast<uint64_t>(epochs_));
+  AppendField(&json, "cycle", fleet_->now());
+  AppendField(&json, "quanta", quanta_run_);
+  AppendField(&json, "nodes", static_cast<uint64_t>(num_nodes()));
+  AppendField(&json, "admitted", Admitted().size());
+  AppendField(&json, "quarantined", Quarantined().size());
+  AppendField(&json, "config_generation", config_generation_);
   json += ",\"health\":[";
   for (int i = 0; i < num_nodes(); ++i) {
     const NodeHealth& health = health_[static_cast<size_t>(i)];
-    if (i > 0) {
-      json += ',';
-    }
-    json += "{\"node\":";
-    AppendU64(&json, static_cast<uint64_t>(i));
+    json += i > 0 ? ",{\"node\":" : "{\"node\":";
+    json += std::to_string(i);
     json += ",\"roster\":\"";
     json += RosterStateName(health.roster);
     json += "\",\"reason\":\"";
     json += QuarantineReasonName(health.reason);
-    json += "\",\"last_verified_cycle\":";
-    AppendU64(&json, health.last_verified_cycle);
-    json += ",\"beacon_cycle\":";
-    AppendU64(&json, health.beacon.cycle);
-    json += ",\"beacon_instructions\":";
-    AppendU64(&json, health.beacon.instructions);
-    json += ",\"beacon_tx\":";
-    AppendU64(&json, health.beacon.tx_bytes);
-    json += ",\"beacon_rx\":";
-    AppendU64(&json, health.beacon.rx_bytes);
-    json += ",\"config_generation\":";
-    AppendU64(&json, health.config_generation);
+    json += '"';
+    AppendField(&json, "last_verified_cycle", health.last_verified_cycle);
+    AppendField(&json, "beacon_cycle", health.beacon.cycle);
+    AppendField(&json, "beacon_instructions", health.beacon.instructions);
+    AppendField(&json, "beacon_tx", health.beacon.tx_bytes);
+    AppendField(&json, "beacon_rx", health.beacon.rx_bytes);
+    AppendField(&json, "config_generation", health.config_generation);
     json += ",\"halted\":";
     json += health.beacon.halted ? "true" : "false";
     json += ",\"cloned_from\":";
-    if (health.cloned_from < 0) {
-      json += "-1";
-    } else {
-      AppendU64(&json, static_cast<uint64_t>(health.cloned_from));
-    }
+    json += std::to_string(health.cloned_from);
     json += '}';
   }
   json += "]}";

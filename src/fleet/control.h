@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,22 +60,24 @@ namespace trustlite {
 // region, padding included.
 inline constexpr uint32_t kNodeConfigRegionAddr = kDramBase;
 inline constexpr uint32_t kNodeConfigRegionSize = 1024;
-inline constexpr uint32_t kMaxConfigBlobBytes = kNodeConfigRegionSize - 8;
+static_assert(kMaxConfigBlobBytes == kNodeConfigRegionSize - 8,
+              "a config blob fills the region after its 8-byte header");
 
 // Serializes ConfigMap-style entries as "key=value\n" lines (the blob
 // format the config agent writes verbatim into the region).
 std::string EncodeConfigBlob(
     const std::vector<std::pair<std::string, std::string>>& entries);
 
-// SHA-256 of the config region image holding (generation, blob) — what a
-// correct ack must report.
+// The config region image holding (generation, blob), as the config agent
+// writes it, and its SHA-256 — what a correct ack must report.
+std::vector<uint8_t> ConfigRegionImage(uint32_t generation,
+                                       std::string_view blob);
 Sha256Digest ConfigRegionDigest(uint32_t generation, const std::string& blob);
 
 // --- Control-plane wire frames (docs/WIRE_PROTOCOL.md) -------------------
 //
-// All three families are CRC-32-framed like the 0xD5 update chunks; the
-// scanners below resync on CRC failure, so corrupted or misrouted frames
-// cost O(new bytes) and are never fatal.
+// CRC-32-framed like the 0xD5 update chunks, and scanned by the same codec
+// (src/fleet/frame.h):
 //
 //   config push (0xC6, verifier -> node):
 //     marker(1) push_id(4) generation(4) len(2) blob(len) crc(4)
@@ -99,29 +102,6 @@ struct HealthBeacon {
   bool halted = false;
 };
 std::string EncodeHealthFrame(const HealthBeacon& beacon);
-
-enum class ControlScan { kFrame, kNeedMore, kNoFrame };
-
-// Node-side scanner over Fleet::ConfigRx (0xC6 frames only).
-ControlScan ScanConfigFrame(const std::string& rx, size_t offset,
-                            size_t* frame_start, size_t* next_offset,
-                            uint32_t* push_id, uint32_t* generation,
-                            std::string* blob);
-
-// Verifier-side scanner over Fleet::ControlRx: either frame family.
-struct ControlFrame {
-  enum class Kind { kConfigAck, kHealth };
-  Kind kind = Kind::kConfigAck;
-  // kConfigAck fields.
-  uint32_t push_id = 0;
-  uint32_t generation = 0;
-  Sha256Digest digest{};
-  // kHealth fields.
-  HealthBeacon beacon;
-};
-ControlScan ScanControlFrame(const std::string& rx, size_t offset,
-                             size_t* frame_start, size_t* next_offset,
-                             ControlFrame* frame);
 
 // --- Controller ----------------------------------------------------------
 
@@ -200,8 +180,10 @@ class FleetController {
   const NodeHealth& health(int node) const {
     return health_[static_cast<size_t>(node)];
   }
-  std::vector<int> Admitted() const;
-  std::vector<int> Quarantined() const;
+  std::vector<int> Admitted() const { return NodesIn(RosterState::kAdmitted); }
+  std::vector<int> Quarantined() const {
+    return NodesIn(RosterState::kQuarantined);
+  }
   uint32_t config_generation() const { return config_generation_; }
   int epochs() const { return epochs_; }
   uint64_t quanta_run() const { return quanta_run_; }
@@ -230,7 +212,6 @@ class FleetController {
     Sha256Digest applied_digest{};
     bool has_applied = false;
     uint32_t beacon_countdown = 1;  // Quanta until the next beacon.
-    uint64_t config_noise_bytes = 0;
   };
   // Controller-side view of one node's progress through the active push.
   struct PushState {
@@ -250,6 +231,7 @@ class FleetController {
   bool PumpUntil(DoneFn done);
   void PumpNodeAgents();
   void ProcessControlRx();
+  std::vector<int> NodesIn(RosterState roster) const;
   // Folds the attestor's verdicts for `subset` into the roster. Returns
   // the number of nodes newly quarantined.
   int RefreshRoster(const std::vector<int>& subset);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "src/crypto/sha256.h"
@@ -14,10 +15,7 @@ Fleet::Fleet(const FleetConfig& config)
     : config_(config),
       fabric_(config.seed),
       pool_(config.threads),
-      verifier_rx_(static_cast<size_t>(config.nodes)),
-      update_rx_(static_cast<size_t>(config.nodes)),
-      config_rx_(static_cast<size_t>(config.nodes)),
-      control_rx_(static_cast<size_t>(config.nodes)),
+      rx_(static_cast<size_t>(config.nodes)),
       deliver_scratch_(static_cast<size_t>(config.nodes)),
       burst_scratch_(static_cast<size_t>(config.nodes)),
       gpio_out_scratch_(static_cast<size_t>(config.nodes)) {
@@ -37,23 +35,15 @@ void Fleet::RunQuantum() {
   const uint64_t target = now_ + config_.quantum;
 
   // Phase 1 — drain the verifier port (serial). The due-queue pops frames
-  // in (deliver_cycle, seq) order — a total order — so the per-source RX
-  // streams grow identically at every thread count.
+  // in (deliver_cycle, seq) order — a total order — so the per-source
+  // channel streams grow identically at every thread count.
   fabric_.DeliverInto(kVerifierPort, now_, &verifier_scratch_);
   for (FleetMessage& message : verifier_scratch_) {
     if (message.src >= 0 && message.src < n) {
-      // Control-plane frames (config acks, health beacons) are split into
-      // their own stream so the attestation scanner and the controller each
-      // consume exactly one stream. Attestation reports start with 'R';
-      // a corrupted marker misroutes a frame into CRC rejection.
-      const uint8_t marker = message.payload.empty()
-                                 ? 0
-                                 : static_cast<uint8_t>(message.payload[0]);
-      if (marker == kConfigAckMarker || marker == kHealthFrameMarker) {
-        control_rx_[static_cast<size_t>(message.src)] += message.payload;
-      } else {
-        verifier_rx_[static_cast<size_t>(message.src)] += message.payload;
-      }
+      const Channel channel =
+          *RouteFrame(message.src, kVerifierPort, message.payload);
+      rx_[static_cast<size_t>(message.src)][static_cast<size_t>(channel)] +=
+          message.payload;
     }
   }
 
@@ -70,20 +60,11 @@ void Fleet::RunQuantum() {
             deliver_scratch_[static_cast<size_t>(i)];
         fabric_.DeliverInto(i, now_, &due);
         for (FleetMessage& message : due) {
-          // Update transfer frames go to the staging stream, not the guest
-          // UART (marker comment in fleet.h). Only verifier-sourced frames
-          // qualify: a reflected/echoed frame from another node still hits
-          // the UART as noise. A corrupted first byte re-routes the frame —
-          // either way the campaign's CRC check catches it.
-          const uint8_t marker =
-              message.payload.empty()
-                  ? 0
-                  : static_cast<uint8_t>(message.payload[0]);
-          if (message.src == kVerifierPort && marker == kUpdateFrameMarker) {
-            update_rx_[static_cast<size_t>(i)] += message.payload;
-          } else if (message.src == kVerifierPort &&
-                     marker == kConfigFrameMarker) {
-            config_rx_[static_cast<size_t>(i)] += message.payload;
+          const std::optional<Channel> channel =
+              RouteFrame(message.src, i, message.payload);
+          if (channel.has_value()) {
+            rx_[static_cast<size_t>(i)][static_cast<size_t>(*channel)] +=
+                message.payload;
           } else {
             node.PushRx(message.payload);
           }
@@ -165,10 +146,7 @@ int Fleet::AddNode() {
   }
   nodes_.push_back(std::make_unique<FleetNode>(id, config_.seed,
                                                config_.platform));
-  verifier_rx_.emplace_back();
-  update_rx_.emplace_back();
-  config_rx_.emplace_back();
-  control_rx_.emplace_back();
+  rx_.emplace_back();
   deliver_scratch_.emplace_back();
   burst_scratch_.emplace_back();
   gpio_out_scratch_.push_back(0);
@@ -181,29 +159,9 @@ int Fleet::AddNode() {
   return id;
 }
 
-size_t Fleet::ConsumeVerifierRx(int node, size_t upto) {
-  std::string& rx = verifier_rx_[static_cast<size_t>(node)];
-  upto = std::min(upto, rx.size());
-  rx.erase(0, upto);
-  return upto;
-}
-
-size_t Fleet::ConsumeUpdateRx(int node, size_t upto) {
-  std::string& rx = update_rx_[static_cast<size_t>(node)];
-  upto = std::min(upto, rx.size());
-  rx.erase(0, upto);
-  return upto;
-}
-
-size_t Fleet::ConsumeConfigRx(int node, size_t upto) {
-  std::string& rx = config_rx_[static_cast<size_t>(node)];
-  upto = std::min(upto, rx.size());
-  rx.erase(0, upto);
-  return upto;
-}
-
-size_t Fleet::ConsumeControlRx(int node, size_t upto) {
-  std::string& rx = control_rx_[static_cast<size_t>(node)];
+size_t Fleet::ConsumeRx(int node, Channel channel, size_t upto) {
+  std::string& rx =
+      rx_[static_cast<size_t>(node)][static_cast<size_t>(channel)];
   upto = std::min(upto, rx.size());
   rx.erase(0, upto);
   return upto;

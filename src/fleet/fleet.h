@@ -6,33 +6,41 @@
 //
 // Execution model — synchronized run-quanta, fused per node:
 //   1. Verifier drain (serial): fabric messages due at the verifier port
-//     are appended to the per-source RX streams in (deliver_cycle, seq)
-//     order — the fabric's due-queues pop a total order, so the transcript
-//     is thread-independent by construction.
+//     are appended to the per-source channel streams (Rx) in
+//     (deliver_cycle, seq) order — the fabric's due-queues pop a total
+//     order, so the transcript is thread-independent by construction.
 //   2. Sharded deliver + execute + harvest-collect: ONE ParallelFor round
 //     per quantum. Shard i pops node i's due frames from its private
-//     due-queue into node i's UART, runs the node to the quantum end, and
-//     collects its TX burst into a per-node scratch slot. Every step
-//     touches only node i's state (per-dst due-queue, Platform, scratch
-//     slot), so host scheduling cannot leak into results.
+//     due-queue into node i's UART or staging channels, runs the node to
+//     the quantum end, and collects its TX burst into a per-node scratch
+//     slot. Every step touches only node i's state (per-dst due-queue,
+//     Platform, channel streams, scratch slot), so host scheduling cannot
+//     leak into results.
 //   3. Serial sends: collected bursts enter the fabric in node-id order,
 //     consuming the per-link impairment/hostile RNG streams in a
 //     thread-independent order — this is the determinism anchor and the
 //     only reason the send phase stays serial. Ring fleets also bridge
 //     GPIO here (node i's OUT latched into node i+1's IN).
 //
+// Both drains route a delivered payload by its first byte (RouteFrame,
+// src/fleet/frame.h) into one of four per-node channels: kAttest and
+// kControl at the verifier, kUpdate and kConfig at the node.
+//
 // The verifier (FleetAttestor, or any host driver) interacts strictly at
-// quantum boundaries through SendToNode / VerifierRx, which keeps the
-// attestation transcripts deterministic as well.
+// quantum boundaries through SendToNode / Rx, which keeps the attestation
+// transcripts deterministic as well.
 
 #ifndef TRUSTLITE_SRC_FLEET_FLEET_H_
 #define TRUSTLITE_SRC_FLEET_FLEET_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/fleet/frame.h"
 #include "src/fleet/link.h"
 #include "src/fleet/node.h"
 #include "src/fleet/pool.h"
@@ -40,24 +48,13 @@
 
 namespace trustlite {
 
-// First byte of a firmware-update transfer frame (src/fleet/update.h). The
-// fleet routes verifier-sourced frames starting with this marker into the
-// node's update staging stream instead of its UART: the update agent reads
-// staged chunks out-of-band of the guest firmware, while the frames still
-// traverse the same links (latency, loss and hostile modes all apply).
-// 0xD5 never begins an attestation challenge (those start with 'A').
-inline constexpr uint8_t kUpdateFrameMarker = 0xD5;
-
-// Control-plane frame markers (src/fleet/control.h, docs/WIRE_PROTOCOL.md).
-// Verifier-sourced 0xC6 frames are staged into the node's config stream the
-// same way 0xD5 frames reach the update stream; node-sourced 0xC7/0xC8
-// frames are split out of the verifier drain into a per-node control stream
-// so the attestation scanner (the other verifier-side consumer) never races
-// the controller for bytes. A corrupted marker misroutes the frame, and the
-// frame's CRC then rejects it wherever it lands — same contract as 0xD5.
-inline constexpr uint8_t kConfigFrameMarker = 0xC6;  // verifier -> node
-inline constexpr uint8_t kConfigAckMarker = 0xC7;    // node -> verifier
-inline constexpr uint8_t kHealthFrameMarker = 0xC8;  // node -> verifier
+// Appends one "@cycle who event" line to a verifier-side transcript; the
+// attestor, the update campaign and the controller log in this shape.
+inline void AppendTranscriptLine(std::string* transcript, uint64_t cycle,
+                                 const std::string& who,
+                                 const std::string& event) {
+  *transcript += "@" + std::to_string(cycle) + " " + who + " " + event + "\n";
+}
 
 struct FleetConfig {
   int nodes = 4;
@@ -114,42 +111,58 @@ class Fleet {
   // it in node-id order at quantum boundaries, which keeps the per-link RNG
   // consumption order thread-independent.
   bool SendToVerifier(int node, std::string payload);
-  // Byte stream received from `node` at the verifier. Grows as frames are
-  // delivered; the (single) consumer tracks its own scan offset and hands
-  // consumed bytes back via ConsumeVerifierRx.
-  const std::string& VerifierRx(int node) const {
-    return verifier_rx_[static_cast<size_t>(node)];
+  // The channel table: one byte stream per (node, channel), appended as
+  // frames are delivered. Each channel has a single consumer, which tracks
+  // its own scan offset and hands consumed bytes back via ConsumeRx.
+  const std::string& Rx(int node, Channel channel) const {
+    return rx_[static_cast<size_t>(node)][static_cast<size_t>(channel)];
   }
-  // Reclaims the first `upto` bytes of VerifierRx(node) — everything the
+  // Reclaims the first `upto` bytes of Rx(node, channel) — everything the
   // consumer has scanned past. Returns the bytes actually trimmed (the
-  // consumer rebases its offsets by that amount). This bounds verifier-side
-  // memory even when a hostile link floods the stream with garbage.
-  size_t ConsumeVerifierRx(int node, size_t upto);
+  // consumer rebases its offsets by that amount). This bounds memory even
+  // when a hostile link floods a stream with garbage.
+  size_t ConsumeRx(int node, Channel channel, size_t upto);
 
-  // Node-side update staging stream: verifier-sourced frames that begin
-  // with kUpdateFrameMarker land here instead of the node's UART (see the
-  // marker's comment). Same consumer contract as VerifierRx.
-  const std::string& UpdateRx(int node) const {
-    return update_rx_[static_cast<size_t>(node)];
+  // The scan cursor every channel consumer shares. Scans Rx(node, channel)
+  // from *cursor with `scan` (ScanFrame-shaped: rx, offset, &frame_start,
+  // &next_offset -> FrameScan) and hands each frame to `on_frame` until it
+  // returns false; bytes after an early stop stay for the next call.
+  // Skipped bytes are added to *noise_bytes (when non-null) before the
+  // frame that follows them is handed over. Everything scanned past is
+  // reclaimed with ConsumeRx and *cursor rebased.
+  template <typename Scan, typename OnFrame>
+  void DrainRx(int node, Channel channel, size_t* cursor,
+               uint64_t* noise_bytes, Scan scan, OnFrame on_frame) {
+    const std::string& rx = Rx(node, channel);
+    while (true) {
+      size_t start = 0;
+      size_t end = 0;
+      const FrameScan result = scan(rx, *cursor, &start, &end);
+      if (result == FrameScan::kNoFrame) {
+        start = rx.size();
+      }
+      if (noise_bytes != nullptr) {
+        *noise_bytes += start - *cursor;
+      }
+      *cursor = result == FrameScan::kFrame ? end : start;
+      if (result != FrameScan::kFrame ||
+          !on_frame(std::string_view(rx).substr(start, end - start))) {
+        break;
+      }
+    }
+    *cursor -= ConsumeRx(node, channel, *cursor);
   }
-  size_t ConsumeUpdateRx(int node, size_t upto);
-
-  // Node-side config staging stream (verifier-sourced kConfigFrameMarker
-  // frames; the node's config agent consumes it). Same contract as
-  // UpdateRx.
-  const std::string& ConfigRx(int node) const {
-    return config_rx_[static_cast<size_t>(node)];
+  // DrainRx over a CRC channel with the frame codec's scanner.
+  template <typename OnFrame>
+  void DrainFrames(int node, Channel channel, size_t* cursor,
+                   OnFrame on_frame) {
+    DrainRx(node, channel, cursor, nullptr,
+            [channel](const std::string& rx, size_t offset, size_t* start,
+                      size_t* end) {
+              return ScanFrame(rx, offset, channel, start, end);
+            },
+            on_frame);
   }
-  size_t ConsumeConfigRx(int node, size_t upto);
-
-  // Verifier-side control stream from `node`: config acks and health
-  // beacons (kConfigAckMarker / kHealthFrameMarker), split out of the
-  // verifier drain so the attestation scanner and the controller each own
-  // exactly one stream. Same consumer contract as VerifierRx.
-  const std::string& ControlRx(int node) const {
-    return control_rx_[static_cast<size_t>(node)];
-  }
-  size_t ConsumeControlRx(int node, size_t upto);
 
   // Digest over every node's StateDigest, in node order — one hash pinning
   // the architectural state of the whole fleet.
@@ -166,12 +179,10 @@ class Fleet {
   LinkFabric fabric_;
   std::vector<std::unique_ptr<FleetNode>> nodes_;
   QuantumPool pool_;
-  std::vector<std::string> verifier_rx_;
-  // update_rx_[i] / config_rx_[i] are appended only by the phase-2 shard
-  // running node i; control_rx_[i] only by the serial phase-1 drain.
-  std::vector<std::string> update_rx_;
-  std::vector<std::string> config_rx_;
-  std::vector<std::string> control_rx_;
+  // rx_[i][kUpdate] / rx_[i][kConfig] are appended only by the phase-2
+  // shard running node i; rx_[i][kAttest] / rx_[i][kControl] only by the
+  // serial phase-1 drain.
+  std::vector<std::array<std::string, kNumChannels>> rx_;
   // Per-quantum scratch, sized once in the constructor and reused every
   // round so a 10k-node fleet does not churn thousands of vector
   // allocations per quantum. deliver_scratch_[i] and burst_scratch_[i] are

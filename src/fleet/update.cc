@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <string_view>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/mem/layout.h"
 
@@ -18,65 +18,11 @@ namespace {
 // to the key/tamper/challenge streams).
 constexpr uint64_t kCampaignSalt = 0x63616D706169676Eull;  // "campaign"
 
-constexpr size_t kFrameHeaderSize = 1 + 4 + 4 + 2;  // marker, cid, off, len
-
 }  // namespace
 
 std::string EncodeUpdateFrame(uint32_t campaign_id, uint32_t offset,
                               const uint8_t* data, size_t len) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderSize + len + 4);
-  frame.push_back(kUpdateFrameMarker);
-  AppendLe32(frame, campaign_id);
-  AppendLe32(frame, offset);
-  frame.push_back(static_cast<uint8_t>(len));
-  frame.push_back(static_cast<uint8_t>(len >> 8));
-  frame.insert(frame.end(), data, data + len);
-  AppendLe32(frame, Crc32(frame.data(), frame.size()));
-  return std::string(frame.begin(), frame.end());
-}
-
-UpdateScan ScanUpdateFrame(const std::string& rx, size_t offset,
-                           size_t* frame_start, size_t* next_offset,
-                           uint32_t* campaign_id, uint32_t* chunk_offset,
-                           std::string* data) {
-  const size_t n = rx.size();
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(rx.data());
-  size_t pos = offset;
-  while (true) {
-    while (pos < n && bytes[pos] != kUpdateFrameMarker) {
-      ++pos;
-    }
-    if (pos >= n) {
-      return UpdateScan::kNoFrame;
-    }
-    *frame_start = pos;
-    if (n - pos < kFrameHeaderSize) {
-      return UpdateScan::kNeedMore;
-    }
-    const uint8_t* p = bytes + pos;
-    const uint16_t len = LoadLe16(p + 9);
-    if (len > kMaxUpdateFrameData) {
-      // A corrupted length would otherwise stall the scanner waiting for
-      // bytes that never come; oversized claims are noise.
-      ++pos;
-      continue;
-    }
-    const size_t total = kFrameHeaderSize + len + 4;
-    if (n - pos < total) {
-      return UpdateScan::kNeedMore;
-    }
-    if (LoadLe32(p + kFrameHeaderSize + len) !=
-        Crc32(p, kFrameHeaderSize + len)) {
-      ++pos;  // CRC-invalid candidate: resync from the next byte.
-      continue;
-    }
-    *campaign_id = LoadLe32(p + 1);
-    *chunk_offset = LoadLe32(p + 5);
-    data->assign(rx.data() + pos + kFrameHeaderSize, len);
-    *next_offset = pos + total;
-    return UpdateScan::kFrame;
-  }
+  return EncodeDataFrame(kUpdateFrameMarker, campaign_id, offset, data, len);
 }
 
 const char* UpdatePhaseName(UpdatePhase phase) {
@@ -132,22 +78,13 @@ UpdateCampaign::UpdateCampaign(Fleet* fleet, FleetAttestor* attestor,
 }
 
 void UpdateCampaign::Log(const std::string& event) {
-  char prefix[48];
-  std::snprintf(prefix, sizeof(prefix), "@%llu campaign v%u ",
-                static_cast<unsigned long long>(fleet_->now()),
-                image_.fw_version);
-  transcript_ += prefix;
-  transcript_ += event;
-  transcript_ += '\n';
+  AppendTranscriptLine(&transcript_, fleet_->now(),
+                       "campaign v" + std::to_string(image_.fw_version), event);
 }
 
 void UpdateCampaign::LogNode(int node, const std::string& event) {
-  char prefix[48];
-  std::snprintf(prefix, sizeof(prefix), "@%llu node=%d ",
-                static_cast<unsigned long long>(fleet_->now()), node);
-  transcript_ += prefix;
-  transcript_ += event;
-  transcript_ += '\n';
+  AppendTranscriptLine(&transcript_, fleet_->now(),
+                       "node=" + std::to_string(node), event);
 }
 
 Status UpdateCampaign::Start() {
@@ -252,44 +189,29 @@ void UpdateCampaign::SendChunk(int node) {
 
 void UpdateCampaign::PumpTransfer(int node) {
   NodeState& ns = nodes_[static_cast<size_t>(node)];
-  const std::string& rx = fleet_->UpdateRx(node);
-  uint32_t cid = 0;
-  uint32_t chunk_offset = 0;
-  std::string data;
-  while (ns.state == UpdateNodeState::kTransferring) {
-    size_t frame_start = 0;
-    size_t next_offset = 0;
-    const UpdateScan scan = ScanUpdateFrame(
-        rx, ns.rx_offset, &frame_start, &next_offset, &cid, &chunk_offset,
-        &data);
-    if (scan == UpdateScan::kNoFrame) {
-      ns.noise_bytes += rx.size() - ns.rx_offset;
-      ns.rx_offset = rx.size();
-      break;
-    }
-    if (scan == UpdateScan::kNeedMore) {
-      ns.noise_bytes += frame_start - ns.rx_offset;
-      ns.rx_offset = frame_start;
-      break;
-    }
-    ns.noise_bytes += frame_start - ns.rx_offset;
-    ns.rx_offset = next_offset;
-    // Stop-and-wait acceptance: only the exact next chunk of THIS campaign
-    // advances the stage. Duplicates (retransmits, link-level replays) and
-    // cross-campaign frames fall through as no-ops — the campaign-id filter
-    // is what makes a replayed chunk from an earlier rollout inert.
-    if (cid != campaign_id_ || chunk_offset != ns.acked ||
-        ns.acked + data.size() > ns.container.size()) {
-      continue;
-    }
-    ns.acked += data.size();
-    if (ns.acked >= ns.container.size()) {
-      ApplyAtNode(node);
-    } else {
-      SendChunk(node);
-    }
-  }
-  ns.rx_offset -= fleet_->ConsumeUpdateRx(node, ns.rx_offset);
+  fleet_->DrainFrames(
+      node, Channel::kUpdate, &ns.rx_offset, [&](std::string_view frame) {
+        const uint8_t* p = reinterpret_cast<const uint8_t*>(frame.data());
+        const uint32_t cid = LoadLe32(p + 1);
+        const uint32_t chunk_offset = LoadLe32(p + 5);
+        const size_t len = DataOf(frame).size();
+        // Stop-and-wait acceptance: only the exact next chunk of THIS
+        // campaign advances the stage. Duplicates (retransmits, link-level
+        // replays) and cross-campaign frames fall through as no-ops — the
+        // campaign-id filter is what makes a replayed chunk from an earlier
+        // rollout inert.
+        if (cid != campaign_id_ || chunk_offset != ns.acked ||
+            ns.acked + len > ns.container.size()) {
+          return true;
+        }
+        ns.acked += len;
+        if (ns.acked >= ns.container.size()) {
+          ApplyAtNode(node);
+        } else {
+          SendChunk(node);
+        }
+        return ns.state == UpdateNodeState::kTransferring;
+      });
   if (ns.state == UpdateNodeState::kTransferring &&
       fleet_->now() >= ns.deadline) {
     if (++ns.retries > config_.max_chunk_retries) {

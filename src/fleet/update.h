@@ -43,25 +43,10 @@
 
 namespace trustlite {
 
-// Largest data run a single transfer frame may carry; bounds what a
-// corrupted length field can make the scanner wait for.
-inline constexpr uint32_t kMaxUpdateFrameData = 4096;
-
-// Transfer frame: marker, campaign id, chunk offset, data length, data,
-// CRC-32 over everything before the CRC.
+// Transfer frame (0xD5, src/fleet/frame.h): marker, campaign id, chunk
+// offset, data length, data, CRC-32 over everything before the CRC.
 std::string EncodeUpdateFrame(uint32_t campaign_id, uint32_t offset,
                               const uint8_t* data, size_t len);
-
-// Incremental frame scanner over a staging stream, mirroring
-// ScanAttestationResponse: kFrame parsed a CRC-valid frame, kNeedMore found
-// a marker whose frame is still streaming (resume at *frame_start),
-// kNoFrame means the whole tail is noise. CRC-invalid candidates are
-// skipped as noise, not returned.
-enum class UpdateScan { kFrame, kNeedMore, kNoFrame };
-UpdateScan ScanUpdateFrame(const std::string& rx, size_t offset,
-                           size_t* frame_start, size_t* next_offset,
-                           uint32_t* campaign_id, uint32_t* chunk_offset,
-                           std::string* data);
 
 struct UpdateCampaignConfig {
   // Percent of the eligible (verified) population updated first. 100 makes
@@ -140,10 +125,9 @@ class UpdateCampaign {
     UpdateNodeState state = UpdateNodeState::kIneligible;
     std::vector<uint8_t> container;   // Signed for this node's update key.
     size_t acked = 0;                 // Container bytes staged at the node.
-    size_t rx_offset = 0;             // Scan cursor into fleet UpdateRx.
+    size_t rx_offset = 0;             // Scan cursor into the kUpdate channel.
     uint64_t deadline = 0;            // Retransmit deadline for the chunk.
     int retries = 0;
-    uint64_t noise_bytes = 0;         // Unframeable staging bytes skipped.
     // Captured at apply time for abort rollback.
     std::vector<uint8_t> old_window;
     std::vector<uint8_t> old_golden;

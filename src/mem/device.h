@@ -127,11 +127,17 @@ class Device {
   // whole payload (rejecting trailing or missing bytes) before mutating any
   // field, so a failed load leaves the device untouched.
   Status LoadState(const uint8_t* data, size_t size) {
-    const Status status = RestoreState(data, size);
+    const Status status = RestoreState(data, size, /*commit=*/true);
     if (status.ok()) {
       ++snapshot_generation_;
     }
     return status;
+  }
+  // Parses a payload exactly as LoadState would, without applying it, so a
+  // whole-platform restore can reject a malformed payload of any device
+  // before it mutates the first one.
+  Status CheckState(const uint8_t* data, size_t size) {
+    return RestoreState(data, size, /*commit=*/false);
   }
 
   // Count of snapshot events (saves + applied restores) on this device.
@@ -143,10 +149,13 @@ class Device {
 
  protected:
   // Virtual halves of the snapshot hook; see SaveState/LoadState for the
-  // contract. Default: stateless device (empty payload in, empty out).
+  // contract. RestoreState validates the whole payload and, only when
+  // `commit` is set, applies it. Default: stateless device (empty payload
+  // in, empty out).
   virtual void SerializeState(std::vector<uint8_t>* out) const { (void)out; }
-  virtual Status RestoreState(const uint8_t* data, size_t size) {
+  virtual Status RestoreState(const uint8_t* data, size_t size, bool commit) {
     (void)data;
+    (void)commit;
     if (size != 0) {
       return InvalidArgument("device '" + name_ +
                              "' carries no snapshot state but payload is "

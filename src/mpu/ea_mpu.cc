@@ -661,7 +661,7 @@ void EaMpu::SerializeState(std::vector<uint8_t>* out) const {
   }
 }
 
-Status EaMpu::RestoreState(const uint8_t* data, size_t size) {
+Status EaMpu::RestoreState(const uint8_t* data, size_t size, bool commit) {
   ByteReader reader(data, size);
   uint32_t ctrl = 0;
   uint32_t fault_ip = 0;
@@ -704,6 +704,9 @@ Status EaMpu::RestoreState(const uint8_t* data, size_t size) {
   }
   if (!reader.Done()) {
     return InvalidArgument("mpu snapshot payload malformed");
+  }
+  if (!commit) {
+    return OkStatus();
   }
   ctrl_ = ctrl;
   fault_ip_ = fault_ip;

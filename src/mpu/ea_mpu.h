@@ -209,7 +209,7 @@ class EaMpu : public Device, public ProtectionUnit {
   // must not forbid reinstating a checkpoint — and bumps the config
   // generation so every memoized decision is invalidated.
   void SerializeState(std::vector<uint8_t>* out) const override;
-  Status RestoreState(const uint8_t* data, size_t size) override;
+  Status RestoreState(const uint8_t* data, size_t size, bool commit) override;
 
  private:
   bool RegisterWriteAllowed(uint32_t offset) const;

@@ -2,6 +2,7 @@
 
 #include "src/services/attestation.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/common/bytes.h"
@@ -322,54 +323,37 @@ attn_key:
 }
 
 std::string EncodeAttestationRequest(uint32_t target_id, uint32_t challenge) {
-  std::string frame;
-  frame.push_back('A');
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<char>((target_id >> (8 * i)) & 0xFF));
-  }
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<char>((challenge >> (8 * i)) & 0xFF));
-  }
-  return frame;
+  std::vector<uint8_t> frame = {'A'};
+  AppendLe32(frame, target_id);
+  AppendLe32(frame, challenge);
+  return std::string(frame.begin(), frame.end());
 }
 
-AttestScan ScanAttestationResponse(const std::string& uart_output,
-                                   size_t offset, size_t* frame_start,
-                                   size_t* next_offset, uint32_t* status,
-                                   Sha256Digest* report) {
-  if (offset >= uart_output.size()) {
-    return AttestScan::kNoFrame;
-  }
+FrameScan ScanAttestationResponse(const std::string& uart_output,
+                                  size_t offset, size_t* frame_start,
+                                  size_t* next_offset, uint32_t* status,
+                                  Sha256Digest* report) {
   const size_t start = uart_output.find('R', offset);
   if (start == std::string::npos) {
-    return AttestScan::kNoFrame;
+    return FrameScan::kNoFrame;
   }
   *frame_start = start;
   if (start + 2 > uart_output.size()) {
-    return AttestScan::kNeedMore;  // Status byte still streaming.
+    return FrameScan::kNeedMore;  // Status byte still streaming.
   }
   *status = static_cast<uint8_t>(uart_output[start + 1]);
   if (*status != kAttestStatusOk) {
     *next_offset = start + 2;
-    return AttestScan::kFrame;
+    return FrameScan::kFrame;
   }
   if (start + 2 + 32 > uart_output.size()) {
-    return AttestScan::kNeedMore;  // Report still streaming.
+    return FrameScan::kNeedMore;  // Report still streaming.
   }
-  for (size_t i = 0; i < 32; ++i) {
-    (*report)[i] = static_cast<uint8_t>(uart_output[start + 2 + i]);
-  }
+  std::copy(uart_output.begin() + static_cast<long>(start) + 2,
+            uart_output.begin() + static_cast<long>(start) + 2 + 32,
+            report->begin());
   *next_offset = start + 2 + 32;
-  return AttestScan::kFrame;
-}
-
-bool DecodeAttestationResponse(const std::string& uart_output, size_t offset,
-                               uint32_t* status, Sha256Digest* report) {
-  size_t frame_start = 0;
-  size_t next_offset = 0;
-  return ScanAttestationResponse(uart_output, offset, &frame_start,
-                                 &next_offset, status, report) ==
-         AttestScan::kFrame;
+  return FrameScan::kFrame;
 }
 
 }  // namespace trustlite

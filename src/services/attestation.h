@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/scan.h"
 #include "src/common/status.h"
 #include "src/crypto/sha256.h"
 #include "src/mem/bus.h"
@@ -88,27 +89,16 @@ Result<TrustletMeta> BuildUartAttestationTrustlet(const AttestationSpec& spec);
 // Encodes a request frame as the remote verifier would send it.
 std::string EncodeAttestationRequest(uint32_t target_id, uint32_t challenge);
 
-// Parses a response frame from captured UART output starting at `offset`.
-// Returns false if no complete frame is available yet.
-bool DecodeAttestationResponse(const std::string& uart_output, size_t offset,
-                               uint32_t* status, Sha256Digest* report);
-
 // Incremental response framing for hostile streams. Scans [offset, end) of
 // `uart_output` for the next response frame and reports exactly how far the
-// caller's cursor may advance, so garbage floods (corrupted frames,
-// reflected challenges) cost O(new bytes) per scan instead of re-walking
-// the whole tail every poll:
-//   kFrame    — a complete frame parsed. *frame_start is its 'R', and
-//               *next_offset the first byte past it (safe resume point).
-//   kNeedMore — a frame marker found at *frame_start but its bytes are
-//               still streaming; resume the scan at *frame_start later.
-//   kNoFrame  — no frame marker in the tail; the whole region [offset,
-//               uart_output.size()) is noise and may be skipped for good.
-enum class AttestScan { kFrame, kNeedMore, kNoFrame };
-AttestScan ScanAttestationResponse(const std::string& uart_output,
-                                   size_t offset, size_t* frame_start,
-                                   size_t* next_offset, uint32_t* status,
-                                   Sha256Digest* report);
+// caller's cursor may advance (src/common/scan.h), so garbage floods
+// (corrupted frames, reflected challenges) cost O(new bytes) per scan
+// instead of re-walking the whole tail every poll. *frame_start is the
+// frame's 'R'.
+FrameScan ScanAttestationResponse(const std::string& uart_output,
+                                  size_t offset, size_t* frame_start,
+                                  size_t* next_offset, uint32_t* status,
+                                  Sha256Digest* report);
 
 }  // namespace trustlite
 

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32.h"
 #include "src/mem/layout.h"
 
 namespace trustlite {
@@ -17,90 +16,16 @@ namespace {
 // a restored trap points here instead (nothing guest-visible consumes it).
 constexpr const char* kRestoredTrapReason = "trap restored from snapshot";
 
-constexpr size_t kHeaderSize = 8 + 4 + 4;  // magic, version, chunk count.
-
-void AppendChunk(std::vector<uint8_t>& out, uint32_t tag,
-                 const std::vector<uint8_t>& payload) {
-  AppendLe32(out, tag);
-  AppendLe32(out, static_cast<uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  AppendLe32(out, Crc32(payload));
-}
-
-std::string TagName(uint32_t tag) {
-  std::string name(4, ' ');
-  for (int i = 0; i < 4; ++i) {
-    const char c = static_cast<char>(tag >> (8 * i));
-    name[static_cast<size_t>(i)] = (c >= 0x20 && c < 0x7F) ? c : '?';
-  }
-  while (!name.empty() && name.back() == ' ') {
-    name.pop_back();
-  }
-  return name;
-}
-
-// A parsed chunk is a span into the snapshot buffer (no payload copies:
-// restores of a 1.3 MB platform stay cheap enough for warm-boot cloning).
-struct ChunkSpan {
-  uint32_t tag = 0;
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-};
-
-// Structural validation of the container: magic, version, chunk framing,
-// per-chunk CRC, terminator. Everything here fails before any state is
-// touched — this is the fail-closed half of the format contract.
-// `verify_crc` = false skips only the checksum comparison (framing is
-// always validated); see SnapshotRestoreOptions::verify_checksums.
-Status ParseChunks(const std::vector<uint8_t>& snapshot,
-                   std::vector<ChunkSpan>* chunks, bool verify_crc = true) {
-  chunks->clear();
-  if (snapshot.size() < kHeaderSize) {
-    return InvalidArgument("snapshot truncated: shorter than the header");
-  }
-  if (std::memcmp(snapshot.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-      0) {
-    return InvalidArgument("snapshot magic mismatch (not a TLSNAP file?)");
-  }
-  const uint32_t version = LoadLe32(snapshot.data() + 8);
-  if (version != kSnapshotVersion) {
-    return InvalidArgument("unsupported snapshot version " +
-                           std::to_string(version) + " (expected " +
-                           std::to_string(kSnapshotVersion) + ")");
-  }
-  const uint32_t chunk_count = LoadLe32(snapshot.data() + 12);
-  size_t pos = kHeaderSize;
-  for (uint32_t i = 0; i < chunk_count; ++i) {
-    if (snapshot.size() - pos < 8) {
-      return InvalidArgument("snapshot truncated inside chunk header " +
-                             std::to_string(i));
-    }
-    ChunkSpan chunk;
-    chunk.tag = LoadLe32(snapshot.data() + pos);
-    const uint32_t payload_len = LoadLe32(snapshot.data() + pos + 4);
-    pos += 8;
-    if (snapshot.size() - pos < size_t{payload_len} + 4) {
-      return InvalidArgument("snapshot truncated inside chunk '" +
-                             TagName(chunk.tag) + "' payload");
-    }
-    chunk.data = snapshot.data() + pos;
-    chunk.size = payload_len;
-    pos += payload_len;
-    const uint32_t stored_crc = LoadLe32(snapshot.data() + pos);
-    pos += 4;
-    if (verify_crc && Crc32(chunk.data, chunk.size) != stored_crc) {
-      return InvalidArgument("snapshot chunk '" + TagName(chunk.tag) +
-                             "' failed its CRC check (corrupted file)");
-    }
-    chunks->push_back(chunk);
-  }
-  if (pos != snapshot.size()) {
-    return InvalidArgument("snapshot has trailing bytes after final chunk");
-  }
-  if (chunks->empty() || chunks->front().tag != kChunkPlatform ||
-      chunks->back().tag != kChunkEnd) {
-    return InvalidArgument(
-        "snapshot chunk sequence malformed (missing PCFG/END)");
+// The shared chunk walk plus the snapshot's own sequence rule: PCFG first.
+// Everything here fails before any state is touched — the fail-closed half
+// of the format contract. `verify_checksums` = false skips only the CRC
+// comparison; see SnapshotRestoreOptions::verify_checksums.
+Status WalkSnapshot(const std::vector<uint8_t>& snapshot,
+                    std::vector<Chunk>* chunks, bool verify_checksums = true) {
+  TL_RETURN_IF_ERROR(
+      WalkChunks(snapshot, kSnapshotFormat, chunks, verify_checksums));
+  if (chunks->front().tag != kChunkPlatform) {
+    return InvalidArgument("snapshot: first chunk is not PCFG");
   }
   return OkStatus();
 }
@@ -140,7 +65,7 @@ std::vector<uint8_t> EncodeShape(const Platform& platform) {
   return payload;
 }
 
-Status DecodeShape(const ChunkSpan& chunk, PlatformShape* shape) {
+Status DecodeShape(const Chunk& chunk, PlatformShape* shape) {
   ByteReader reader(chunk.data, chunk.size);
   reader.ReadU8(&shape->with_mpu);
   reader.ReadU8(&shape->secure_exceptions);
@@ -222,7 +147,7 @@ std::vector<uint8_t> EncodeCpu(const Cpu& cpu) {
   return payload;
 }
 
-Status DecodeCpu(const ChunkSpan& chunk, Cpu::ArchState* state) {
+Status DecodeCpu(const Chunk& chunk, Cpu::ArchState* state) {
   ByteReader reader(chunk.data, chunk.size);
   for (uint32_t& reg : state->regs) {
     reader.ReadU32(&reg);
@@ -254,15 +179,6 @@ Status DecodeCpu(const ChunkSpan& chunk, Cpu::ArchState* state) {
 
 // --- MEM chunks (zero-page elision) ---
 
-bool PageAllZero(const uint8_t* page, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    if (page[i] != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<uint8_t> EncodeMemory(const Ram& ram) {
   const std::vector<uint8_t>& data = ram.data();
   std::vector<uint8_t> payload;
@@ -270,29 +186,24 @@ std::vector<uint8_t> EncodeMemory(const Ram& ram) {
   payload.insert(payload.end(), ram.name().begin(), ram.name().end());
   AppendLe32(payload, ram.base());
   AppendLe32(payload, ram.size());
-  const uint32_t num_pages = static_cast<uint32_t>(
-      (data.size() + kSnapshotPageSize - 1) / kSnapshotPageSize);
-  // Two passes: count the pages worth keeping, then emit them.
+  // Only non-zero pages are kept; their count is patched in once known.
+  const size_t count_at = payload.size();
+  AppendLe32(payload, 0);
   uint32_t present = 0;
-  for (uint32_t page = 0; page < num_pages; ++page) {
-    const size_t offset = size_t{page} * kSnapshotPageSize;
-    const size_t len = std::min<size_t>(kSnapshotPageSize, data.size() - offset);
-    if (!PageAllZero(data.data() + offset, len)) {
-      ++present;
-    }
-  }
-  AppendLe32(payload, present);
-  for (uint32_t page = 0; page < num_pages; ++page) {
-    const size_t offset = size_t{page} * kSnapshotPageSize;
-    const size_t len = std::min<size_t>(kSnapshotPageSize, data.size() - offset);
-    if (PageAllZero(data.data() + offset, len)) {
+  for (size_t offset = 0; offset < data.size(); offset += kSnapshotPageSize) {
+    const auto page = data.begin() + static_cast<long>(offset);
+    const auto end = page + static_cast<long>(
+                                std::min<size_t>(kSnapshotPageSize,
+                                                 data.size() - offset));
+    if (std::all_of(page, end, [](uint8_t byte) { return byte == 0; })) {
       continue;
     }
-    AppendLe32(payload, page);
-    AppendLe32(payload, static_cast<uint32_t>(len));
-    payload.insert(payload.end(), data.begin() + static_cast<long>(offset),
-                   data.begin() + static_cast<long>(offset + len));
+    ++present;
+    AppendLe32(payload, static_cast<uint32_t>(offset / kSnapshotPageSize));
+    AppendLe32(payload, static_cast<uint32_t>(end - page));
+    payload.insert(payload.end(), page, end);
   }
+  StoreLe32(payload.data() + count_at, present);
   return payload;
 }
 
@@ -309,7 +220,7 @@ struct MemoryImage {
   uint64_t bytes_present = 0;
 };
 
-Status DecodeMemory(const ChunkSpan& chunk, MemoryImage* image) {
+Status DecodeMemory(const Chunk& chunk, MemoryImage* image) {
   ByteReader reader(chunk.data, chunk.size);
   uint32_t name_len = 0;
   reader.ReadU32(&name_len);
@@ -373,7 +284,7 @@ struct DeviceState {
   uint32_t size = 0;
 };
 
-Status DecodeDevice(const ChunkSpan& chunk, DeviceState* state) {
+Status DecodeDevice(const Chunk& chunk, DeviceState* state) {
   ByteReader reader(chunk.data, chunk.size);
   uint32_t name_len = 0;
   reader.ReadU32(&name_len);
@@ -386,6 +297,20 @@ Status DecodeDevice(const ChunkSpan& chunk, DeviceState* state) {
     return InvalidArgument("snapshot DEV chunk '" + state->name +
                            "' payload malformed");
   }
+  return OkStatus();
+}
+
+// --- DIGE chunk ---
+
+Status DecodeDigest(const Chunk& chunk, bool* present, Sha256Digest* digest) {
+  ByteReader reader(chunk.data, chunk.size);
+  uint8_t flag = 0;
+  reader.ReadU8(&flag);
+  reader.ReadBytes(digest->data(), digest->size());
+  if (!reader.Done()) {
+    return InvalidArgument("snapshot DIGE chunk malformed");
+  }
+  *present = flag != 0;
   return OkStatus();
 }
 
@@ -443,9 +368,7 @@ Result<std::vector<uint8_t>> SavePlatform(Platform& platform,
 
   std::vector<uint8_t> out;
   out.reserve(64 * 1024);
-  out.insert(out.end(), kSnapshotMagic, kSnapshotMagic + 8);
-  AppendLe32(out, kSnapshotVersion);
-  AppendLe32(out, chunk_count);
+  AppendChunkHeader(out, kSnapshotFormat, chunk_count);
 
   AppendChunk(out, kChunkPlatform, EncodeShape(platform));
   AppendChunk(out, kChunkCpu, EncodeCpu(platform.cpu()));
@@ -475,11 +398,12 @@ Result<std::vector<uint8_t>> SavePlatform(Platform& platform,
 Status RestorePlatform(Platform* platform,
                        const std::vector<uint8_t>& snapshot,
                        const SnapshotRestoreOptions& options) {
-  std::vector<ChunkSpan> chunks;
+  std::vector<Chunk> chunks;
   TL_RETURN_IF_ERROR(
-      ParseChunks(snapshot, &chunks, options.verify_checksums));
+      WalkSnapshot(snapshot, &chunks, options.verify_checksums));
 
-  // Stage and validate everything before the first mutation.
+  // Stage and validate everything — device payloads included — before the
+  // first mutation.
   PlatformShape shape;
   TL_RETURN_IF_ERROR(DecodeShape(chunks.front(), &shape));
   TL_RETURN_IF_ERROR(CheckShape(shape, *platform));
@@ -491,7 +415,7 @@ Status RestorePlatform(Platform* platform,
   bool digest_present = false;
   Sha256Digest digest{};
   for (size_t i = 1; i + 1 < chunks.size(); ++i) {
-    const ChunkSpan& chunk = chunks[i];
+    const Chunk& chunk = chunks[i];
     switch (chunk.tag) {
       case kChunkCpu: {
         if (have_cpu) {
@@ -524,25 +448,22 @@ Status RestorePlatform(Platform* platform,
           return FailedPrecondition("snapshot device '" + state.name +
                                     "' does not exist on this platform");
         }
+        const Status valid = device->CheckState(state.data, state.size);
+        if (!valid.ok()) {
+          return Status(valid.code(), "restoring device '" + device->name() +
+                                          "': " + valid.message());
+        }
         device_states.emplace_back(device, state);
         break;
       }
-      case kChunkDigest: {
-        ByteReader reader(chunk.data, chunk.size);
-        uint8_t present = 0;
-        reader.ReadU8(&present);
-        reader.ReadBytes(digest.data(), digest.size());
-        if (!reader.Done()) {
-          return InvalidArgument("snapshot DIGE chunk malformed");
-        }
-        digest_present = present != 0;
+      case kChunkDigest:
+        TL_RETURN_IF_ERROR(DecodeDigest(chunk, &digest_present, &digest));
         break;
-      }
       default:
         // Forward compatibility within a version is not a goal: an unknown
         // chunk means a reader/writer mismatch, so fail closed.
         return InvalidArgument("snapshot has unknown chunk '" +
-                               TagName(chunk.tag) + "'");
+                               ChunkTagName(chunk.tag) + "'");
     }
   }
   if (!have_cpu) {
@@ -553,7 +474,7 @@ Status RestorePlatform(Platform* platform,
         "snapshot device set does not cover this platform");
   }
 
-  // --- Apply (validated above; device payloads are parse-then-commit). ---
+  // --- Apply (everything validated above). ---
   for (auto& [ram, image] : memories) {
     ram->Fill(0);
     std::vector<uint8_t> page_bytes;
@@ -567,11 +488,7 @@ Status RestorePlatform(Platform* platform,
   platform->bus().NoteHostMutation();
   platform->cpu().RestoreArchState(cpu_state);
   for (auto& [device, state] : device_states) {
-    const Status status = device->LoadState(state.data, state.size);
-    if (!status.ok()) {
-      return Status(status.code(), "restoring device '" + device->name() +
-                                       "': " + status.message());
-    }
+    TL_RETURN_IF_ERROR(device->LoadState(state.data, state.size));
   }
 
   if (digest_present && options.verify_digest) {
@@ -587,8 +504,8 @@ Status RestorePlatform(Platform* platform,
 
 Result<PlatformConfig> SnapshotPlatformConfig(
     const std::vector<uint8_t>& snapshot) {
-  std::vector<ChunkSpan> chunks;
-  TL_RETURN_IF_ERROR(ParseChunks(snapshot, &chunks));
+  std::vector<Chunk> chunks;
+  TL_RETURN_IF_ERROR(WalkSnapshot(snapshot, &chunks));
   PlatformShape shape;
   TL_RETURN_IF_ERROR(DecodeShape(chunks.front(), &shape));
   PlatformConfig config;
@@ -605,16 +522,16 @@ Result<PlatformConfig> SnapshotPlatformConfig(
 }
 
 Result<SnapshotInfo> InspectSnapshot(const std::vector<uint8_t>& snapshot) {
-  std::vector<ChunkSpan> chunks;
-  TL_RETURN_IF_ERROR(ParseChunks(snapshot, &chunks));
+  std::vector<Chunk> chunks;
+  TL_RETURN_IF_ERROR(WalkSnapshot(snapshot, &chunks));
   SnapshotInfo info;
-  info.version = LoadLe32(snapshot.data() + 8);
+  info.version = kSnapshotVersion;
   char buf[128];
-  for (const ChunkSpan& chunk : chunks) {
+  for (const Chunk& chunk : chunks) {
     SnapshotChunkInfo chunk_info;
     chunk_info.tag = chunk.tag;
     chunk_info.payload_size = static_cast<uint32_t>(chunk.size);
-    chunk_info.label = TagName(chunk.tag);
+    chunk_info.label = ChunkTagName(chunk.tag);
     switch (chunk.tag) {
       case kChunkCpu: {
         Cpu::ArchState state;
@@ -654,14 +571,8 @@ Result<SnapshotInfo> InspectSnapshot(const std::vector<uint8_t>& snapshot) {
         break;
       }
       case kChunkDigest: {
-        ByteReader reader(chunk.data, chunk.size);
-        uint8_t present = 0;
-        reader.ReadU8(&present);
-        reader.ReadBytes(info.digest.data(), info.digest.size());
-        if (!reader.Done()) {
-          return InvalidArgument("snapshot DIGE chunk malformed");
-        }
-        info.digest_present = present != 0;
+        TL_RETURN_IF_ERROR(
+            DecodeDigest(chunk, &info.digest_present, &info.digest));
         chunk_info.label =
             info.digest_present
                 ? "DIGE " + HexEncode(info.digest.data(), info.digest.size())
@@ -678,10 +589,10 @@ Result<SnapshotInfo> InspectSnapshot(const std::vector<uint8_t>& snapshot) {
 
 Result<std::vector<std::string>> DiffSnapshots(
     const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
-  std::vector<ChunkSpan> chunks_a;
-  std::vector<ChunkSpan> chunks_b;
-  TL_RETURN_IF_ERROR(ParseChunks(a, &chunks_a));
-  TL_RETURN_IF_ERROR(ParseChunks(b, &chunks_b));
+  std::vector<Chunk> chunks_a;
+  std::vector<Chunk> chunks_b;
+  TL_RETURN_IF_ERROR(WalkSnapshot(a, &chunks_a));
+  TL_RETURN_IF_ERROR(WalkSnapshot(b, &chunks_b));
   std::vector<std::string> diffs;
   char buf[160];
 
@@ -692,11 +603,12 @@ Result<std::vector<std::string>> DiffSnapshots(
     return diffs;
   }
   for (size_t i = 0; i < chunks_a.size(); ++i) {
-    const ChunkSpan& ca = chunks_a[i];
-    const ChunkSpan& cb = chunks_b[i];
+    const Chunk& ca = chunks_a[i];
+    const Chunk& cb = chunks_b[i];
     if (ca.tag != cb.tag) {
-      diffs.push_back("chunk " + std::to_string(i) + ": a=" + TagName(ca.tag) +
-                      " b=" + TagName(cb.tag));
+      diffs.push_back("chunk " + std::to_string(i) +
+                      ": a=" + ChunkTagName(ca.tag) +
+                      " b=" + ChunkTagName(cb.tag));
       continue;
     }
     if (ca.size == cb.size &&
@@ -751,16 +663,16 @@ Result<std::vector<std::string>> DiffSnapshots(
           break;
         }
         // Reconstruct both full images and report byte-level deltas.
-        std::vector<uint8_t> da(ia.size, 0);
-        std::vector<uint8_t> db(ib.size, 0);
-        for (const auto& page : ia.pages) {
-          std::memcpy(da.data() + size_t{page.index} * kSnapshotPageSize,
-                      page.data, page.len);
-        }
-        for (const auto& page : ib.pages) {
-          std::memcpy(db.data() + size_t{page.index} * kSnapshotPageSize,
-                      page.data, page.len);
-        }
+        const auto flatten = [](const MemoryImage& image) {
+          std::vector<uint8_t> bytes(image.size, 0);
+          for (const auto& page : image.pages) {
+            std::memcpy(bytes.data() + size_t{page.index} * kSnapshotPageSize,
+                        page.data, page.len);
+          }
+          return bytes;
+        };
+        const std::vector<uint8_t> da = flatten(ia);
+        const std::vector<uint8_t> db = flatten(ib);
         uint64_t differing = 0;
         int64_t first = -1;
         for (size_t off = 0; off < da.size(); ++off) {
@@ -799,40 +711,11 @@ Result<std::vector<std::string>> DiffSnapshots(
         diffs.push_back("state digest differs");
         break;
       default:
-        diffs.push_back("chunk " + TagName(ca.tag) + " differs");
+        diffs.push_back("chunk " + ChunkTagName(ca.tag) + " differs");
         break;
     }
   }
   return diffs;
-}
-
-Status WriteSnapshotFile(const std::string& path,
-                         const std::vector<uint8_t>& snapshot) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Internal("cannot open '" + path + "' for writing");
-  }
-  const size_t written = std::fwrite(snapshot.data(), 1, snapshot.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != snapshot.size() || close_rc != 0) {
-    return Internal("short write to '" + path + "'");
-  }
-  return OkStatus();
-}
-
-Result<std::vector<uint8_t>> ReadSnapshotFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return InvalidArgument("cannot open snapshot file '" + path + "'");
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t buf[64 * 1024];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return bytes;
 }
 
 }  // namespace trustlite

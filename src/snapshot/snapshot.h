@@ -17,8 +17,10 @@
 // that invariant on every load.
 //
 // Fail-closed contract: a malformed snapshot (truncated, bit-flipped,
-// wrong magic/version/CRC, mismatched platform shape) is rejected with a
-// Status *before* any target state is mutated.
+// wrong magic/version/CRC, misplaced END, malformed device payload,
+// mismatched platform shape) is rejected with a Status *before* any target
+// state is mutated. The container framing is the shared chunk walk
+// (src/common/chunks.h).
 
 #ifndef TRUSTLITE_SRC_SNAPSHOT_SNAPSHOT_H_
 #define TRUSTLITE_SRC_SNAPSHOT_SNAPSHOT_H_
@@ -27,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/chunks.h"
 #include "src/common/status.h"
 #include "src/crypto/sha256.h"
 #include "src/platform/platform.h"
@@ -38,20 +41,14 @@ inline constexpr uint8_t kSnapshotMagic[8] = {'T', 'L', 'S', 'N',
                                               'A', 'P', 0x1A, 0x0A};
 inline constexpr uint32_t kSnapshotVersion = 1;
 inline constexpr uint32_t kSnapshotPageSize = 4096;
+inline constexpr ChunkFormat kSnapshotFormat = {"snapshot", kSnapshotMagic,
+                                                kSnapshotVersion};
 
-constexpr uint32_t SnapshotTag(char a, char b, char c, char d) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(a)) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(b)) << 8) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(c)) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(d)) << 24);
-}
-
-inline constexpr uint32_t kChunkPlatform = SnapshotTag('P', 'C', 'F', 'G');
-inline constexpr uint32_t kChunkCpu = SnapshotTag('C', 'P', 'U', ' ');
-inline constexpr uint32_t kChunkMemory = SnapshotTag('M', 'E', 'M', ' ');
-inline constexpr uint32_t kChunkDevice = SnapshotTag('D', 'E', 'V', ' ');
-inline constexpr uint32_t kChunkDigest = SnapshotTag('D', 'I', 'G', 'E');
-inline constexpr uint32_t kChunkEnd = SnapshotTag('E', 'N', 'D', ' ');
+inline constexpr uint32_t kChunkPlatform = ChunkTag('P', 'C', 'F', 'G');
+inline constexpr uint32_t kChunkCpu = ChunkTag('C', 'P', 'U', ' ');
+inline constexpr uint32_t kChunkMemory = ChunkTag('M', 'E', 'M', ' ');
+inline constexpr uint32_t kChunkDevice = ChunkTag('D', 'E', 'V', ' ');
+inline constexpr uint32_t kChunkDigest = ChunkTag('D', 'I', 'G', 'E');
 
 struct SnapshotSaveOptions {
   // Embed the SHA-256 state digest. Costs one PlatformStateDigest (a hash
@@ -128,11 +125,6 @@ Result<SnapshotInfo> InspectSnapshot(const std::vector<uint8_t>& snapshot);
 // parse; mismatched platform shapes are reported as differences.
 Result<std::vector<std::string>> DiffSnapshots(
     const std::vector<uint8_t>& a, const std::vector<uint8_t>& b);
-
-// File helpers for the CLI tools.
-Status WriteSnapshotFile(const std::string& path,
-                         const std::vector<uint8_t>& snapshot);
-Result<std::vector<uint8_t>> ReadSnapshotFile(const std::string& path);
 
 }  // namespace trustlite
 

@@ -3,11 +3,8 @@
 #include "src/update/fw_container.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32.h"
 #include "src/crypto/hmac.h"
 
 namespace trustlite {
@@ -23,14 +20,6 @@ constexpr uint32_t kMaxPayloadBytes = 16 * 1024 * 1024;
 // the update key family is disjoint from attestation MACs by construction.
 constexpr char kUpdateKeyInfo[] = "trustlite-fw-update-key-v1";
 
-void AppendChunk(std::vector<uint8_t>& out, uint32_t tag,
-                 const std::vector<uint8_t>& payload) {
-  AppendLe32(out, tag);
-  AppendLe32(out, static_cast<uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  AppendLe32(out, Crc32(payload.data(), payload.size()));
-}
-
 // The byte string the SIGN chunk authenticates: version || payload. The
 // version is inside the MAC so an attacker cannot splice a fresh payload
 // under a stale (lower) version or vice versa.
@@ -43,80 +32,94 @@ std::vector<uint8_t> SignedMessage(uint32_t fw_version,
   return msg;
 }
 
-std::string TagName(uint32_t tag) {
-  std::string name(4, '?');
-  for (int i = 0; i < 4; ++i) {
-    const char c = static_cast<char>((tag >> (8 * i)) & 0xFF);
-    name[i] = (c >= 0x20 && c < 0x7F) ? c : '?';
-  }
-  return name;
-}
+// The shared chunk walk (returned through `chunks`) plus the .tlfw chunk
+// rules on top of it: FWHD first, FWPL contiguity, at most one SIGN, size
+// and measurement checks.
+Result<FirmwareImage> WalkFirmware(const std::vector<uint8_t>& container,
+                                   std::vector<Chunk>* chunks_out) {
+  TL_RETURN_IF_ERROR(WalkChunks(container, kFirmwareFormat, chunks_out));
+  const std::vector<Chunk>& chunks = *chunks_out;
+  FirmwareImage image;
+  bool saw_header = false;
+  uint32_t declared_payload_size = 0;
+  uint32_t next_offset = 0;
 
-struct RawChunk {
-  uint32_t tag = 0;
-  std::vector<uint8_t> payload;
-};
+  for (size_t i = 0; i + 1 < chunks.size(); ++i) {  // skip END (validated)
+    const Chunk& c = chunks[i];
+    if (c.tag == kFwChunkHeader) {
+      if (saw_header) {
+        return InvalidArgument("tlfw: duplicate FWHD chunk");
+      }
+      if (i != 0) {
+        return InvalidArgument("tlfw: FWHD must be the first chunk");
+      }
+      ByteReader r(c.data, c.size);
+      uint32_t flags = 0;
+      uint32_t name_len = 0;
+      if (!r.ReadU32(&image.fw_version) || !r.ReadU32(&flags) ||
+          !r.ReadU32(&declared_payload_size) || !r.ReadU32(&name_len)) {
+        return InvalidArgument("tlfw: malformed FWHD chunk");
+      }
+      if (name_len > kMaxNameLen || !r.ReadString(&image.name, name_len) ||
+          !r.ReadBytes(image.measurement.data(), image.measurement.size()) ||
+          !r.Done()) {
+        return InvalidArgument("tlfw: malformed FWHD chunk");
+      }
+      if (image.fw_version == 0) {
+        return InvalidArgument("tlfw: fw_version must be > 0");
+      }
+      if (declared_payload_size == 0 ||
+          declared_payload_size > kMaxPayloadBytes) {
+        return InvalidArgument("tlfw: declared payload size out of range");
+      }
+      image.payload.reserve(declared_payload_size);
+      saw_header = true;
+    } else if (c.tag == kFwChunkPayload) {
+      if (!saw_header) {
+        return InvalidArgument("tlfw: FWPL before FWHD");
+      }
+      if (c.size < 5) {
+        return InvalidArgument("tlfw: malformed FWPL chunk");
+      }
+      const uint32_t offset = LoadLe32(c.data);
+      const size_t n = c.size - 4;
+      // Contiguity: chunks must tile the payload in order with no gaps or
+      // overlaps, so a dropped or reordered chunk is structurally visible.
+      if (offset != next_offset) {
+        return InvalidArgument("tlfw: FWPL offset discontinuity");
+      }
+      if (static_cast<uint64_t>(offset) + n > declared_payload_size) {
+        return InvalidArgument("tlfw: FWPL overruns declared payload size");
+      }
+      image.payload.insert(image.payload.end(), c.data + 4, c.data + c.size);
+      next_offset = offset + static_cast<uint32_t>(n);
+    } else if (c.tag == kFwChunkSignature) {
+      if (!saw_header) {
+        return InvalidArgument("tlfw: SIGN before FWHD");
+      }
+      if (image.has_signature) {
+        return InvalidArgument("tlfw: duplicate SIGN chunk");
+      }
+      if (c.size != image.signature.size()) {
+        return InvalidArgument("tlfw: malformed SIGN chunk");
+      }
+      std::copy(c.data, c.data + c.size, image.signature.begin());
+      image.has_signature = true;
+    } else {
+      return InvalidArgument("tlfw: unknown chunk tag " + ChunkTagName(c.tag));
+    }
+  }
 
-// Framing-level walk shared by ParseFirmware and InspectFirmware: validates
-// magic, format version, per-chunk CRC, chunk count and the END terminator,
-// and rejects trailing bytes. Semantic (FWHD/FWPL/SIGN) validation happens
-// in ParseFirmware on top of this.
-Result<std::vector<RawChunk>> ReadChunks(const std::vector<uint8_t>& container,
-                                         uint32_t* format_version_out) {
-  ByteReader reader(container.data(), container.size());
-  uint8_t magic[8] = {};
-  if (!reader.ReadBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kFirmwareMagic, sizeof(magic)) != 0) {
-    return InvalidArgument("tlfw: bad magic");
+  if (!saw_header) {
+    return InvalidArgument("tlfw: missing FWHD chunk");
   }
-  uint32_t format_version = 0;
-  uint32_t chunk_count = 0;
-  if (!reader.ReadU32(&format_version) || !reader.ReadU32(&chunk_count)) {
-    return InvalidArgument("tlfw: truncated header");
+  if (next_offset != declared_payload_size) {
+    return InvalidArgument("tlfw: payload incomplete");
   }
-  if (format_version != kFirmwareFormatVersion) {
-    return InvalidArgument("tlfw: unsupported format version " +
-                           std::to_string(format_version));
+  if (Sha256Hash(image.payload) != image.measurement) {
+    return InvalidArgument("tlfw: payload measurement mismatch");
   }
-  std::vector<RawChunk> chunks;
-  chunks.reserve(std::min<uint32_t>(chunk_count, 256));
-  for (uint32_t i = 0; i < chunk_count; ++i) {
-    uint32_t tag = 0;
-    uint32_t len = 0;
-    if (!reader.ReadU32(&tag) || !reader.ReadU32(&len)) {
-      return InvalidArgument("tlfw: truncated chunk header");
-    }
-    if (len > reader.remaining()) {
-      return InvalidArgument("tlfw: chunk length exceeds container");
-    }
-    RawChunk chunk;
-    chunk.tag = tag;
-    if (!reader.ReadBytes(&chunk.payload, len)) {
-      return InvalidArgument("tlfw: truncated chunk payload");
-    }
-    uint32_t crc = 0;
-    if (!reader.ReadU32(&crc)) {
-      return InvalidArgument("tlfw: truncated chunk CRC");
-    }
-    if (crc != Crc32(chunk.payload.data(), chunk.payload.size())) {
-      return InvalidArgument("tlfw: CRC mismatch in chunk " + TagName(tag));
-    }
-    const bool is_end = tag == kFwChunkEnd;
-    if (is_end != (i + 1 == chunk_count)) {
-      return InvalidArgument("tlfw: END chunk misplaced");
-    }
-    chunks.push_back(std::move(chunk));
-  }
-  if (!reader.Done()) {
-    return InvalidArgument("tlfw: trailing bytes after END");
-  }
-  if (chunks.empty() || chunks.back().tag != kFwChunkEnd) {
-    return InvalidArgument("tlfw: missing END chunk");
-  }
-  if (format_version_out != nullptr) {
-    *format_version_out = format_version;
-  }
-  return chunks;
+  return image;
 }
 
 }  // namespace
@@ -150,9 +153,8 @@ Result<std::vector<uint8_t>> PackFirmware(const FirmwareContainerSpec& spec) {
       (payload_size + spec.chunk_bytes - 1) / spec.chunk_bytes;
 
   std::vector<uint8_t> out;
-  out.insert(out.end(), kFirmwareMagic, kFirmwareMagic + 8);
-  AppendLe32(out, kFirmwareFormatVersion);
-  AppendLe32(out, 1 /* FWHD */ + payload_chunks + 1 /* END */);
+  AppendChunkHeader(out, kFirmwareFormat,
+                    1 /* FWHD */ + payload_chunks + 1 /* END */);
 
   std::vector<uint8_t> header;
   AppendLe32(header, spec.fw_version);
@@ -175,19 +177,16 @@ Result<std::vector<uint8_t>> PackFirmware(const FirmwareContainerSpec& spec) {
     AppendChunk(out, kFwChunkPayload, chunk);
   }
 
-  AppendChunk(out, kFwChunkEnd, {});
+  AppendChunk(out, kChunkEnd, {});
   return out;
 }
 
 Result<std::vector<uint8_t>> SignFirmware(
     const std::vector<uint8_t>& container,
     const std::array<uint8_t, 32>& update_key) {
-  Result<std::vector<RawChunk>> chunks = ReadChunks(container, nullptr);
-  if (!chunks.ok()) {
-    return chunks.status();
-  }
   // Validate semantics via the full parser so we never sign garbage.
-  Result<FirmwareImage> image = ParseFirmware(container);
+  std::vector<Chunk> chunks;
+  Result<FirmwareImage> image = WalkFirmware(container, &chunks);
   if (!image.ok()) {
     return image.status();
   }
@@ -198,116 +197,27 @@ Result<std::vector<uint8_t>> SignFirmware(
 
   // Re-pack: all chunks except any previous SIGN and the END terminator,
   // then the fresh SIGN, then END.
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kFirmwareMagic, kFirmwareMagic + 8);
-  AppendLe32(out, kFirmwareFormatVersion);
-  uint32_t kept = 0;
-  for (const RawChunk& c : *chunks) {
-    if (c.tag != kFwChunkSignature && c.tag != kFwChunkEnd) {
-      ++kept;
+  std::vector<Chunk> kept;
+  for (const Chunk& c : chunks) {
+    if (c.tag != kFwChunkSignature && c.tag != kChunkEnd) {
+      kept.push_back(c);
     }
   }
-  AppendLe32(out, kept + 2);
-  for (const RawChunk& c : *chunks) {
-    if (c.tag != kFwChunkSignature && c.tag != kFwChunkEnd) {
-      AppendChunk(out, c.tag, c.payload);
-    }
+  std::vector<uint8_t> out;
+  AppendChunkHeader(out, kFirmwareFormat,
+                    static_cast<uint32_t>(kept.size()) + 2);
+  for (const Chunk& c : kept) {
+    AppendChunk(out, c.tag, c.data, c.size);
   }
   AppendChunk(out, kFwChunkSignature,
               std::vector<uint8_t>(mac.begin(), mac.end()));
-  AppendChunk(out, kFwChunkEnd, {});
+  AppendChunk(out, kChunkEnd, {});
   return out;
 }
 
 Result<FirmwareImage> ParseFirmware(const std::vector<uint8_t>& container) {
-  Result<std::vector<RawChunk>> chunks_or = ReadChunks(container, nullptr);
-  if (!chunks_or.ok()) {
-    return chunks_or.status();
-  }
-  const std::vector<RawChunk>& chunks = *chunks_or;
-
-  FirmwareImage image;
-  bool saw_header = false;
-  uint32_t declared_payload_size = 0;
-  uint32_t next_offset = 0;
-
-  for (size_t i = 0; i + 1 < chunks.size(); ++i) {  // skip END (validated)
-    const RawChunk& c = chunks[i];
-    if (c.tag == kFwChunkHeader) {
-      if (saw_header) {
-        return InvalidArgument("tlfw: duplicate FWHD chunk");
-      }
-      if (i != 0) {
-        return InvalidArgument("tlfw: FWHD must be the first chunk");
-      }
-      ByteReader r(c.payload.data(), c.payload.size());
-      uint32_t flags = 0;
-      uint32_t name_len = 0;
-      if (!r.ReadU32(&image.fw_version) || !r.ReadU32(&flags) ||
-          !r.ReadU32(&declared_payload_size) || !r.ReadU32(&name_len)) {
-        return InvalidArgument("tlfw: malformed FWHD chunk");
-      }
-      if (name_len > kMaxNameLen || !r.ReadString(&image.name, name_len) ||
-          !r.ReadBytes(image.measurement.data(), image.measurement.size()) ||
-          !r.Done()) {
-        return InvalidArgument("tlfw: malformed FWHD chunk");
-      }
-      if (image.fw_version == 0) {
-        return InvalidArgument("tlfw: fw_version must be > 0");
-      }
-      if (declared_payload_size == 0 ||
-          declared_payload_size > kMaxPayloadBytes) {
-        return InvalidArgument("tlfw: declared payload size out of range");
-      }
-      image.payload.reserve(declared_payload_size);
-      saw_header = true;
-    } else if (c.tag == kFwChunkPayload) {
-      if (!saw_header) {
-        return InvalidArgument("tlfw: FWPL before FWHD");
-      }
-      if (c.payload.size() < 5) {
-        return InvalidArgument("tlfw: malformed FWPL chunk");
-      }
-      const uint32_t offset = LoadLe32(c.payload.data());
-      const size_t n = c.payload.size() - 4;
-      // Contiguity: chunks must tile the payload in order with no gaps or
-      // overlaps, so a dropped or reordered chunk is structurally visible.
-      if (offset != next_offset) {
-        return InvalidArgument("tlfw: FWPL offset discontinuity");
-      }
-      if (static_cast<uint64_t>(offset) + n > declared_payload_size) {
-        return InvalidArgument("tlfw: FWPL overruns declared payload size");
-      }
-      image.payload.insert(image.payload.end(), c.payload.begin() + 4,
-                           c.payload.end());
-      next_offset = offset + static_cast<uint32_t>(n);
-    } else if (c.tag == kFwChunkSignature) {
-      if (!saw_header) {
-        return InvalidArgument("tlfw: SIGN before FWHD");
-      }
-      if (image.has_signature) {
-        return InvalidArgument("tlfw: duplicate SIGN chunk");
-      }
-      if (c.payload.size() != image.signature.size()) {
-        return InvalidArgument("tlfw: malformed SIGN chunk");
-      }
-      std::copy(c.payload.begin(), c.payload.end(), image.signature.begin());
-      image.has_signature = true;
-    } else {
-      return InvalidArgument("tlfw: unknown chunk tag " + TagName(c.tag));
-    }
-  }
-
-  if (!saw_header) {
-    return InvalidArgument("tlfw: missing FWHD chunk");
-  }
-  if (next_offset != declared_payload_size) {
-    return InvalidArgument("tlfw: payload incomplete");
-  }
-  if (Sha256Hash(image.payload) != image.measurement) {
-    return InvalidArgument("tlfw: payload measurement mismatch");
-  }
-  return image;
+  std::vector<Chunk> chunks;
+  return WalkFirmware(container, &chunks);
 }
 
 Status VerifyFirmwareSignature(const FirmwareImage& image,
@@ -327,59 +237,28 @@ Status VerifyFirmwareSignature(const FirmwareImage& image,
 
 Result<FirmwareContainerInfo> InspectFirmware(
     const std::vector<uint8_t>& container) {
-  FirmwareContainerInfo info;
-  Result<std::vector<RawChunk>> chunks =
-      ReadChunks(container, &info.format_version);
-  if (!chunks.ok()) {
-    return chunks.status();
-  }
-  Result<FirmwareImage> image = ParseFirmware(container);
+  std::vector<Chunk> chunks;
+  Result<FirmwareImage> image = WalkFirmware(container, &chunks);
   if (!image.ok()) {
     return image.status();
   }
+  FirmwareContainerInfo info;
+  info.format_version = kFirmwareFormatVersion;
   info.image = std::move(*image);
   info.container_bytes = container.size();
-  for (const RawChunk& c : *chunks) {
+  for (const Chunk& c : chunks) {
     FirmwareChunkInfo ci;
     ci.tag = c.tag;
-    ci.payload_size = static_cast<uint32_t>(c.payload.size());
-    if (c.tag == kFwChunkPayload && c.payload.size() >= 4) {
-      ci.label = "FWPL offset " + std::to_string(LoadLe32(c.payload.data())) +
-                 ": " + std::to_string(c.payload.size() - 4) + " bytes";
+    ci.payload_size = static_cast<uint32_t>(c.size);
+    if (c.tag == kFwChunkPayload) {
+      ci.label = "FWPL offset " + std::to_string(LoadLe32(c.data)) + ": " +
+                 std::to_string(c.size - 4) + " bytes";
     } else {
-      ci.label =
-          TagName(c.tag) + ": " + std::to_string(c.payload.size()) + " bytes";
+      ci.label = ChunkTagName(c.tag) + ": " + std::to_string(c.size) + " bytes";
     }
     info.chunks.push_back(std::move(ci));
   }
   return info;
-}
-
-Status WriteFirmwareFile(const std::string& path,
-                         const std::vector<uint8_t>& container) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Internal("tlfw: cannot open for writing: " + path);
-  }
-  out.write(reinterpret_cast<const char*>(container.data()),
-            static_cast<std::streamsize>(container.size()));
-  if (!out) {
-    return Internal("tlfw: write failed: " + path);
-  }
-  return OkStatus();
-}
-
-Result<std::vector<uint8_t>> ReadFirmwareFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFound("tlfw: cannot open: " + path);
-  }
-  std::vector<uint8_t> data((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Internal("tlfw: read failed: " + path);
-  }
-  return data;
 }
 
 }  // namespace trustlite

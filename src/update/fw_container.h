@@ -1,10 +1,11 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
 //
 // .tlfw — the signed, versioned firmware update container
-// (docs/UPDATE_FORMAT.md). Same framing discipline as the .tlsnap snapshot
-// format: an 8-byte magic + format version + chunk count header followed by
-// CRC-framed chunks (tag, length, payload, CRC-32), so a bit flip anywhere
-// in the file is caught before any byte reaches a device.
+// (docs/UPDATE_FORMAT.md). The same chunk framing as the .tlsnap snapshot
+// format, walked by the same code (src/common/chunks.h): an 8-byte magic +
+// format version + chunk count header followed by CRC-framed chunks (tag,
+// length, payload, CRC-32), so a bit flip anywhere in the file is caught
+// before any byte reaches a device.
 //
 // Chunks:
 //   FWHD  firmware version (the monotonic anti-rollback value), flags,
@@ -15,7 +16,7 @@
 //   SIGN  HMAC-SHA256 over (version || payload) under the per-device
 //         *update key*, derived from the device key (so possession of a
 //         container for device A proves nothing to device B). At most one.
-//   END   terminator, last.
+//   END   terminator, last and only last (kChunkEnd).
 //
 // Fail-closed parse contract (mirrors snapshot.cc): malformed magic,
 // version, framing, CRC, chunk order, payload discontinuity, size or
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/chunks.h"
 #include "src/common/status.h"
 #include "src/crypto/sha256.h"
 
@@ -38,18 +40,12 @@ namespace trustlite {
 inline constexpr uint8_t kFirmwareMagic[8] = {'T', 'L', 'F', 'W',
                                               'U', 'P', 0x1A, 0x0A};
 inline constexpr uint32_t kFirmwareFormatVersion = 1;
+inline constexpr ChunkFormat kFirmwareFormat = {"tlfw", kFirmwareMagic,
+                                                kFirmwareFormatVersion};
 
-constexpr uint32_t FirmwareTag(char a, char b, char c, char d) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(a)) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(b)) << 8) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(c)) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(d)) << 24);
-}
-
-inline constexpr uint32_t kFwChunkHeader = FirmwareTag('F', 'W', 'H', 'D');
-inline constexpr uint32_t kFwChunkPayload = FirmwareTag('F', 'W', 'P', 'L');
-inline constexpr uint32_t kFwChunkSignature = FirmwareTag('S', 'I', 'G', 'N');
-inline constexpr uint32_t kFwChunkEnd = FirmwareTag('E', 'N', 'D', ' ');
+inline constexpr uint32_t kFwChunkHeader = ChunkTag('F', 'W', 'H', 'D');
+inline constexpr uint32_t kFwChunkPayload = ChunkTag('F', 'W', 'P', 'L');
+inline constexpr uint32_t kFwChunkSignature = ChunkTag('S', 'I', 'G', 'N');
 
 // Authoring input for PackFirmware.
 struct FirmwareContainerSpec {
@@ -109,11 +105,6 @@ struct FirmwareContainerInfo {
 };
 Result<FirmwareContainerInfo> InspectFirmware(
     const std::vector<uint8_t>& container);
-
-// File helpers for the CLI tools.
-Status WriteFirmwareFile(const std::string& path,
-                         const std::vector<uint8_t>& container);
-Result<std::vector<uint8_t>> ReadFirmwareFile(const std::string& path);
 
 }  // namespace trustlite
 

@@ -308,7 +308,7 @@ TEST(FleetWorkloadTest, UartBurstsReachRingNeighbours) {
     EXPECT_EQ(fleet.node(i).rx_bytes(), 6u) << "node " << i;
     EXPECT_EQ(fleet.node(i).tx_bytes(), 3u) << "node " << i;
     // The verifier heard every node's chatter too.
-    EXPECT_EQ(fleet.VerifierRx(i), "pin") << "node " << i;
+    EXPECT_EQ(fleet.Rx(i, Channel::kAttest), "pin") << "node " << i;
   }
 }
 
@@ -362,7 +362,7 @@ TEST(FleetWorkloadTest, SameCycleCollisionsIdenticalAcrossThreadCounts) {
     fleet.RunQuanta(8);
     std::string verifier_streams;
     for (int i = 0; i < fleet.num_nodes(); ++i) {
-      verifier_streams += fleet.VerifierRx(i);
+      verifier_streams += fleet.Rx(i, Channel::kAttest);
       verifier_streams += '|';
     }
     return std::make_pair(fleet.FleetDigest(), verifier_streams);
@@ -410,7 +410,7 @@ TEST(FleetBatchingTest, HorizonCoalescesCrossQuantumTrickle) {
     fleet.RunQuanta(64);
     EXPECT_TRUE(fleet.AllHalted());
     EXPECT_EQ(fleet.fabric().in_flight(), 0u);
-    *rx = fleet.VerifierRx(0);
+    *rx = fleet.Rx(0, Channel::kAttest);
     return fleet.fabric().stats().sent;
   };
   std::string rx_unbatched;
@@ -431,7 +431,8 @@ TEST(FleetBatchingTest, BatchedDigestsIdenticalAcrossThreadCounts) {
     Fleet fleet(TrickleConfig(threads, 4));
     InstallGuest(&fleet, kTrickleGuest);
     fleet.RunQuanta(64);
-    return std::make_pair(fleet.FleetDigest(), fleet.VerifierRx(0));
+    return std::make_pair(fleet.FleetDigest(),
+                          fleet.Rx(0, Channel::kAttest));
   };
   const auto one = run(1);
   const auto many = run(4);
@@ -447,7 +448,7 @@ TEST(FleetBatchingTest, HaltFlushesHeldBurst) {
   fleet.RunQuanta(64);
   EXPECT_TRUE(fleet.AllHalted());
   EXPECT_EQ(fleet.node(0).pending_tx_bytes(), 0u);
-  EXPECT_EQ(fleet.VerifierRx(0), "abcdefghijklmnopqrstuvwxyz");
+  EXPECT_EQ(fleet.Rx(0, Channel::kAttest), "abcdefghijklmnopqrstuvwxyz");
 }
 
 // --- Device ticking under observation ------------------------------------
@@ -719,7 +720,7 @@ TEST(FleetAttestTest, MismatchFloodIsBoundedAndLogged) {
   EXPECT_NE(transcript.find("mismatches=40"), std::string::npos);
   // Consumed stream prefix was handed back: the buffer holds at most the
   // unconsumed tail, not the whole flood.
-  EXPECT_LT(fleet.VerifierRx(0).size(), forged.size() * 2);
+  EXPECT_LT(fleet.Rx(0, Channel::kAttest).size(), forged.size() * 2);
 }
 
 TEST(FleetAttestTest, RetriesRideOutLinkLoss) {

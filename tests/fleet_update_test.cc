@@ -10,11 +10,14 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/crypto/sha256.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
+#include "src/fleet/frame.h"
 #include "src/fleet/link.h"
 #include "src/fleet/provision.h"
 #include "src/fleet/update.h"
@@ -153,7 +156,8 @@ int CountStates(const CampaignOutcome& outcome, UpdateNodeState want) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame scanner unit properties.
+// Frame layout (the corruption and truncation properties are swept over
+// every family in frame_codec_test.cc).
 
 TEST(UpdateFrameTest, EncodeScanRoundTrip) {
   const uint8_t data[] = {1, 2, 3, 4, 5};
@@ -161,54 +165,17 @@ TEST(UpdateFrameTest, EncodeScanRoundTrip) {
   ASSERT_EQ(static_cast<uint8_t>(frame[0]), kUpdateFrameMarker);
   size_t frame_start = 0;
   size_t next = 0;
-  uint32_t cid = 0;
-  uint32_t offset = 0;
-  std::string payload;
   const std::string rx = std::string("noise") + frame + "tail";
-  EXPECT_EQ(ScanUpdateFrame(rx, 0, &frame_start, &next, &cid, &offset,
-                            &payload),
-            UpdateScan::kFrame);
+  ASSERT_EQ(ScanFrame(rx, 0, Channel::kUpdate, &frame_start, &next),
+            FrameScan::kFrame);
   EXPECT_EQ(frame_start, 5u);
   EXPECT_EQ(next, 5u + frame.size());
-  EXPECT_EQ(cid, 0xABCD1234u);
-  EXPECT_EQ(offset, 512u);
-  EXPECT_EQ(payload, std::string(data, data + 5));
-}
-
-TEST(UpdateFrameTest, CorruptedFrameSkippedAsNoise) {
-  const uint8_t data[] = {9, 9, 9, 9};
-  std::string frame = EncodeUpdateFrame(1, 0, data, 4);
-  frame[6] ^= 0x40;  // Damage the offset field; the CRC no longer matches.
-  size_t frame_start = 0;
-  size_t next = 0;
-  uint32_t cid = 0;
-  uint32_t offset = 0;
-  std::string payload;
-  EXPECT_EQ(ScanUpdateFrame(frame, 0, &frame_start, &next, &cid, &offset,
-                            &payload),
-            UpdateScan::kNoFrame);
-  // A valid frame after the damaged one is still found.
-  const std::string good = EncodeUpdateFrame(1, 4, data, 4);
-  const std::string rx = frame + good;
-  EXPECT_EQ(ScanUpdateFrame(rx, 0, &frame_start, &next, &cid, &offset,
-                            &payload),
-            UpdateScan::kFrame);
-  EXPECT_EQ(offset, 4u);
-}
-
-TEST(UpdateFrameTest, PartialFrameReportsNeedMore) {
-  const uint8_t data[] = {7, 7, 7};
-  const std::string frame = EncodeUpdateFrame(2, 0, data, 3);
-  const std::string partial = frame.substr(0, frame.size() - 2);
-  size_t frame_start = 99;
-  size_t next = 0;
-  uint32_t cid = 0;
-  uint32_t offset = 0;
-  std::string payload;
-  EXPECT_EQ(ScanUpdateFrame(partial, 0, &frame_start, &next, &cid, &offset,
-                            &payload),
-            UpdateScan::kNeedMore);
-  EXPECT_EQ(frame_start, 0u);
+  const std::string_view got =
+      std::string_view(rx).substr(frame_start, next - frame_start);
+  const auto* p = reinterpret_cast<const uint8_t*>(got.data());
+  EXPECT_EQ(LoadLe32(p + 1), 0xABCD1234u);
+  EXPECT_EQ(LoadLe32(p + 5), 512u);
+  EXPECT_EQ(DataOf(got), std::string(data, data + 5));
 }
 
 // ---------------------------------------------------------------------------

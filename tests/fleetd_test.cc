@@ -9,13 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/control.h"
 #include "src/fleet/fleet.h"
+#include "src/fleet/frame.h"
 #include "src/fleet/link.h"
 #include "src/fleet/provision.h"
 #include "src/harness/fleet_campaign.h"
@@ -26,20 +30,27 @@ namespace trustlite {
 namespace {
 
 // --- Wire codecs ---------------------------------------------------------
+// Field layouts of the control families through the one frame scanner;
+// frame_codec_test.cc sweeps corruption and truncation over every family.
+
+// The bytes of the frame a scan found, and a byte pointer to its marker.
+std::string_view FoundFrame(const std::string& rx, size_t start, size_t end) {
+  return std::string_view(rx).substr(start, end - start);
+}
+const uint8_t* Bytes(std::string_view frame) {
+  return reinterpret_cast<const uint8_t*>(frame.data());
+}
 
 TEST(ControlWireTest, ConfigFrameRoundTrip) {
   const std::string frame = EncodeConfigFrame(0xDEADBEEF, 7, "mode=eco\n");
   size_t frame_start = 0;
   size_t next_offset = 0;
-  uint32_t push_id = 0;
-  uint32_t generation = 0;
-  std::string blob;
-  ASSERT_EQ(ScanConfigFrame(frame, 0, &frame_start, &next_offset, &push_id,
-                            &generation, &blob),
-            ControlScan::kFrame);
-  EXPECT_EQ(push_id, 0xDEADBEEFu);
-  EXPECT_EQ(generation, 7u);
-  EXPECT_EQ(blob, "mode=eco\n");
+  ASSERT_EQ(ScanFrame(frame, 0, Channel::kConfig, &frame_start, &next_offset),
+            FrameScan::kFrame);
+  const std::string_view got = FoundFrame(frame, frame_start, next_offset);
+  EXPECT_EQ(LoadLe32(Bytes(got) + 1), 0xDEADBEEFu);
+  EXPECT_EQ(LoadLe32(Bytes(got) + 5), 7u);
+  EXPECT_EQ(DataOf(got), "mode=eco\n");
   EXPECT_EQ(next_offset, frame.size());
 }
 
@@ -51,14 +62,12 @@ TEST(ControlWireTest, ConfigScannerSkipsNoiseAndCorruption) {
   stream += EncodeConfigFrame(2, 2, "k=w\n");
   size_t frame_start = 0;
   size_t next_offset = 0;
-  uint32_t push_id = 0;
-  uint32_t generation = 0;
-  std::string blob;
-  ASSERT_EQ(ScanConfigFrame(stream, 0, &frame_start, &next_offset, &push_id,
-                            &generation, &blob),
-            ControlScan::kFrame);
-  EXPECT_EQ(push_id, 2u);
-  EXPECT_EQ(blob, "k=w\n");
+  ASSERT_EQ(ScanFrame(stream, 0, Channel::kConfig, &frame_start,
+                      &next_offset),
+            FrameScan::kFrame);
+  const std::string_view got = FoundFrame(stream, frame_start, next_offset);
+  EXPECT_EQ(LoadLe32(Bytes(got) + 1), 2u);
+  EXPECT_EQ(DataOf(got), "k=w\n");
 }
 
 TEST(ControlWireTest, AckAndHealthShareOneScanner) {
@@ -76,24 +85,26 @@ TEST(ControlWireTest, AckAndHealthShareOneScanner) {
 
   size_t frame_start = 0;
   size_t next_offset = 0;
-  ControlFrame frame;
-  ASSERT_EQ(ScanControlFrame(stream, 0, &frame_start, &next_offset, &frame),
-            ControlScan::kFrame);
-  ASSERT_EQ(frame.kind, ControlFrame::Kind::kHealth);
-  EXPECT_EQ(frame.beacon.cycle, beacon.cycle);
-  EXPECT_EQ(frame.beacon.instructions, beacon.instructions);
-  EXPECT_EQ(frame.beacon.tx_bytes, beacon.tx_bytes);
-  EXPECT_EQ(frame.beacon.rx_bytes, beacon.rx_bytes);
-  EXPECT_EQ(frame.beacon.config_generation, beacon.config_generation);
-  EXPECT_TRUE(frame.beacon.halted);
+  ASSERT_EQ(ScanFrame(stream, 0, Channel::kControl, &frame_start,
+                      &next_offset),
+            FrameScan::kFrame);
+  const uint8_t* health = Bytes(FoundFrame(stream, frame_start, next_offset));
+  ASSERT_EQ(health[0], kHealthFrameMarker);
+  EXPECT_EQ(LoadLe64(health + 1), beacon.cycle);
+  EXPECT_EQ(LoadLe64(health + 9), beacon.instructions);
+  EXPECT_EQ(LoadLe64(health + 17), beacon.tx_bytes);
+  EXPECT_EQ(LoadLe64(health + 25), beacon.rx_bytes);
+  EXPECT_EQ(LoadLe32(health + 33), beacon.config_generation);
+  EXPECT_EQ(health[37], 1u);  // halted
 
-  ASSERT_EQ(ScanControlFrame(stream, next_offset, &frame_start, &next_offset,
-                             &frame),
-            ControlScan::kFrame);
-  ASSERT_EQ(frame.kind, ControlFrame::Kind::kConfigAck);
-  EXPECT_EQ(frame.push_id, 55u);
-  EXPECT_EQ(frame.generation, 3u);
-  EXPECT_EQ(frame.digest, digest);
+  ASSERT_EQ(ScanFrame(stream, next_offset, Channel::kControl, &frame_start,
+                      &next_offset),
+            FrameScan::kFrame);
+  const uint8_t* ack = Bytes(FoundFrame(stream, frame_start, next_offset));
+  ASSERT_EQ(ack[0], kConfigAckMarker);
+  EXPECT_EQ(LoadLe32(ack + 1), 55u);
+  EXPECT_EQ(LoadLe32(ack + 5), 3u);
+  EXPECT_TRUE(std::equal(digest.begin(), digest.end(), ack + 9));
   EXPECT_EQ(next_offset, stream.size());
 }
 

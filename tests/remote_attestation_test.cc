@@ -59,8 +59,11 @@ class RemoteAttestationTest : public ::testing::Test {
     platform_.uart().PushInput(EncodeAttestationRequest(target, challenge));
     for (int spins = 0; spins < 50; ++spins) {
       platform_.Run(50000);
-      if (DecodeAttestationResponse(platform_.uart().output(),
-                                    response_offset, status, report)) {
+      size_t frame_start = 0;
+      size_t next_offset = 0;
+      if (ScanAttestationResponse(platform_.uart().output(), response_offset,
+                                  &frame_start, &next_offset, status,
+                                  report) == FrameScan::kFrame) {
         return true;
       }
       if (platform_.cpu().halted()) {

@@ -7,12 +7,15 @@
 // warm-boot fleet provisioning.
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/common/chunks.h"
 #include "src/common/rng.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
@@ -235,6 +238,96 @@ TEST(SnapshotCorruptionTest, SkippedChecksumsStillFailClosedOnFraming) {
   bad_magic[0] ^= 0xFF;
   Platform target;
   EXPECT_FALSE(RestorePlatform(&target, bad_magic, no_crc).ok());
+}
+
+// Rebuilds `snapshot` chunk by chunk, letting `edit` rewrite payloads (the
+// CRCs are recomputed, so only the snapshot's own checks can object).
+template <typename Edit>
+std::vector<uint8_t> Rechunk(const std::vector<uint8_t>& snapshot, Edit edit) {
+  std::vector<Chunk> chunks;
+  EXPECT_TRUE(WalkChunks(snapshot, kSnapshotFormat, &chunks).ok());
+  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> edited;
+  for (const Chunk& chunk : chunks) {
+    edited.emplace_back(chunk.tag, std::vector<uint8_t>(
+                                       chunk.data, chunk.data + chunk.size));
+  }
+  edit(&edited);
+  std::vector<uint8_t> out;
+  AppendChunkHeader(out, kSnapshotFormat,
+                    static_cast<uint32_t>(edited.size()));
+  for (const auto& [tag, payload] : edited) {
+    AppendChunk(out, tag, payload);
+  }
+  return out;
+}
+
+TEST(SnapshotCorruptionTest, MalformedDevicePayloadLeavesTargetUntouched) {
+  // Framing and CRCs are valid, but the uart payload carries one byte more
+  // than the uart parses. The restore must fail before it writes RAM, the
+  // CPU or any device of the target.
+  FleetConfig config;
+  config.nodes = 1;
+  config.seed = 42;
+  Fleet source(config);
+  ASSERT_TRUE(ProvisionAttestationFleet(&source, FleetProvisionConfig{}).ok());
+  source.RunQuanta(4);
+  Result<std::vector<uint8_t>> saved = SavePlatform(source.node(0).platform());
+  ASSERT_TRUE(saved.ok());
+  const std::vector<uint8_t> bad = Rechunk(*saved, [](auto* chunks) {
+    for (auto& [tag, payload] : *chunks) {
+      if (tag != kChunkDevice) {
+        continue;
+      }
+      // DEV payload: name_len(4) name state_len(4) state.
+      const uint32_t name_len = LoadLe32(payload.data());
+      if (std::string(payload.begin() + 4, payload.begin() + 4 + name_len) !=
+          "uart") {
+        continue;
+      }
+      uint8_t* state_len = payload.data() + 4 + name_len;
+      StoreLe32(state_len, LoadLe32(state_len) + 1);
+      payload.push_back(0);
+    }
+  });
+
+  Fleet fresh(config);
+  ASSERT_TRUE(ProvisionAttestationFleet(&fresh, FleetProvisionConfig{}).ok());
+  Platform& target = fresh.node(0).platform();
+  const Sha256Digest digest_before = PlatformStateDigest(target);
+  const uint64_t cycles_before = target.cpu().cycles();
+  Result<std::vector<uint8_t>> state_before = SavePlatform(target);
+  ASSERT_TRUE(state_before.ok());
+
+  const Status status = RestorePlatform(&target, bad);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("uart"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(PlatformStateDigest(target), digest_before);
+  EXPECT_EQ(target.cpu().cycles(), cycles_before);
+  Result<std::vector<uint8_t>> state_after = SavePlatform(target);
+  ASSERT_TRUE(state_after.ok());
+  EXPECT_TRUE(*state_after == *state_before)
+      << "a device or memory of the target changed";
+}
+
+TEST(SnapshotCorruptionTest, EndBeforeTheLastChunkFailsTheWalk) {
+  std::unique_ptr<Platform> platform(NewBusyPlatform());
+  platform->Run(900);
+  Result<std::vector<uint8_t>> saved = SavePlatform(*platform);
+  ASSERT_TRUE(saved.ok());
+  // An END spliced in before the DIGE chunk: every reader rejects it, not
+  // only the restore.
+  const std::vector<uint8_t> early_end = Rechunk(*saved, [](auto* chunks) {
+    chunks->insert(chunks->end() - 2,
+                   std::make_pair(kChunkEnd, std::vector<uint8_t>{}));
+  });
+  EXPECT_FALSE(InspectSnapshot(early_end).ok());
+  EXPECT_FALSE(DiffSnapshots(early_end, *saved).ok());
+  EXPECT_FALSE(SnapshotPlatformConfig(early_end).ok());
+  Platform target;
+  EXPECT_FALSE(RestorePlatform(&target, early_end).ok());
+  // The unmodified rebuild still reads back.
+  EXPECT_TRUE(InspectSnapshot(Rechunk(*saved, [](auto*) {})).ok());
 }
 
 // ---------------------------------------------------------------------------

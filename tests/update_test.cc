@@ -198,7 +198,7 @@ TEST(FwContainerTest, InspectReportsChunkInventory) {
   ASSERT_EQ(info->chunks.size(), 4u);
   EXPECT_EQ(info->chunks[0].tag, kFwChunkHeader);
   EXPECT_EQ(info->chunks[1].tag, kFwChunkPayload);
-  EXPECT_EQ(info->chunks[3].tag, kFwChunkEnd);
+  EXPECT_EQ(info->chunks[3].tag, kChunkEnd);
   EXPECT_EQ(info->image.fw_version, 5u);
   EXPECT_EQ(info->container_bytes, packed->size());
 }

@@ -38,14 +38,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/link.h"
@@ -55,6 +53,7 @@
 #include "src/isa/assembler.h"
 #include "src/platform/observe/fleet_trace.h"
 #include "src/platform/observe/json.h"
+#include "tools/cli.h"
 
 namespace trustlite {
 namespace {
@@ -104,27 +103,6 @@ int Usage(bool help = false) {
   return help ? 0 : 2;
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-std::string DigestHex(const Sha256Digest& digest) {
-  std::string hex;
-  char byte[4];
-  for (uint8_t b : digest) {
-    std::snprintf(byte, sizeof(byte), "%02x", b);
-    hex += byte;
-  }
-  return hex;
-}
-
 struct Options {
   std::string guest;
   int nodes = 4;
@@ -158,17 +136,14 @@ struct Options {
 bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto next_u64 = [&](uint64_t* out) {
-      if (i + 1 >= args.size()) {
-        return false;
-      }
-      *out = std::strtoull(args[++i].c_str(), nullptr, 0);
-      return true;
+    const bool has_value = i + 1 < args.size();
+    auto number = [&](auto* out) {
+      return ParseNumber("tlfleet", arg, args[++i], out);
     };
-    uint64_t value = 0;
-    if (arg == "--nodes" && next_u64(&value)) {
-      opt->nodes = static_cast<int>(value);
-    } else if (arg == "--topology" && i + 1 < args.size()) {
+    bool ok = true;
+    if (arg == "--nodes" && has_value) {
+      ok = number(&opt->nodes);
+    } else if (arg == "--topology" && has_value) {
       const std::string& name = args[++i];
       if (name == "star") {
         opt->topology = Topology::kStar;
@@ -178,29 +153,29 @@ bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
         std::fprintf(stderr, "tlfleet: unknown topology '%s'\n", name.c_str());
         return false;
       }
-    } else if (arg == "--seed" && next_u64(&value)) {
-      opt->seed = value;
-    } else if (arg == "--threads" && next_u64(&value)) {
-      opt->threads = static_cast<int>(value);
+    } else if (arg == "--seed" && has_value) {
+      ok = number(&opt->seed);
+    } else if (arg == "--threads" && has_value) {
+      ok = number(&opt->threads);
     } else if (arg == "--attest") {
       opt->attest = true;
     } else if (arg == "--warm-boot") {
       opt->warm_boot = true;
-    } else if (arg == "--tamper" && next_u64(&value)) {
-      opt->tamper = static_cast<int>(value);
-    } else if (arg == "--quantum" && next_u64(&value)) {
-      opt->quantum = value;
-    } else if (arg == "--quanta" && next_u64(&value)) {
-      opt->quanta = value;
-    } else if (arg == "--batch-quanta" && next_u64(&value)) {
-      opt->batch_quanta = static_cast<uint32_t>(value);
-    } else if (arg == "--latency" && next_u64(&value)) {
-      opt->latency = static_cast<uint32_t>(value);
-    } else if (arg == "--loss-ppm" && next_u64(&value)) {
-      opt->loss_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--reorder-ppm" && next_u64(&value)) {
-      opt->reorder_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--hostile" && i + 1 < args.size()) {
+    } else if (arg == "--tamper" && has_value) {
+      ok = number(&opt->tamper);
+    } else if (arg == "--quantum" && has_value) {
+      ok = number(&opt->quantum);
+    } else if (arg == "--quanta" && has_value) {
+      ok = number(&opt->quanta);
+    } else if (arg == "--batch-quanta" && has_value) {
+      ok = number(&opt->batch_quanta);
+    } else if (arg == "--latency" && has_value) {
+      ok = number(&opt->latency);
+    } else if (arg == "--loss-ppm" && has_value) {
+      ok = number(&opt->loss_ppm);
+    } else if (arg == "--reorder-ppm" && has_value) {
+      ok = number(&opt->reorder_ppm);
+    } else if (arg == "--hostile" && has_value) {
       const std::string& name = args[++i];
       if (name == "corrupt") {
         opt->hostile = HostileMode::kCorrupt;
@@ -215,25 +190,25 @@ bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
                      name.c_str());
         return false;
       }
-    } else if (arg == "--hostile-ppm" && next_u64(&value)) {
-      opt->hostile_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--corrupt-ppm" && next_u64(&value)) {
-      opt->corrupt_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--replay-ppm" && next_u64(&value)) {
-      opt->replay_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--reflect-ppm" && next_u64(&value)) {
-      opt->reflect_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--update-image" && i + 1 < args.size()) {
+    } else if (arg == "--hostile-ppm" && has_value) {
+      ok = number(&opt->hostile_ppm);
+    } else if (arg == "--corrupt-ppm" && has_value) {
+      ok = number(&opt->corrupt_ppm);
+    } else if (arg == "--replay-ppm" && has_value) {
+      ok = number(&opt->replay_ppm);
+    } else if (arg == "--reflect-ppm" && has_value) {
+      ok = number(&opt->reflect_ppm);
+    } else if (arg == "--update-image" && has_value) {
       opt->update_images.push_back(args[++i]);
-    } else if (arg == "--canary-pct" && next_u64(&value)) {
-      opt->canary_pct = static_cast<int>(value);
+    } else if (arg == "--canary-pct" && has_value) {
+      ok = number(&opt->canary_pct);
     } else if (arg == "--halt-on-quarantine") {
       opt->halt_on_quarantine = true;
     } else if (arg == "--update-tamper-canary") {
       opt->update_tamper_canary = true;
-    } else if (arg == "--transcript" && i + 1 < args.size()) {
+    } else if (arg == "--transcript" && has_value) {
       opt->transcript = args[++i];
-    } else if (arg == "--trace-json" && i + 1 < args.size()) {
+    } else if (arg == "--trace-json" && has_value) {
       opt->trace_json = args[++i];
     } else if (arg == "--stats") {
       opt->stats = true;
@@ -243,6 +218,9 @@ bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
       opt->guest = arg;
     } else {
       std::fprintf(stderr, "tlfleet: bad argument '%s'\n", arg.c_str());
+      return false;
+    }
+    if (!ok) {
       return false;
     }
   }
@@ -286,8 +264,7 @@ int CmdRun(const std::vector<std::string>& args) {
   std::vector<uint8_t> guest_image;
   if (!opt.guest.empty()) {
     std::string source;
-    if (!ReadFile(opt.guest, &source)) {
-      std::fprintf(stderr, "tlfleet: cannot read %s\n", opt.guest.c_str());
+    if (!ReadTextFile("tlfleet", opt.guest, &source)) {
       return 1;
     }
     guest = Assemble(source, kGuestOrigin);
@@ -306,7 +283,7 @@ int CmdRun(const std::vector<std::string>& args) {
   std::vector<std::vector<uint8_t>> update_containers;
   uint32_t update_capacity = 0;
   for (const std::string& path : opt.update_images) {
-    Result<std::vector<uint8_t>> bytes = ReadFirmwareFile(path);
+    Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
     if (!bytes.ok()) {
       std::fprintf(stderr, "tlfleet: %s\n",
                    bytes.status().ToString().c_str());
@@ -548,7 +525,9 @@ int CmdRun(const std::vector<std::string>& args) {
                 campaign.CountInState(UpdateNodeState::kRejected),
                 campaign.canaries().size());
   }
-  std::printf("fleet-digest: %s\n", DigestHex(fleet.FleetDigest()).c_str());
+  const Sha256Digest digest = fleet.FleetDigest();
+  std::printf("fleet-digest: %s\n",
+              HexEncode(digest.data(), digest.size()).c_str());
 
   if (!opt.transcript.empty()) {
     std::ofstream out(opt.transcript, std::ios::binary);

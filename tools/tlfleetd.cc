@@ -26,19 +26,19 @@
 // construction, and live scale-up cannot splice a ring.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/fleet/control.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/link.h"
 #include "src/fleet/provision.h"
 #include "src/harness/fleet_campaign.h"
 #include "src/isa/assembler.h"
+#include "tools/cli.h"
 
 namespace trustlite {
 namespace {
@@ -86,27 +86,6 @@ int Usage(bool help = false) {
   return help ? 0 : 2;
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-std::string DigestHex(const Sha256Digest& digest) {
-  std::string hex;
-  char byte[4];
-  for (uint8_t b : digest) {
-    std::snprintf(byte, sizeof(byte), "%02x", b);
-    hex += byte;
-  }
-  return hex;
-}
-
 struct Options {
   std::string guest;
   int nodes = 4;
@@ -140,31 +119,28 @@ struct Options {
 bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto next_u64 = [&](uint64_t* out) {
-      if (i + 1 >= args.size()) {
-        return false;
-      }
-      *out = std::strtoull(args[++i].c_str(), nullptr, 0);
-      return true;
+    const bool has_value = i + 1 < args.size();
+    auto number = [&](auto* out) {
+      return ParseNumber("tlfleetd", arg, args[++i], out);
     };
-    uint64_t value = 0;
-    if (arg == "--nodes" && next_u64(&value)) {
-      opt->nodes = static_cast<int>(value);
-    } else if (arg == "--seed" && next_u64(&value)) {
-      opt->seed = value;
-    } else if (arg == "--threads" && next_u64(&value)) {
-      opt->threads = static_cast<int>(value);
-    } else if (arg == "--epochs" && next_u64(&value)) {
-      opt->epochs = static_cast<int>(value);
-    } else if (arg == "--quantum" && next_u64(&value)) {
-      opt->quantum = value;
-    } else if (arg == "--batch-quanta" && next_u64(&value)) {
-      opt->batch_quanta = static_cast<uint32_t>(value);
+    bool ok = true;
+    if (arg == "--nodes" && has_value) {
+      ok = number(&opt->nodes);
+    } else if (arg == "--seed" && has_value) {
+      ok = number(&opt->seed);
+    } else if (arg == "--threads" && has_value) {
+      ok = number(&opt->threads);
+    } else if (arg == "--epochs" && has_value) {
+      ok = number(&opt->epochs);
+    } else if (arg == "--quantum" && has_value) {
+      ok = number(&opt->quantum);
+    } else if (arg == "--batch-quanta" && has_value) {
+      ok = number(&opt->batch_quanta);
     } else if (arg == "--warm-boot") {
       opt->warm_boot = true;
-    } else if (arg == "--tamper" && next_u64(&value)) {
-      opt->tamper = static_cast<int>(value);
-    } else if (arg == "--config" && i + 1 < args.size()) {
+    } else if (arg == "--tamper" && has_value) {
+      ok = number(&opt->tamper);
+    } else if (arg == "--config" && has_value) {
       const std::string& entry = args[++i];
       const size_t eq = entry.find('=');
       if (eq == std::string::npos || eq == 0) {
@@ -174,15 +150,15 @@ bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
       }
       opt->config_entries.emplace_back(entry.substr(0, eq),
                                        entry.substr(eq + 1));
-    } else if (arg == "--scale-up" && next_u64(&value)) {
-      opt->scale_up = static_cast<int>(value);
-    } else if (arg == "--latency" && next_u64(&value)) {
-      opt->latency = static_cast<uint32_t>(value);
-    } else if (arg == "--loss-ppm" && next_u64(&value)) {
-      opt->loss_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--reorder-ppm" && next_u64(&value)) {
-      opt->reorder_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--hostile" && i + 1 < args.size()) {
+    } else if (arg == "--scale-up" && has_value) {
+      ok = number(&opt->scale_up);
+    } else if (arg == "--latency" && has_value) {
+      ok = number(&opt->latency);
+    } else if (arg == "--loss-ppm" && has_value) {
+      ok = number(&opt->loss_ppm);
+    } else if (arg == "--reorder-ppm" && has_value) {
+      ok = number(&opt->reorder_ppm);
+    } else if (arg == "--hostile" && has_value) {
       const std::string& name = args[++i];
       if (name == "corrupt") {
         opt->hostile = HostileMode::kCorrupt;
@@ -197,27 +173,27 @@ bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
                      name.c_str());
         return false;
       }
-    } else if (arg == "--hostile-ppm" && next_u64(&value)) {
-      opt->hostile_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--corrupt-ppm" && next_u64(&value)) {
-      opt->corrupt_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--replay-ppm" && next_u64(&value)) {
-      opt->replay_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--reflect-ppm" && next_u64(&value)) {
-      opt->reflect_ppm = static_cast<uint32_t>(value);
-    } else if (arg == "--idle-quanta" && next_u64(&value)) {
-      opt->idle_quanta = value;
-    } else if (arg == "--beacon-quanta" && next_u64(&value)) {
-      opt->beacon_quanta = static_cast<uint32_t>(value);
-    } else if (arg == "--phase-quanta" && next_u64(&value)) {
-      opt->phase_quanta = value;
+    } else if (arg == "--hostile-ppm" && has_value) {
+      ok = number(&opt->hostile_ppm);
+    } else if (arg == "--corrupt-ppm" && has_value) {
+      ok = number(&opt->corrupt_ppm);
+    } else if (arg == "--replay-ppm" && has_value) {
+      ok = number(&opt->replay_ppm);
+    } else if (arg == "--reflect-ppm" && has_value) {
+      ok = number(&opt->reflect_ppm);
+    } else if (arg == "--idle-quanta" && has_value) {
+      ok = number(&opt->idle_quanta);
+    } else if (arg == "--beacon-quanta" && has_value) {
+      ok = number(&opt->beacon_quanta);
+    } else if (arg == "--phase-quanta" && has_value) {
+      ok = number(&opt->phase_quanta);
     } else if (arg == "--halt-on-quarantine") {
       opt->halt_on_quarantine = true;
-    } else if (arg == "--status-json" && i + 1 < args.size()) {
+    } else if (arg == "--status-json" && has_value) {
       opt->status_json = args[++i];
     } else if (arg == "--watch") {
       opt->watch = true;
-    } else if (arg == "--transcript" && i + 1 < args.size()) {
+    } else if (arg == "--transcript" && has_value) {
       opt->transcript = args[++i];
     } else if (arg == "--quiet") {
       opt->quiet = true;
@@ -227,13 +203,12 @@ bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
       std::fprintf(stderr, "tlfleetd: bad argument '%s'\n", arg.c_str());
       return false;
     }
+    if (!ok) {
+      return false;
+    }
   }
   if (opt->nodes < 1 || opt->quantum == 0) {
     std::fprintf(stderr, "tlfleetd: need --nodes >= 1 and --quantum > 0\n");
-    return false;
-  }
-  if (opt->epochs < 0 || opt->scale_up < 0) {
-    std::fprintf(stderr, "tlfleetd: --epochs and --scale-up must be >= 0\n");
     return false;
   }
   if (opt->phase_quanta == 0) {
@@ -253,8 +228,7 @@ int CmdRun(const std::vector<std::string>& args) {
   std::vector<uint8_t> guest_image;
   if (!opt.guest.empty()) {
     std::string source;
-    if (!ReadFile(opt.guest, &source)) {
-      std::fprintf(stderr, "tlfleetd: cannot read %s\n", opt.guest.c_str());
+    if (!ReadTextFile("tlfleetd", opt.guest, &source)) {
       return 1;
     }
     Result<AsmOutput> guest = Assemble(source, kGuestOrigin);
@@ -357,7 +331,9 @@ int CmdRun(const std::vector<std::string>& args) {
                 static_cast<unsigned long long>(controller.quanta_run()),
                 static_cast<unsigned long long>(fleet.now()));
   }
-  std::printf("fleet-digest: %s\n", DigestHex(fleet.FleetDigest()).c_str());
+  const Sha256Digest digest = fleet.FleetDigest();
+  std::printf("fleet-digest: %s\n",
+              HexEncode(digest.data(), digest.size()).c_str());
 
   if (!opt.status_json.empty()) {
     std::ofstream out(opt.status_json, std::ios::binary);

@@ -20,12 +20,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/harness/differential.h"
 #include "src/harness/injector.h"
+#include "tools/cli.h"
 
 namespace {
 
@@ -33,10 +32,6 @@ using trustlite::Divergence;
 using trustlite::InjectionCampaignConfig;
 using trustlite::InjectionCampaignResult;
 using trustlite::InjectionEvent;
-
-uint64_t ParseU64(const char* text) {
-  return static_cast<uint64_t>(std::strtoull(text, nullptr, 0));
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -153,19 +148,26 @@ int main(int argc, char** argv) {
   uint64_t steps = 0;  // 0 = per-mode default.
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--programs" && has_value) {
-      programs = ParseU64(argv[++i]);
-    } else if (arg == "--campaigns" && has_value) {
-      campaigns = ParseU64(argv[++i]);
-    } else if (arg == "--events" && has_value) {
-      events = static_cast<int>(ParseU64(argv[++i]));
-    } else if (arg == "--seed" && has_value) {
-      seed = ParseU64(argv[++i]);
-    } else if (arg == "--steps" && has_value) {
-      steps = ParseU64(argv[++i]);
+    if (i + 1 >= argc) {
+      return Usage();
+    }
+    const std::string value = argv[++i];
+    bool ok = false;
+    if (arg == "--programs") {
+      ok = trustlite::ParseNumber("tlfuzz", arg, value, &programs);
+    } else if (arg == "--campaigns") {
+      ok = trustlite::ParseNumber("tlfuzz", arg, value, &campaigns);
+    } else if (arg == "--events") {
+      ok = trustlite::ParseNumber("tlfuzz", arg, value, &events);
+    } else if (arg == "--seed") {
+      ok = trustlite::ParseNumber("tlfuzz", arg, value, &seed);
+    } else if (arg == "--steps") {
+      ok = trustlite::ParseNumber("tlfuzz", arg, value, &steps);
     } else {
       return Usage();
+    }
+    if (!ok) {
+      return 2;
     }
   }
   if (mode == "diff") {

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "src/common/rng.h"
 #include "src/fleet/provision.h"
 #include "src/update/fw_container.h"
+#include "tools/cli.h"
 
 namespace trustlite {
 namespace {
@@ -98,31 +98,27 @@ bool ParseOptions(int argc, char** argv, int from, Options* opts) {
       }
       return argv[++i];
     };
+    auto number = [&](auto* out) {
+      const char* v = next(arg.c_str());
+      return v != nullptr && ParseNumber("tlfw", arg, v, out);
+    };
     if (arg == "--version") {
-      const char* v = next("--version");
-      if (v == nullptr) return false;
-      opts->version = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
+      if (!number(&opts->version)) return false;
     } else if (arg == "--name") {
       const char* v = next("--name");
       if (v == nullptr) return false;
       opts->name = v;
     } else if (arg == "--chunk-bytes") {
-      const char* v = next("--chunk-bytes");
-      if (v == nullptr) return false;
-      opts->chunk_bytes = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
+      if (!number(&opts->chunk_bytes)) return false;
     } else if (arg == "--payload-file") {
       const char* v = next("--payload-file");
       if (v == nullptr) return false;
       opts->payload_file = v;
     } else if (arg == "--payload-seed") {
-      const char* v = next("--payload-seed");
-      if (v == nullptr) return false;
-      opts->payload_seed = std::strtoull(v, nullptr, 0);
+      if (!number(&opts->payload_seed)) return false;
       opts->payload_seed_set = true;
     } else if (arg == "--payload-bytes") {
-      const char* v = next("--payload-bytes");
-      if (v == nullptr) return false;
-      opts->payload_bytes = static_cast<uint32_t>(std::strtoul(v, nullptr, 0));
+      if (!number(&opts->payload_bytes)) return false;
     } else if (arg == "--key-hex") {
       const char* v = next("--key-hex");
       if (v == nullptr) return false;
@@ -132,14 +128,10 @@ bool ParseOptions(int argc, char** argv, int from, Options* opts) {
       }
       opts->key.present = true;
     } else if (arg == "--fleet-seed") {
-      const char* v = next("--fleet-seed");
-      if (v == nullptr) return false;
-      fleet_seed = std::strtoull(v, nullptr, 0);
+      if (!number(&fleet_seed)) return false;
       fleet_seed_set = true;
     } else if (arg == "--node") {
-      const char* v = next("--node");
-      if (v == nullptr) return false;
-      node = static_cast<int>(std::strtol(v, nullptr, 0));
+      if (!number(&node)) return false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "tlfw: unknown flag %s\n", arg.c_str());
       return false;
@@ -201,7 +193,7 @@ int CmdPack(const Options& opts) {
   spec.name = opts.name;
   spec.chunk_bytes = opts.chunk_bytes;
   if (!opts.payload_file.empty()) {
-    Result<std::vector<uint8_t>> payload = ReadFirmwareFile(opts.payload_file);
+    Result<std::vector<uint8_t>> payload = ReadFileBytes(opts.payload_file);
     if (!payload.ok()) {
       return Fail(payload.status());
     }
@@ -217,7 +209,7 @@ int CmdPack(const Options& opts) {
   if (!container.ok()) {
     return Fail(container.status());
   }
-  Status written = WriteFirmwareFile(opts.positional[0], *container);
+  Status written = WriteFileBytes(opts.positional[0], *container);
   if (!written.ok()) {
     return Fail(written);
   }
@@ -231,7 +223,7 @@ int CmdInfo(const Options& opts) {
   if (opts.positional.size() != 1) {
     return Usage();
   }
-  Result<std::vector<uint8_t>> bytes = ReadFirmwareFile(opts.positional[0]);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(opts.positional[0]);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -253,7 +245,7 @@ int CmdVerify(const Options& opts) {
   if (opts.positional.size() != 1) {
     return Usage();
   }
-  Result<std::vector<uint8_t>> bytes = ReadFirmwareFile(opts.positional[0]);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(opts.positional[0]);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -281,7 +273,7 @@ int CmdSign(const Options& opts) {
   if (opts.positional.size() != 2 || !opts.key.present) {
     return Usage();
   }
-  Result<std::vector<uint8_t>> bytes = ReadFirmwareFile(opts.positional[0]);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(opts.positional[0]);
   if (!bytes.ok()) {
     return Fail(bytes.status());
   }
@@ -290,7 +282,7 @@ int CmdSign(const Options& opts) {
   if (!signed_container.ok()) {
     return Fail(signed_container.status());
   }
-  Status written = WriteFirmwareFile(opts.positional[1], *signed_container);
+  Status written = WriteFileBytes(opts.positional[1], *signed_container);
   if (!written.ok()) {
     return Fail(written);
   }

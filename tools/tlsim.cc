@@ -32,14 +32,8 @@
 //   u            uart output so far      q              quit
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -54,6 +48,7 @@
 #include "src/platform/observe/profiler.h"
 #include "src/platform/platform.h"
 #include "src/snapshot/snapshot.h"
+#include "tools/cli.h"
 
 namespace trustlite {
 namespace {
@@ -75,17 +70,6 @@ int Usage(bool help = false) {
       "  --snapshot-out P     snapshot filename prefix (default tlsim-snap)\n"
       "  --resume-from FILE   restore FILE and continue the run\n");
   return help ? 0 : 2;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
 }
 
 // --trace: disassembles every retired instruction to stderr, plus one line
@@ -113,27 +97,6 @@ class DisassemblyTrace : public EventSink {
   }
 };
 
-// Parses `text`, the value of `what`, as an unsigned number that fits T:
-// decimal, 0x hex or 0-prefixed octal, as strtoull with base 0. Empty,
-// signed, trailing-garbage and out-of-range text is rejected with a message,
-// so a typo fails the command instead of running with 0.
-template <typename T>
-bool ParseNumber(const char* what, const std::string& text, T* out) {
-  constexpr unsigned long long kMax = std::numeric_limits<T>::max();
-  if (!text.empty() && std::isdigit(static_cast<unsigned char>(text[0]))) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-    if (*end == '\0' && errno == 0 && value <= kMax) {
-      *out = static_cast<T>(value);
-      return true;
-    }
-  }
-  std::fprintf(stderr, "tlsim: %s: '%s' is not a number in 0..%llu\n", what,
-               text.c_str(), kMax);
-  return false;
-}
-
 // `text` as a symbol of the assembled program, else as a number.
 bool ResolveAddr(const std::map<std::string, uint32_t>& symbols,
                  const char* what, const std::string& text, uint32_t* addr) {
@@ -142,7 +105,7 @@ bool ResolveAddr(const std::map<std::string, uint32_t>& symbols,
     *addr = it->second;
     return true;
   }
-  return ParseNumber(what, text, addr);
+  return ParseNumber("tlsim", what, text, addr);
 }
 
 int CmdAsm(const std::vector<std::string>& args) {
@@ -154,7 +117,7 @@ int CmdAsm(const std::vector<std::string>& args) {
     if (args[i] == "-o" && i + 1 < args.size()) {
       output = args[++i];
     } else if (args[i] == "--origin" && i + 1 < args.size()) {
-      if (!ParseNumber("--origin", args[++i], &origin)) {
+      if (!ParseNumber("tlsim", "--origin", args[++i], &origin)) {
         return 1;
       }
     } else if (args[i] == "--symbols") {
@@ -169,8 +132,7 @@ int CmdAsm(const std::vector<std::string>& args) {
     return Usage();
   }
   std::string source;
-  if (!ReadFile(input, &source)) {
-    std::fprintf(stderr, "tlsim: cannot read %s\n", input.c_str());
+  if (!ReadTextFile("tlsim", input, &source)) {
     return 1;
   }
   Result<AsmOutput> out = Assemble(source, origin);
@@ -188,11 +150,9 @@ int CmdAsm(const std::vector<std::string>& args) {
     }
   }
   if (!output.empty()) {
-    std::ofstream file(output, std::ios::binary);
-    file.write(reinterpret_cast<const char*>(image.data()),
-               static_cast<std::streamsize>(image.size()));
-    if (!file) {
-      std::fprintf(stderr, "tlsim: cannot write %s\n", output.c_str());
+    const Status written = WriteFileBytes(output, image);
+    if (!written.ok()) {
+      std::fprintf(stderr, "tlsim: %s\n", written.ToString().c_str());
       return 1;
     }
     std::printf("wrote %s\n", output.c_str());
@@ -205,7 +165,7 @@ int CmdDisas(const std::vector<std::string>& args) {
   uint32_t base = 0;
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--base" && i + 1 < args.size()) {
-      if (!ParseNumber("--base", args[++i], &base)) {
+      if (!ParseNumber("tlsim", "--base", args[++i], &base)) {
         return 1;
       }
     } else if (input.empty()) {
@@ -217,14 +177,13 @@ int CmdDisas(const std::vector<std::string>& args) {
   if (input.empty()) {
     return Usage();
   }
-  std::string blob;
-  if (!ReadFile(input, &blob)) {
-    std::fprintf(stderr, "tlsim: cannot read %s\n", input.c_str());
+  Result<std::vector<uint8_t>> blob = ReadFileBytes(input);
+  if (!blob.ok()) {
+    std::fprintf(stderr, "tlsim: %s\n", blob.status().ToString().c_str());
     return 1;
   }
-  for (size_t offset = 0; offset + 4 <= blob.size(); offset += 4) {
-    const uint32_t word =
-        LoadLe32(reinterpret_cast<const uint8_t*>(blob.data()) + offset);
+  for (size_t offset = 0; offset + 4 <= blob->size(); offset += 4) {
+    const uint32_t word = LoadLe32(blob->data() + offset);
     const uint32_t addr = base + static_cast<uint32_t>(offset);
     std::printf("%08x:  %08x  %s\n", addr, word,
                 DisassembleWord(word, addr).c_str());
@@ -250,11 +209,11 @@ int CmdRun(const std::vector<std::string>& args) {
     if (args[i] == "--entry" && i + 1 < args.size()) {
       entry_text = args[++i];
     } else if (args[i] == "--sp" && i + 1 < args.size()) {
-      if (!ParseNumber("--sp", args[++i], &sp)) {
+      if (!ParseNumber("tlsim", "--sp", args[++i], &sp)) {
         return 1;
       }
     } else if (args[i] == "--max" && i + 1 < args.size()) {
-      if (!ParseNumber("--max", args[++i], &max_instructions)) {
+      if (!ParseNumber("tlsim", "--max", args[++i], &max_instructions)) {
         return 1;
       }
     } else if (args[i] == "--trace") {
@@ -270,7 +229,8 @@ int CmdRun(const std::vector<std::string>& args) {
     } else if (args[i] == "--uart-in" && i + 1 < args.size()) {
       uart_in = args[++i];
     } else if (args[i] == "--snapshot-every" && i + 1 < args.size()) {
-      if (!ParseNumber("--snapshot-every", args[++i], &snapshot_every)) {
+      if (!ParseNumber("tlsim", "--snapshot-every", args[++i],
+                       &snapshot_every)) {
         return 1;
       }
     } else if (args[i] == "--snapshot-out" && i + 1 < args.size()) {
@@ -292,8 +252,7 @@ int CmdRun(const std::vector<std::string>& args) {
   Result<AsmOutput> out(Status::Ok());
   if (resume_from.empty()) {
     std::string source;
-    if (!ReadFile(input, &source)) {
-      std::fprintf(stderr, "tlsim: cannot read %s\n", input.c_str());
+    if (!ReadTextFile("tlsim", input, &source)) {
       return 1;
     }
     out = Assemble(source, 0x0003'0000);
@@ -307,7 +266,7 @@ int CmdRun(const std::vector<std::string>& args) {
   config.with_mpu = !no_mpu;
   std::vector<uint8_t> resume_bytes;
   if (!resume_from.empty()) {
-    Result<std::vector<uint8_t>> bytes = ReadSnapshotFile(resume_from);
+    Result<std::vector<uint8_t>> bytes = ReadFileBytes(resume_from);
     if (!bytes.ok()) {
       std::fprintf(stderr, "tlsim: %s\n", bytes.status().ToString().c_str());
       return 1;
@@ -409,7 +368,7 @@ int CmdRun(const std::vector<std::string>& args) {
                     snapshot_out.c_str(), ++sequence);
       Result<std::vector<uint8_t>> snapshot = SavePlatform(platform);
       Status written =
-          snapshot.ok() ? WriteSnapshotFile(path, *snapshot)
+          snapshot.ok() ? WriteFileBytes(path, *snapshot)
                         : snapshot.status();
       if (!written.ok()) {
         std::fprintf(stderr, "tlsim: %s\n", written.ToString().c_str());
@@ -556,7 +515,7 @@ int CmdDebug(const std::vector<std::string>& args) {
     if (args[i] == "--entry" && i + 1 < args.size()) {
       entry_text = args[++i];
     } else if (args[i] == "--sp" && i + 1 < args.size()) {
-      if (!ParseNumber("--sp", args[++i], &sp)) {
+      if (!ParseNumber("tlsim", "--sp", args[++i], &sp)) {
         return 1;
       }
     } else if (input.empty()) {
@@ -569,8 +528,7 @@ int CmdDebug(const std::vector<std::string>& args) {
     return Usage();
   }
   std::string source;
-  if (!ReadFile(input, &source)) {
-    std::fprintf(stderr, "tlsim: cannot read %s\n", input.c_str());
+  if (!ReadTextFile("tlsim", input, &source)) {
     return 1;
   }
   Result<AsmOutput> out = Assemble(source, 0x0003'0000);
