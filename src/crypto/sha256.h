@@ -59,7 +59,9 @@ class Sha256 {
   void ProcessBlock(const uint8_t* block);
 
   uint32_t state_[8];
-  uint8_t buffer_[kSha256BlockSize];
+  // Zeroed once: SaveState exports all 64 bytes, including the tail past
+  // buffer_len_, so snapshot bytes must not depend on heap contents.
+  uint8_t buffer_[kSha256BlockSize]{};
   size_t buffer_len_;
   uint64_t total_len_;
 };

@@ -52,22 +52,6 @@ const char* QuarantineReasonName(QuarantineReason reason) {
   return "?";
 }
 
-const char* AttestNodeStateName(AttestNodeState state) {
-  switch (state) {
-    case AttestNodeState::kIdle:
-      return "idle";
-    case AttestNodeState::kAwaitingResponse:
-      return "awaiting";
-    case AttestNodeState::kBackoff:
-      return "backoff";
-    case AttestNodeState::kVerified:
-      return "verified";
-    case AttestNodeState::kQuarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
 FleetAttestor::FleetAttestor(Fleet* fleet,
                              std::vector<NodeProvision> provisions,
                              const AttestPolicy& policy)

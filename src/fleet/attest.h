@@ -73,8 +73,6 @@ enum class AttestNodeState {
   kQuarantined,       // Attempts exhausted without a matching report.
 };
 
-const char* AttestNodeStateName(AttestNodeState state);
-
 // Why a node was quarantined — a STABLE enum: values are part of the
 // status-output contract (`tlfleetd --status-json`, docs/FLEET.md) and the
 // quarantine transcript line; append new reasons at the end, never renumber.

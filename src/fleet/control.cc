@@ -112,12 +112,16 @@ void FleetController::Log(const std::string& event) {
   AppendTranscriptLine(&transcript_, fleet_->now(), "fleetd", event);
 }
 
-void FleetController::Pump() {
+void FleetController::Pump(UpdateCampaign* campaign) {
   fleet_->RunQuantum();
   ++quanta_run_;
   PumpNodeAgents();
   ProcessControlRx();
-  attestor_.OnQuantumBoundary();
+  if (campaign != nullptr) {
+    campaign->OnQuantumBoundary();  // Pumps the attestor in verify waves.
+  } else {
+    attestor_.OnQuantumBoundary();
+  }
 }
 
 void FleetController::RunIdle(uint64_t quanta) {
@@ -216,19 +220,16 @@ void FleetController::ProcessControlRx() {
           if (push_active && push.target && !push.acked &&
               push_id == active_push_id_ &&
               generation == config_generation_) {
-            char event[80];
-            if (std::equal(active_digest_.begin(), active_digest_.end(),
-                           p + 9)) {
+            const bool match =
+                std::equal(active_digest_.begin(), active_digest_.end(), p + 9);
+            if (match) {
               push.acked = true;
               health.config_generation = generation;
-              std::snprintf(event, sizeof(event),
-                            "config-ack node=%d gen=%u", i, generation);
-            } else {
-              std::snprintf(event, sizeof(event),
-                            "config-ack DIGEST MISMATCH node=%d gen=%u", i,
-                            generation);
             }
-            Log(event);
+            const char* event =
+                match ? "config-ack node=" : "config-ack DIGEST MISMATCH node=";
+            Log(event + std::to_string(i) +
+                " gen=" + std::to_string(generation));
           }
           return true;
         });
@@ -248,15 +249,14 @@ void FleetController::ProcessControlRx() {
       fleet_->SendToNode(i, EncodeConfigFrame(active_push_id_,
                                               config_generation_,
                                               active_blob_));
-      char event[64];
-      std::snprintf(event, sizeof(event), "config-resend node=%d try=%d", i,
-                    push.retries);
-      Log(event);
+      Log("config-resend node=" + std::to_string(i) +
+          " try=" + std::to_string(push.retries));
     }
   }
 }
 
-int FleetController::RefreshRoster(const std::vector<int>& subset) {
+Status FleetController::EndRound(const std::vector<int>& subset,
+                                 const char* phase, const std::string& round) {
   int newly_quarantined = 0;
   for (int node : subset) {
     NodeHealth& health = health_[static_cast<size_t>(node)];
@@ -271,13 +271,16 @@ int FleetController::RefreshRoster(const std::vector<int>& subset) {
       }
       health.roster = RosterState::kQuarantined;
       health.reason = attestor_.quarantine_reason(node);
-      char event[80];
-      std::snprintf(event, sizeof(event), "demoted node=%d reason=%s", node,
-                    QuarantineReasonName(health.reason));
-      Log(event);
+      Log("demoted node=" + std::to_string(node) +
+          " reason=" + QuarantineReasonName(health.reason));
     }
   }
-  return newly_quarantined;
+  EmitEpoch(phase);
+  if (!policy_.halt_on_quarantine || newly_quarantined == 0) {
+    return OkStatus();
+  }
+  return FailedPrecondition("halt-on-quarantine: " + round + " quarantined " +
+                            std::to_string(newly_quarantined) + " node(s)");
 }
 
 std::vector<int> FleetController::NodesIn(RosterState roster) const {
@@ -291,23 +294,14 @@ std::vector<int> FleetController::NodesIn(RosterState roster) const {
 }
 
 Status FleetController::RunAdmission() {
-  char event[48];
-  std::snprintf(event, sizeof(event), "admission begin nodes=%d",
-                fleet_->num_nodes());
-  Log(event);
+  Log("admission begin nodes=" + std::to_string(fleet_->num_nodes()));
   attestor_.Begin();
   if (!PumpUntil([&] { return attestor_.Done(); })) {
     return Internal("admission round did not resolve within the phase budget");
   }
   std::vector<int> all(static_cast<size_t>(fleet_->num_nodes()));
   std::iota(all.begin(), all.end(), 0);
-  const int quarantined = RefreshRoster(all);
-  EmitEpoch("admission");
-  if (policy_.halt_on_quarantine && quarantined > 0) {
-    return FailedPrecondition("halt-on-quarantine: admission quarantined " +
-                              std::to_string(quarantined) + " node(s)");
-  }
-  return OkStatus();
+  return EndRound(all, "admission", "admission");
 }
 
 Status FleetController::RunReattestEpoch() {
@@ -317,20 +311,43 @@ Status FleetController::RunReattestEpoch() {
     return FailedPrecondition("re-attestation with an empty roster");
   }
   ++epochs_;
-  char event[48];
-  std::snprintf(event, sizeof(event), "reattest epoch=%d roster=%zu", epochs_,
-                roster.size());
-  Log(event);
+  Log("reattest epoch=" + std::to_string(epochs_) +
+      " roster=" + std::to_string(roster.size()));
   attestor_.Begin(roster);
   if (!PumpUntil([&] { return attestor_.Done(roster); })) {
     return Internal("re-attestation epoch did not resolve within the budget");
   }
-  const int quarantined = RefreshRoster(roster);
-  EmitEpoch("reattest");
-  if (policy_.halt_on_quarantine && quarantined > 0) {
-    return FailedPrecondition("halt-on-quarantine: epoch " +
-                              std::to_string(epochs_) + " quarantined " +
-                              std::to_string(quarantined) + " node(s)");
+  return EndRound(roster, "reattest", "epoch " + std::to_string(epochs_));
+}
+
+Status FleetController::RunUpdate(
+    std::vector<uint8_t> container, int canary_pct,
+    const std::function<void(const UpdateCampaign&)>& after_quantum) {
+  UpdateCampaignConfig config;
+  config.canary_pct = canary_pct;
+  config.halt_on_quarantine = policy_.halt_on_quarantine;
+  UpdateCampaign& campaign = campaigns_.emplace_back(
+      fleet_, &attestor_, std::move(container), config);
+  const std::string index = std::to_string(campaigns_.size() - 1);
+  const std::vector<int> roster = Admitted();  // The campaign's targets.
+  TL_RETURN_IF_ERROR(campaign.Start());
+  Log("update campaign=" + index +
+      " version=" + std::to_string(campaign.fw_version()));
+  for (uint64_t i = 0; i < policy_.phase_quanta && !campaign.Done(); ++i) {
+    Pump(&campaign);
+    if (after_quantum) {
+      after_quantum(campaign);
+    }
+  }
+  if (!campaign.Done()) {
+    return Internal("update campaign did not finish within the phase budget");
+  }
+  TL_RETURN_IF_ERROR(EndRound(roster, "update", "update campaign " + index));
+  if (!campaign.Succeeded()) {
+    return FailedPrecondition(
+        "update campaign " + index + " aborted: " +
+        std::to_string(campaign.CountInState(UpdateNodeState::kRejected)) +
+        " node(s) rejected the image");
   }
   return OkStatus();
 }
@@ -403,14 +420,7 @@ Status FleetController::PushConfig(
   if (!PumpUntil([&] { return attestor_.Done(roster); })) {
     return Internal("post-push re-attestation did not resolve in budget");
   }
-  const int quarantined = RefreshRoster(roster);
-  EmitEpoch("config-push");
-  if (policy_.halt_on_quarantine && quarantined > 0) {
-    return FailedPrecondition(
-        "halt-on-quarantine: post-push re-attestation quarantined " +
-        std::to_string(quarantined) + " node(s)");
-  }
-  return OkStatus();
+  return EndRound(roster, "config-push", "post-push re-attestation");
 }
 
 Status FleetController::ScaleUp(int count) {
@@ -465,30 +475,18 @@ Status FleetController::ScaleUp(int count) {
     control_rx_offset_.push_back(0);
     push_.emplace_back();
     new_ids.push_back(id);
-    char event[64];
-    std::snprintf(event, sizeof(event), "clone node=%d from=%d", id, src);
-    Log(event);
+    Log("clone node=" + std::to_string(id) + " from=" + std::to_string(src));
   }
   attestor_.Begin(new_ids);
   if (!PumpUntil([&] { return attestor_.Done(new_ids); })) {
     return Internal("scale-up re-attestation did not resolve in budget");
   }
-  const int quarantined = RefreshRoster(new_ids);
-  EmitEpoch("scale-up");
-  if (policy_.halt_on_quarantine && quarantined > 0) {
-    return FailedPrecondition(
-        "halt-on-quarantine: scale-up admission quarantined " +
-        std::to_string(quarantined) + " node(s)");
-  }
-  return OkStatus();
+  return EndRound(new_ids, "scale-up", "scale-up admission");
 }
 
 void FleetController::Drain() {
   PumpUntil([&] { return fleet_->fabric().in_flight() == 0; });
-  char event[48];
-  std::snprintf(event, sizeof(event), "drain in-flight=%zu",
-                fleet_->fabric().in_flight());
-  Log(event);
+  Log("drain in-flight=" + std::to_string(fleet_->fabric().in_flight()));
   EmitEpoch("drain");
 }
 

@@ -2,8 +2,8 @@
 //
 // Fleet control plane (DESIGN.md §17): a long-running controller that owns
 // a fleet across its whole lifecycle — the "k3s for trustlets" layer on top
-// of the one-shot attest/update passes of tlfleet. Where tlfleet runs one
-// round and exits, FleetController keeps a roster:
+// of the attestor (attest.h) and the OTA campaign (update.h). It keeps a
+// roster, and every tlfleetd session phase is one of its methods:
 //
 //   * Attestation-gated admission: a node joins the roster only after a
 //     fresh verified report; failures land in quarantine with a stable
@@ -12,6 +12,9 @@
 //     per-node health rows (last-verified cycle, node-reported beacon
 //     counters, config generation) surfaced as newline-delimited JSON
 //     status epochs and a human watch summary.
+//   * OTA update: one UpdateCampaign per firmware container, pumped by the
+//     controller's quantum loop; its post-update re-attestation verdicts
+//     land in the roster.
 //   * Config push: ConfigMap-style key/value blobs delivered over the link
 //     fabric as CRC-framed 0xC6 frames into a node-side config region in
 //     DRAM, acknowledged by the node's config agent with a SHA-256 digest
@@ -37,6 +40,7 @@
 #define TRUSTLITE_SRC_FLEET_CONTROL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -46,6 +50,7 @@
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/provision.h"
+#include "src/fleet/update.h"
 #include "src/mem/layout.h"
 
 namespace trustlite {
@@ -108,8 +113,8 @@ std::string EncodeHealthFrame(const HealthBeacon& beacon);
 struct FleetdPolicy {
   AttestPolicy attest;
   // Budget (quanta) for the admission round and for each re-attestation /
-  // config-push / scale-up verify phase. A phase that fails to resolve
-  // inside its budget is an error, never a hang.
+  // update / config-push / scale-up verify phase. A phase that fails to
+  // resolve inside its budget is an error, never a hang.
   uint64_t phase_quanta = 4'000;
   // Idle quanta run between epochs — the re-attestation period.
   uint64_t epoch_idle_quanta = 32;
@@ -119,7 +124,8 @@ struct FleetdPolicy {
   uint64_t config_timeout_cycles = 400'000;
   int max_config_retries = 25;
   // Stop a phase with an error as soon as it quarantines a node (operator
-  // halt-the-line policy; the node stays quarantined either way).
+  // halt-the-line policy; the node stays quarantined either way). An
+  // update phase also aborts its campaign and rolls back uncommitted nodes.
   bool halt_on_quarantine = false;
 };
 
@@ -160,6 +166,20 @@ class FleetController {
   // demotes newly quarantined nodes. Emits a "reattest" epoch.
   Status RunReattestEpoch();
 
+  // Rolls the .tlfw `container` out to the admitted roster as one
+  // UpdateCampaign (DESIGN.md §16): canary_pct percent first, aborted with
+  // rollback of uncommitted nodes on a quarantine under
+  // halt_on_quarantine. Each quantum runs the node agents and the control
+  // stream, then the campaign, which pumps the attestor in its verify
+  // waves; `after_quantum`, when set, runs next (a test hook). Folds the
+  // campaign's re-attestation verdicts into the roster and emits an
+  // "update" epoch. Fails unless the campaign succeeds. Campaigns share the
+  // nodes' monotonic anti-rollback counters, so an older image in a later
+  // phase is rejected.
+  Status RunUpdate(
+      std::vector<uint8_t> container, int canary_pct,
+      const std::function<void(const UpdateCampaign&)>& after_quantum = {});
+
   // Pushes key/value config to every admitted node: 0xC6 frame per node
   // with stop-and-wait retransmit, digest-checked 0xC7 acks, then a
   // re-attestation round over the pushed nodes ("re-measured"). Emits a
@@ -189,6 +209,8 @@ class FleetController {
   uint64_t quanta_run() const { return quanta_run_; }
   Fleet& fleet() { return *fleet_; }
   FleetAttestor& attestor() { return attestor_; }
+  // The campaigns of the update phases run so far, in order.
+  const std::vector<UpdateCampaign>& campaigns() const { return campaigns_; }
 
   // Controller event log ("@cycle fleetd ..." lines), deterministic across
   // thread counts like the attestor's.
@@ -222,8 +244,9 @@ class FleetController {
   };
 
   // One quantum: RunQuantum -> node agents -> control-stream processing ->
-  // attestor pump. The only way the fleet advances under a controller.
-  void Pump();
+  // attestor pump, or the campaign's step during an update phase. The only
+  // way the fleet advances under a controller.
+  void Pump(UpdateCampaign* campaign = nullptr);
   void RunIdle(uint64_t quanta);
   // Pumps until `done` or the phase budget; returns false on budget
   // exhaustion.
@@ -232,9 +255,12 @@ class FleetController {
   void PumpNodeAgents();
   void ProcessControlRx();
   std::vector<int> NodesIn(RosterState roster) const;
-  // Folds the attestor's verdicts for `subset` into the roster. Returns
-  // the number of nodes newly quarantined.
-  int RefreshRoster(const std::vector<int>& subset);
+  // Ends a phase's attestation round: folds the attestor's verdicts for
+  // `subset` into the roster and emits the `phase` status epoch. Under
+  // halt_on_quarantine, fails when a node was newly quarantined (the error
+  // names `round`).
+  Status EndRound(const std::vector<int>& subset, const char* phase,
+                  const std::string& round);
   void EmitEpoch(const char* phase);
   void Log(const std::string& event);
 
@@ -250,6 +276,7 @@ class FleetController {
   std::string active_blob_;
   Sha256Digest active_digest_{};
   std::vector<PushState> push_;
+  std::vector<UpdateCampaign> campaigns_;
   int scale_up_round_robin_ = 0;
   int epochs_ = 0;
   uint64_t quanta_run_ = 0;

@@ -135,7 +135,8 @@ class LinkFabric {
   std::vector<FleetMessage> Deliver(int dst, uint64_t now);
 
   // Messages still in flight (all destinations). O(1): maintained
-  // incrementally by Send/DeliverInto — `tlfleet` polls this every quantum.
+  // incrementally by Send/DeliverInto — the controller's drain and
+  // `tlfleetd workload` poll this every quantum.
   size_t in_flight() const {
     return in_flight_count_.load(std::memory_order_relaxed);
   }
@@ -162,7 +163,7 @@ class LinkFabric {
   // DeliverInto calls update; everything else advances only under Send.
   Stats stats() const;
 
-  // Per-link counters in ascending (src, dst) order, for `tlfleet --stats`.
+  // Per-link counters in ascending (src, dst) order, for `tlfleetd --stats`.
   struct LinkStatsRow {
     int src = 0;
     int dst = 0;

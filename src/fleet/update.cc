@@ -45,28 +45,6 @@ const char* UpdatePhaseName(UpdatePhase phase) {
   return "?";
 }
 
-const char* UpdateNodeStateName(UpdateNodeState state) {
-  switch (state) {
-    case UpdateNodeState::kIneligible:
-      return "ineligible";
-    case UpdateNodeState::kPending:
-      return "pending";
-    case UpdateNodeState::kTransferring:
-      return "transferring";
-    case UpdateNodeState::kApplied:
-      return "applied";
-    case UpdateNodeState::kCommitted:
-      return "committed";
-    case UpdateNodeState::kRolledBack:
-      return "rolledback";
-    case UpdateNodeState::kRejected:
-      return "rejected";
-    case UpdateNodeState::kQuarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
 UpdateCampaign::UpdateCampaign(Fleet* fleet, FleetAttestor* attestor,
                                std::vector<uint8_t> container,
                                const UpdateCampaignConfig& config)

@@ -83,7 +83,6 @@ enum class UpdateNodeState {
   kRejected,      // Apply refused (anti-rollback) or transfer failed.
   kQuarantined,   // Failed re-attestation after apply.
 };
-const char* UpdateNodeStateName(UpdateNodeState state);
 
 class UpdateCampaign {
  public:

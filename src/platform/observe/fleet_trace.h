@@ -11,8 +11,8 @@
 //    as UART instants lining up across processes.
 //
 //  * FormatFleetStats renders the per-node execution/attestation summary
-//    table printed by `tlfleet run` (and reused by tests), including fleet
-//    aggregates.
+//    table printed by `tlfleetd --stats` (and reused by tests), including
+//    fleet aggregates.
 //
 // Like the rest of observe/, this file has no dependency on src/fleet/ —
 // the fleet executor feeds plain rows and writers into it.
@@ -39,9 +39,6 @@ class FleetTraceAggregator {
 
   // Merged trace document: one traceEvents array, one process per node.
   std::string Json();
-
-  // Serializes the merged document to `path`; returns false on I/O error.
-  bool WriteFile(const std::string& path);
 
   size_t node_count() const { return writers_.size(); }
   size_t event_count() const;

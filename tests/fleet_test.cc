@@ -500,7 +500,7 @@ struct TracedNodeRun {
 };
 
 // Runs the guest on one fleet node with a ChromeTraceWriter attached the way
-// `tlfleet --trace-json` attaches it, in fleet-sized quanta.
+// `tlfleetd --trace-json` attaches it, in fleet-sized quanta.
 TracedNodeRun RunTracedNode(bool fast_path) {
   PlatformConfig config;
   config.with_mpu = false;

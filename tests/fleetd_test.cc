@@ -1,8 +1,9 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
 // Fleet control-plane tests (DESIGN.md §17): the control wire codecs
 // (config push / ack / health), the FleetController lifecycle — attestation-
-// gated admission, re-attestation epochs, digest-checked config push,
-// snapshot scale-up with in-place re-key — and the headline properties:
+// gated admission, re-attestation epochs, OTA update phases, digest-checked
+// config push, snapshot scale-up with in-place re-key — and the headline
+// properties:
 // quarantine reasons are stable and correct, a restored clone attests as
 // ITSELF (new key, distinct digest stream), and whole sessions are
 // bit-identical from --threads 1 to --threads 8, hostile links included.
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,9 +24,11 @@
 #include "src/fleet/frame.h"
 #include "src/fleet/link.h"
 #include "src/fleet/provision.h"
+#include "src/fleet/update.h"
 #include "src/harness/fleet_campaign.h"
 #include "src/platform/observe/json.h"
 #include "src/snapshot/snapshot.h"
+#include "src/update/fw_container.h"
 
 namespace trustlite {
 namespace {
@@ -127,7 +131,7 @@ struct Session {
 Session MakeSession(int nodes, uint64_t seed, int threads,
                     const FleetdPolicy& policy, int tamper = 0,
                     HostileMode hostile = HostileMode::kNone,
-                    uint32_t loss_ppm = 0) {
+                    uint32_t loss_ppm = 0, uint32_t payload_capacity = 0) {
   FleetConfig config;
   config.nodes = nodes;
   config.topology = Topology::kStar;
@@ -140,6 +144,7 @@ Session MakeSession(int nodes, uint64_t seed, int threads,
   session.fleet = std::make_unique<Fleet>(config);
   FleetProvisionConfig prov;
   prov.tamper_count = tamper;
+  prov.payload_capacity = payload_capacity;
   auto provisions = ProvisionAttestationFleet(session.fleet.get(), prov);
   EXPECT_TRUE(provisions.ok()) << provisions.status().ToString();
   session.controller = std::make_unique<FleetController>(
@@ -218,6 +223,122 @@ TEST(FleetControllerTest, HaltOnQuarantineFailsThePhase) {
   EXPECT_NE(status.ToString().find("halt-on-quarantine"), std::string::npos);
 }
 
+// --- Update phase ---------------------------------------------------------
+
+// FW payload window reserved for the update tests' images.
+constexpr uint32_t kUpdateCapacity = 1024;
+
+std::vector<uint8_t> PackedContainer(uint32_t version, size_t bytes) {
+  FirmwareContainerSpec spec;
+  spec.fw_version = version;
+  spec.payload.resize(bytes);
+  for (size_t i = 0; i < bytes; ++i) {
+    spec.payload[i] = static_cast<uint8_t>(version + 7 * i);
+  }
+  Result<std::vector<uint8_t>> packed = PackFirmware(spec);
+  EXPECT_TRUE(packed.ok()) << packed.status().ToString();
+  return *packed;
+}
+
+// The "phase" of every status epoch, in order.
+std::vector<std::string> EpochPhases(const FleetController& controller) {
+  std::vector<std::string> phases;
+  for (const std::string& epoch : controller.status_epochs()) {
+    const size_t start = epoch.find(':') + 2;
+    phases.push_back(epoch.substr(start, epoch.find('"', start) - start));
+  }
+  return phases;
+}
+
+// An update hook that flips one FW code bit on the first canary as its
+// re-attestation starts (the CLI's --update-tamper-canary), recording the
+// victim.
+std::function<void(const UpdateCampaign&)> TamperFirstCanary(Session* s,
+                                                              int* victim) {
+  return [s, victim](const UpdateCampaign& campaign) {
+    if (*victim < 0 && campaign.phase() == UpdatePhase::kCanaryVerify) {
+      *victim = campaign.canaries().front();
+      NodeProvision provision = s->controller->attestor().provision(*victim);
+      EXPECT_TRUE(TamperNode(s->fleet->node(*victim), &provision).ok());
+    }
+  };
+}
+
+TEST(FleetControllerTest, UpdatePhaseCommitsEveryAdmittedNode) {
+  Session s = MakeSession(8, 7, 1, FleetdPolicy{}, /*tamper=*/0,
+                          HostileMode::kNone, 0, kUpdateCapacity);
+  ASSERT_TRUE(s.controller->RunAdmission().ok());
+  ASSERT_TRUE(s.controller->RunReattestEpoch().ok());
+  const Status updated =
+      s.controller->RunUpdate(PackedContainer(2, 600), /*canary_pct=*/25);
+  ASSERT_TRUE(updated.ok()) << updated.ToString();
+  // The post-push round re-attests every node against the new golden code.
+  ASSERT_TRUE(s.controller->PushConfig({{"mode", "eco"}}).ok());
+
+  ASSERT_EQ(s.controller->campaigns().size(), 1u);
+  const UpdateCampaign& campaign = s.controller->campaigns()[0];
+  EXPECT_TRUE(campaign.Succeeded());
+  EXPECT_EQ(campaign.CountInState(UpdateNodeState::kCommitted), 8);
+  EXPECT_EQ(s.controller->Admitted().size(), 8u);
+  EXPECT_EQ(EpochPhases(*s.controller),
+            (std::vector<std::string>{"admission", "reattest", "update",
+                                      "config-push"}));
+  EXPECT_NE(s.controller->transcript().find("update campaign=0 version=2"),
+            std::string::npos);
+}
+
+TEST(FleetControllerTest, MidCampaignTamperDemotesTheCanaryWithoutHalt) {
+  Session s = MakeSession(8, 7, 1, FleetdPolicy{}, /*tamper=*/0,
+                          HostileMode::kNone, 0, kUpdateCapacity);
+  ASSERT_TRUE(s.controller->RunAdmission().ok());
+  int victim = -1;
+  const Status updated = s.controller->RunUpdate(
+      PackedContainer(2, 600), 25, TamperFirstCanary(&s, &victim));
+  EXPECT_TRUE(updated.ok()) << updated.ToString();
+  ASSERT_GE(victim, 0);
+
+  const UpdateCampaign& campaign = s.controller->campaigns()[0];
+  EXPECT_TRUE(campaign.Succeeded());
+  EXPECT_EQ(campaign.state(victim), UpdateNodeState::kQuarantined);
+  EXPECT_EQ(campaign.CountInState(UpdateNodeState::kCommitted), 7);
+  EXPECT_EQ(s.controller->health(victim).roster, RosterState::kQuarantined);
+  EXPECT_EQ(s.controller->health(victim).reason, QuarantineReason::kMismatch);
+  EXPECT_EQ(s.controller->Admitted().size(), 7u);
+  EXPECT_NE(s.controller->transcript().find(
+                "demoted node=" + std::to_string(victim) + " reason=mismatch"),
+            std::string::npos);
+}
+
+TEST(FleetControllerTest, MidCampaignTamperWithHaltFailsAndRollsBack) {
+  FleetdPolicy policy;
+  policy.halt_on_quarantine = true;
+  Session s = MakeSession(8, 7, 1, policy, /*tamper=*/0, HostileMode::kNone,
+                          0, kUpdateCapacity);
+  ASSERT_TRUE(s.controller->RunAdmission().ok());
+  int victim = -1;
+  const Status updated = s.controller->RunUpdate(
+      PackedContainer(2, 600), 25, TamperFirstCanary(&s, &victim));
+  EXPECT_FALSE(updated.ok());
+  EXPECT_NE(updated.ToString().find("halt-on-quarantine"), std::string::npos);
+  ASSERT_GE(victim, 0);
+
+  const UpdateCampaign& campaign = s.controller->campaigns()[0];
+  EXPECT_EQ(campaign.phase(), UpdatePhase::kAborted);
+  EXPECT_EQ(campaign.CountInState(UpdateNodeState::kCommitted), 0);
+  ASSERT_GE(campaign.canaries().size(), 2u);
+  for (int canary : campaign.canaries()) {
+    EXPECT_EQ(campaign.state(canary), canary == victim
+                                          ? UpdateNodeState::kQuarantined
+                                          : UpdateNodeState::kRolledBack);
+  }
+  EXPECT_EQ(s.controller->health(victim).roster, RosterState::kQuarantined);
+  EXPECT_EQ(EpochPhases(*s.controller).back(), "update");
+  // The rolled-back canaries run their old image again: they re-attest
+  // against the old golden code and stay admitted.
+  ASSERT_TRUE(s.controller->RunReattestEpoch().ok());
+  EXPECT_EQ(s.controller->Admitted().size(), 7u);
+}
+
 // --- Snapshot scale-up (mid-run node cloning) ----------------------------
 
 TEST(FleetControllerTest, ScaleUpClonesRekeyAndDiverge) {
@@ -266,6 +387,7 @@ TEST(FleetControllerTest, ScaleUpRequiresAStarTopology) {
 
 struct SessionResult {
   std::string attestor_transcript;
+  std::string campaign_transcript;
   std::string controller_transcript;
   std::vector<std::string> status_epochs;
   Sha256Digest digest{};
@@ -276,14 +398,17 @@ SessionResult RunFullSession(int threads, HostileMode hostile) {
   FleetdPolicy policy;
   policy.epoch_idle_quanta = 8;
   policy.beacon_every_quanta = 4;
-  Session s = MakeSession(8, 11, threads, policy, /*tamper=*/0, hostile);
+  Session s = MakeSession(8, 11, threads, policy, /*tamper=*/0, hostile,
+                          /*loss_ppm=*/0, kUpdateCapacity);
   EXPECT_TRUE(s.controller->RunAdmission().ok());
   EXPECT_TRUE(s.controller->RunReattestEpoch().ok());
+  EXPECT_TRUE(s.controller->RunUpdate(PackedContainer(2, 600), 25).ok());
   EXPECT_TRUE(s.controller->PushConfig({{"mode", "eco"}}).ok());
   EXPECT_TRUE(s.controller->ScaleUp(2).ok());
   s.controller->Drain();
   SessionResult result;
   result.attestor_transcript = s.controller->attestor().transcript();
+  result.campaign_transcript = s.controller->campaigns()[0].transcript();
   result.controller_transcript = s.controller->transcript();
   result.status_epochs = s.controller->status_epochs();
   result.digest = s.fleet->FleetDigest();
@@ -298,11 +423,14 @@ TEST(FleetControllerTest, SessionsAreBitIdenticalAcrossThreadsHostileMatrix) {
     const SessionResult t1 = RunFullSession(1, hostile);
     const SessionResult t8 = RunFullSession(8, hostile);
     EXPECT_EQ(t1.attestor_transcript, t8.attestor_transcript);
+    EXPECT_EQ(t1.campaign_transcript, t8.campaign_transcript);
     EXPECT_EQ(t1.controller_transcript, t8.controller_transcript);
     EXPECT_EQ(t1.status_epochs, t8.status_epochs);
     EXPECT_EQ(t1.digest, t8.digest);
-    // Hostile links may not defeat the control plane: everyone (8 originals
-    // + 2 clones) ends up admitted.
+    // Hostile links may not defeat the control plane: every node is updated,
+    // and everyone (8 originals + 2 clones) ends up admitted.
+    EXPECT_NE(t1.campaign_transcript.find("complete committed=8"),
+              std::string::npos);
     EXPECT_EQ(t1.admitted, 10u);
   }
 }

@@ -41,7 +41,7 @@ done
 flags_of() { grep -oE '(^|[^-[:alnum:]])--[a-z][a-z0-9-]*' | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u; }
 
 HELP_FLAGS=""
-for tool in tlsim tlfleet tlfleetd tlsnap tlfw; do
+for tool in tlsim tlfleetd tlsnap tlfw; do
   if [[ ! -x "$BIN/$tool" ]]; then
     note "$BIN/$tool not built (needed for the --help drift check)"
     continue
@@ -59,7 +59,7 @@ HELP_ALLOW="--origin --entry --sp --max --uart-in --no-mpu
             --quantum --quanta --latency --quiet
             --corrupt-ppm --replay-ppm --reflect-ppm
             --chunk-bytes --payload-file --update-tamper-canary
-            --idle-quanta --beacon-quanta --phase-quanta"
+            --idle-quanta --beacon-quanta"
 
 for f in $README_FLAGS; do
   if ! grep -qxF -- "$f" <<<"$HELP_FLAGS" && ! grep -qwF -- "$f" <<<"$README_ALLOW"; then

@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# Fleet-scale determinism gate (DESIGN.md §13): drives tlfleet at the fleet
-# sizes the due-queue fabric is built for and enforces the headline
+# Fleet-scale determinism gate (DESIGN.md §13): drives tlfleetd at the
+# fleet sizes the due-queue fabric is built for and enforces the headline
 # property — bit-identical fleet digests and attestation transcripts at
 # --threads 1 and --threads 8 — across three profiles:
-#  * attest: warm-boot provisioned fleet, every node must verify;
-#  * workload: bare guest on a ring (UART bursts, GPIO bridging, and the
-#    TX batching horizon armed via --batch-quanta);
+#  * attest: warm-boot provisioned fleet, every node must be admitted (a
+#    `run` session of admission then drain: --epochs 0, and
+#    --beacon-quanta 0 so only attestation traffic crosses the links);
+#  * workload: bare guest on a ring (`tlfleetd workload`: UART bursts, GPIO
+#    bridging, and the TX batching horizon armed via --batch-quanta);
 #  * hostile: challenge reflection at full rate — the always-fires attack
 #    with no retry tail, so the gate stays fast at 256 nodes. The full
 #    hostile matrix runs at 4 nodes in ci_hostile.sh and at 1k nodes in
 #    stress mode below.
 #
-# usage: ci_fleet_scale.sh <tlfleet-binary> <guest.s> <work-dir> <nodes> [stress]
+# usage: ci_fleet_scale.sh <tlfleetd-binary> <guest.s> <work-dir> <nodes> [stress]
 #
 # With a 5th argument "stress" the gate instead runs the 1k-node hostile
 # matrix — every mode (corrupt / replay / reflect / all) at --threads 1
@@ -20,7 +22,7 @@
 # (cmake -DTRUSTLITE_STRESS_TESTS=ON).
 set -euo pipefail
 
-TLFLEET="${1:?usage: ci_fleet_scale.sh <tlfleet> <guest.s> <work-dir> <nodes> [stress]}"
+TLFLEETD="${1:?usage: ci_fleet_scale.sh <tlfleetd> <guest.s> <work-dir> <nodes> [stress]}"
 GUEST="${2:?missing guest.s}"
 WORK="${3:-$(mktemp -d)}"
 NODES="${4:-256}"
@@ -29,26 +31,29 @@ mkdir -p "$WORK"
 
 fail() { echo "ci_fleet_scale: FAIL: $*" >&2; exit 1; }
 
-# run <tag> <threads> <extra tlfleet args...>
-run() {
+# session <tag> <threads> <extra tlfleetd run args...>: an attested session;
+# returns its exit status.
+session() {
   local tag="$1" threads="$2"
   shift 2
-  "$TLFLEET" run "$GUEST" --nodes "$NODES" --seed 5 --threads "$threads" \
-      --stats "$@" > "$WORK/out_${tag}_t${threads}.txt" \
-      || fail "$tag --threads $threads exited nonzero"
+  "$TLFLEETD" run "$GUEST" --epochs 0 --beacon-quanta 0 --nodes "$NODES" \
+      --seed 5 --threads "$threads" --stats "$@" \
+      > "$WORK/out_${tag}_t${threads}.txt"
 }
 
-# run_attacked <tag> <threads> <args...>: like run, but tolerates tlfleet's
-# verdict-mismatch exit (status 1) — under a full-rate compound adversary a
-# healthy node can deterministically exhaust its retry budget (availability
-# loss, not false trust); the caller pins the exact verdict instead. Any
-# other exit status (crash, signal) still fails.
+# run <tag> <threads> <args...>: a session that must exit 0.
+run() { session "$@" || fail "$1 --threads $2 exited nonzero"; }
+
+# run_attacked <tag> <threads> <args...>: like run, but tolerates the exit
+# status 1 of a roster that does not match the tamper plan — under a
+# full-rate compound adversary a healthy node can deterministically exhaust
+# its retry budget (availability loss, not false trust); the caller pins
+# the exact verdict instead. Any other exit status (crash, signal) still
+# fails.
 run_attacked() {
-  local tag="$1" threads="$2" status=0
-  shift 2
-  "$TLFLEET" run "$GUEST" --nodes "$NODES" --seed 5 --threads "$threads" \
-      --stats "$@" > "$WORK/out_${tag}_t${threads}.txt" || status=$?
-  [ "$status" -le 1 ] || fail "$tag --threads $threads crashed (status $status)"
+  local status=0
+  session "$@" || status=$?
+  [ "$status" -le 1 ] || fail "$1 --threads $2 crashed (status $status)"
 }
 
 # integrity <tag>: no tampered node may ever verify — every row flagged
@@ -103,13 +108,13 @@ if [ "$MODE" = "stress" ]; then
   # already quarantines a couple of healthy nodes (deterministically in
   # the seed); 50000 ppm fires ~100 corruptions and all nodes verify.
   for threads in 1 8; do
-    run corrupt "$threads" --attest --warm-boot \
+    run corrupt "$threads" --warm-boot \
         --transcript "$WORK/tx_corrupt_t${threads}.txt" \
         --hostile corrupt --hostile-ppm 50000
-    run replay "$threads" --attest --warm-boot \
+    run replay "$threads" --warm-boot \
         --transcript "$WORK/tx_replay_t${threads}.txt" \
         --hostile replay --hostile-ppm 1000000 --tamper 1
-    run reflect "$threads" --attest --warm-boot \
+    run reflect "$threads" --warm-boot \
         --transcript "$WORK/tx_reflect_t${threads}.txt" \
         --hostile reflect --hostile-ppm 1000000
     # The compound stage deterministically costs one healthy node its
@@ -120,15 +125,15 @@ if [ "$MODE" = "stress" ]; then
     # remaining attempts. That is availability loss under an active MITM
     # — never false trust (the integrity check below) — and it is
     # bit-identical in the seed, so the gate pins the exact verdict.
-    run_attacked all "$threads" --attest --warm-boot \
+    run_attacked all "$threads" --warm-boot \
         --transcript "$WORK/tx_all_t${threads}.txt" \
         --corrupt-ppm 50000 --replay-ppm 1000000 --reflect-ppm 1000000 \
         --tamper 1
   done
-  verdict corrupt "attestation: $NODES verified, 0 quarantined"
-  verdict replay  "attestation: $((NODES - 1)) verified, 1 quarantined"
-  verdict reflect "attestation: $NODES verified, 0 quarantined"
-  verdict all     "attestation: $((NODES - 2)) verified, 2 quarantined"
+  verdict corrupt "^session: complete .* admitted=$NODES quarantined=0 "
+  verdict replay  "^session: complete .* admitted=$((NODES - 1)) quarantined=1 "
+  verdict reflect "^session: complete .* admitted=$NODES quarantined=0 "
+  verdict all     "^session: complete .* admitted=$((NODES - 2)) quarantined=2 "
   integrity replay
   integrity all
   fired corrupt corrupted
@@ -146,15 +151,18 @@ fi
 
 # --- smoke: attest / workload / hostile-reflect at $NODES nodes ----------
 for threads in 1 8; do
-  run attest "$threads" --attest --warm-boot \
+  run attest "$threads" --warm-boot \
       --transcript "$WORK/tx_attest_t${threads}.txt"
-  run workload "$threads" --topology ring --quanta 64 --batch-quanta 4
-  run hostile "$threads" --attest --warm-boot \
+  "$TLFLEETD" workload "$GUEST" --nodes "$NODES" --seed 5 \
+      --threads "$threads" --stats --topology ring --quanta 64 \
+      --batch-quanta 4 > "$WORK/out_workload_t${threads}.txt" \
+      || fail "workload --threads $threads exited nonzero"
+  run hostile "$threads" --warm-boot \
       --transcript "$WORK/tx_hostile_t${threads}.txt" \
       --hostile reflect --hostile-ppm 1000000
 done
 
-verdict attest "attestation: $NODES verified, 0 quarantined"
+verdict attest "^session: complete .* admitted=$NODES quarantined=0 "
 transcripts_match attest
 digests_match attest
 echo "ci_fleet_scale: attest ok"
@@ -162,7 +170,7 @@ echo "ci_fleet_scale: attest ok"
 digests_match workload
 echo "ci_fleet_scale: workload ok"
 
-verdict hostile "attestation: $NODES verified, 0 quarantined"
+verdict hostile "^session: complete .* admitted=$NODES quarantined=0 "
 fired hostile reflected
 transcripts_match hostile
 digests_match hostile

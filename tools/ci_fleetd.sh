@@ -9,13 +9,16 @@
 #  * quarantine reasons are stable: a tampered node reports
 #    "reason":"mismatch" and --halt-on-quarantine turns it into a failure,
 #  * a hostile-all link matrix cannot defeat the control plane and stays
-#    deterministic across thread counts.
+#    deterministic across thread counts,
+#  * the worked session in docs/FLEET.md still prints what the page shows,
+#    fleet digest included.
 #
 # usage: tools/ci_fleetd.sh <tlfleetd-binary> [work-dir]
 set -euo pipefail
 
 TLFLEETD="${1:?usage: ci_fleetd.sh <tlfleetd> [work-dir]}"
 WORK="${2:-$(mktemp -d)}"
+DOC="$(dirname "$0")/../docs/FLEET.md"
 mkdir -p "$WORK"
 
 fail() { echo "ci_fleetd: FAIL: $*" >&2; exit 1; }
@@ -87,5 +90,24 @@ cmp -s "$WORK/hostile_t1.txt" "$WORK/hostile_t8.txt" \
   "$(grep '^fleet-digest:' "$WORK/hostile_out_t8.txt")" ] \
     || fail "hostile fleet digests differ between --threads 1 and 8"
 echo "ci_fleetd: hostile-all matrix ok"
+
+# --- Stage 5: the docs/FLEET.md worked session reproduces. -----------------
+# The page's "$ tlfleetd run ..." command (with its continuation lines) is
+# rerun in the work dir, and its stdout must equal the output lines the page
+# shows under it, up to the closing fence.
+cmd="$(awk '/^\$ tlfleetd run /{grab=1}
+            grab{more = sub(/\\$/, ""); sub(/^\$ /, ""); printf "%s ", $0}
+            grab && !more{exit}' "$DOC")"
+awk '/^\$ tlfleetd run /{cmd=1} cmd && /^```/{exit} out{print}
+     cmd && !/\\$/{out=1}' "$DOC" > "$WORK/doc_want.txt"
+read -ra argv <<< "${cmd#tlfleetd }"
+[ "${#argv[@]}" -gt 1 ] || fail "no '\$ tlfleetd run' command in $DOC"
+mkdir -p "$WORK/doc"
+(cd "$WORK/doc" && "$TLFLEETD" "${argv[@]}") > "$WORK/doc_got.txt" \
+    || fail "docs/FLEET.md worked session exited nonzero"
+diff "$WORK/doc_want.txt" "$WORK/doc_got.txt" >&2 \
+    || fail "docs/FLEET.md worked session output (fleet digest included)" \
+            "differs from the page"
+echo "ci_fleetd: docs/FLEET.md worked session reproduces"
 
 echo "ci_fleetd: all checks passed"

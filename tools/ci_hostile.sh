@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Hostile-link attestation gate (DESIGN.md §13): runs the attested fleet
-# under every active link-attack mode — seeded corruption, stale-report
-# replay, challenge reflection, and all three at once — at --threads 1 and
+# Hostile-link attestation gate (DESIGN.md §13): runs an attested fleet
+# (a `tlfleetd run` session of admission then drain: --epochs 0, and
+# --beacon-quanta 0 so only attestation traffic crosses the links) under
+# every active link-attack mode — seeded corruption, stale-report replay,
+# challenge reflection, and all three at once — at --threads 1 and
 # --threads 8, and enforces:
 #  * the verdicts match the tamper plan under every attack,
 #  * the attack actually fired (per-mode hostile counter nonzero),
@@ -12,20 +14,21 @@
 # can be re-delivered, so the replay/all stages tamper one node: its retry
 # traffic populates the adversary's capture history.
 #
-# usage: tools/ci_hostile.sh <tlfleet-binary> [work-dir]
+# usage: tools/ci_hostile.sh <tlfleetd-binary> [work-dir]
 set -euo pipefail
 
-TLFLEET="${1:?usage: ci_hostile.sh <tlfleet-binary> [work-dir]}"
+TLFLEETD="${1:?usage: ci_hostile.sh <tlfleetd-binary> [work-dir]}"
 WORK="${2:-$(mktemp -d)}"
 mkdir -p "$WORK"
 
 fail() { echo "ci_hostile: FAIL: $*" >&2; exit 1; }
 
-# run <tag> <threads> <extra tlfleet args...>
+# run <tag> <threads> <extra tlfleetd args...>
 run() {
   local tag="$1" threads="$2"
   shift 2
-  "$TLFLEET" run --attest --nodes 4 --seed 7 --threads "$threads" \
+  "$TLFLEETD" run --epochs 0 --beacon-quanta 0 --nodes 4 --seed 7 \
+      --threads "$threads" \
       --stats --transcript "$WORK/tx_${tag}_t${threads}.txt" "$@" \
       > "$WORK/out_${tag}_t${threads}.txt" \
       || fail "$tag --threads $threads exited nonzero"
@@ -55,9 +58,9 @@ for threads in 1 8; do
               --reflect-ppm 1000000 --tamper 1
 done
 
-check corrupt "attestation: 4 verified, 0 quarantined" corrupted
-check replay  "attestation: 3 verified, 1 quarantined" replayed
-check reflect "attestation: 4 verified, 0 quarantined" reflected
-check all     "attestation: 3 verified, 1 quarantined" replayed
+check corrupt "^session: complete .* admitted=4 quarantined=0 " corrupted
+check replay  "^session: complete .* admitted=3 quarantined=1 " replayed
+check reflect "^session: complete .* admitted=4 quarantined=0 " reflected
+check all     "^session: complete .* admitted=3 quarantined=1 " replayed
 
 echo "ci_hostile: all checks passed"

@@ -5,16 +5,21 @@
 #  * a 256-node warm-boot staged rollout (10% canary) commits every node,
 #    with transcripts and fleet digests bit-identical at --threads 1 and 8,
 #  * a mid-campaign canary tamper halts the rollout, rolls back the
-#    uncommitted canaries and quarantines the tampered node,
+#    uncommitted canaries, quarantines the tampered node and fails the
+#    session with a halt-on-quarantine diagnostic,
 #  * replaying the previous (still correctly signed) image is rejected
 #    fleet-wide by the monotonic anti-rollback counter.
 #
-# usage: tools/ci_update.sh <tlfleet-binary> <tlfw-binary> <guest.s> [work-dir]
+# The rollouts are `tlfleetd run` sessions of admission, one update phase
+# per --update-image, then drain: --epochs 0, and --beacon-quanta 0 so only
+# attestation and update traffic crosses the links.
+#
+# usage: tools/ci_update.sh <tlfleetd-binary> <tlfw-binary> <guest.s> [work-dir]
 set -euo pipefail
 
-TLFLEET="${1:?usage: ci_update.sh <tlfleet> <tlfw> <guest.s> [work-dir]}"
-TLFW="${2:?usage: ci_update.sh <tlfleet> <tlfw> <guest.s> [work-dir]}"
-GUEST="${3:?usage: ci_update.sh <tlfleet> <tlfw> <guest.s> [work-dir]}"
+TLFLEETD="${1:?usage: ci_update.sh <tlfleetd> <tlfw> <guest.s> [work-dir]}"
+TLFW="${2:?usage: ci_update.sh <tlfleetd> <tlfw> <guest.s> [work-dir]}"
+GUEST="${3:?usage: ci_update.sh <tlfleetd> <tlfw> <guest.s> [work-dir]}"
 WORK="${4:-$(mktemp -d)}"
 mkdir -p "$WORK"
 
@@ -40,7 +45,8 @@ echo "ci_update: tlfw round-trip ok"
 
 # --- Stage 2: clean 256-node staged rollout, deterministic across threads. -
 for threads in 1 8; do
-  "$TLFLEET" run "$GUEST" --attest --warm-boot --nodes 256 --seed 9 \
+  "$TLFLEETD" run "$GUEST" --epochs 0 --beacon-quanta 0 --warm-boot \
+      --nodes 256 --seed 9 \
       --threads "$threads" --update-image "$WORK/v2.tlfw" --canary-pct 10 \
       --transcript "$WORK/clean_t${threads}.txt" \
       > "$WORK/clean_out_t${threads}.txt" \
@@ -57,11 +63,16 @@ cmp -s "$WORK/clean_t1.txt" "$WORK/clean_t8.txt" \
 echo "ci_update: clean 256-node rollout ok"
 
 # --- Stage 3: mid-campaign tamper => halt, rollback, quarantine. -----------
-"$TLFLEET" run "$GUEST" --attest --nodes 64 --seed 9 \
+if "$TLFLEETD" run "$GUEST" --epochs 0 --beacon-quanta 0 --nodes 64 \
+    --seed 9 \
     --update-image "$WORK/v2.tlfw" --canary-pct 10 --halt-on-quarantine \
     --update-tamper-canary --transcript "$WORK/tamper.txt" \
-    > "$WORK/tamper_out.txt" \
-    || fail "tamper rollout exited nonzero"
+    > "$WORK/tamper_out.txt" 2> "$WORK/tamper_err.txt"
+then
+  fail "halted tamper rollout exited zero"
+fi
+grep -q "halt-on-quarantine" "$WORK/tamper_err.txt" \
+    || fail "halted rollout lacks the halt-on-quarantine diagnostic"
 grep -q "update\[0\]: version=2 phase=aborted committed=0 rolledback=6 \
 quarantined=1 rejected=0 canaries=7" "$WORK/tamper_out.txt" \
     || fail "tamper rollout summary mismatch"
@@ -70,10 +81,11 @@ grep -q "aborted: 1 node(s) quarantined" "$WORK/tamper.txt" \
 echo "ci_update: halt-on-quarantine rollback ok"
 
 # --- Stage 4: anti-rollback replay rejected fleet-wide. --------------------
-if "$TLFLEET" run "$GUEST" --attest --nodes 64 --seed 9 \
+if "$TLFLEETD" run "$GUEST" --epochs 0 --beacon-quanta 0 --nodes 64 \
+    --seed 9 \
     --update-image "$WORK/v3.tlfw" --update-image "$WORK/v2.tlfw" \
     --canary-pct 100 --transcript "$WORK/replay.txt" \
-    > "$WORK/replay_out.txt"
+    > "$WORK/replay_out.txt" 2> "$WORK/replay_err.txt"
 then
   fail "replaying an older image exited zero"
 fi

@@ -1,7 +1,7 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
 //
 // Argument and input helpers shared by the command-line tools (tlsim,
-// tlfleet, tlfleetd, tlfw, tlfuzz).
+// tlfleetd, tlfw, tlfuzz).
 
 #ifndef TRUSTLITE_TOOLS_CLI_H_
 #define TRUSTLITE_TOOLS_CLI_H_
