@@ -287,15 +287,4 @@ std::string ChromeTraceWriter::Json() {
   return out;
 }
 
-bool ChromeTraceWriter::WriteFile(const std::string& path) {
-  const std::string json = Json();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int close_rc = std::fclose(f);
-  return written == json.size() && close_rc == 0;
-}
-
 }  // namespace trustlite

@@ -177,10 +177,32 @@ Status DecodeCpu(const Chunk& chunk, Cpu::ArchState* state) {
   return OkStatus();
 }
 
+// --- Zero-page walk (MEM chunks and the state digest) ---
+
+constexpr uint8_t kZeroPage[kSnapshotPageSize] = {};
+
+// Closes a memory's page list in the state digest: no page index is this.
+constexpr uint32_t kDigestPagesEnd = 0xFFFFFFFF;
+
+// Calls `visit(index, bytes, len)` for every page of `memory` that holds a
+// non-zero byte, in ascending index order; the last page of a memory that
+// is not a page multiple is short. The one zero test of the file: a memcmp
+// against a static zero page, which scans at memory bandwidth.
+template <typename Visit>
+void ForEachNonZeroPage(const std::vector<uint8_t>& memory, Visit visit) {
+  for (size_t offset = 0; offset < memory.size(); offset += kSnapshotPageSize) {
+    const uint8_t* page = memory.data() + offset;
+    const size_t len =
+        std::min<size_t>(kSnapshotPageSize, memory.size() - offset);
+    if (std::memcmp(page, kZeroPage, len) != 0) {
+      visit(static_cast<uint32_t>(offset / kSnapshotPageSize), page, len);
+    }
+  }
+}
+
 // --- MEM chunks (zero-page elision) ---
 
 std::vector<uint8_t> EncodeMemory(const Ram& ram) {
-  const std::vector<uint8_t>& data = ram.data();
   std::vector<uint8_t> payload;
   AppendLe32(payload, static_cast<uint32_t>(ram.name().size()));
   payload.insert(payload.end(), ram.name().begin(), ram.name().end());
@@ -190,19 +212,13 @@ std::vector<uint8_t> EncodeMemory(const Ram& ram) {
   const size_t count_at = payload.size();
   AppendLe32(payload, 0);
   uint32_t present = 0;
-  for (size_t offset = 0; offset < data.size(); offset += kSnapshotPageSize) {
-    const auto page = data.begin() + static_cast<long>(offset);
-    const auto end = page + static_cast<long>(
-                                std::min<size_t>(kSnapshotPageSize,
-                                                 data.size() - offset));
-    if (std::all_of(page, end, [](uint8_t byte) { return byte == 0; })) {
-      continue;
-    }
+  ForEachNonZeroPage(ram.data(), [&](uint32_t index, const uint8_t* page,
+                                     size_t len) {
     ++present;
-    AppendLe32(payload, static_cast<uint32_t>(offset / kSnapshotPageSize));
-    AppendLe32(payload, static_cast<uint32_t>(end - page));
-    payload.insert(payload.end(), page, end);
-  }
+    AppendLe32(payload, index);
+    AppendLe32(payload, static_cast<uint32_t>(len));
+    payload.insert(payload.end(), page, page + len);
+  });
   StoreLe32(payload.data() + count_at, present);
   return payload;
 }
@@ -326,14 +342,22 @@ Device* FindDeviceByName(Platform& platform, const std::string& name) {
 }  // namespace
 
 Sha256Digest PlatformStateDigest(const Platform& platform) {
-  // Byte stream kept identical to the original FleetNode::StateDigest so
-  // fleet determinism digests stay comparable across the refactor.
   Platform& p = const_cast<Platform&>(platform);
   Sha256 hasher;
   uint8_t word[8];
   auto absorb32 = [&](uint32_t value) {
     StoreLe32(word, value);
     hasher.Update(word, 4);
+  };
+  // A memory is its non-zero pages, each as its index and its bytes, then
+  // the end marker.
+  auto absorb_pages = [&](const Ram& ram) {
+    ForEachNonZeroPage(ram.data(), [&](uint32_t index, const uint8_t* page,
+                                       size_t len) {
+      absorb32(index);
+      hasher.Update(page, len);
+    });
+    absorb32(kDigestPagesEnd);
   };
   const Cpu& cpu = p.cpu();
   for (int i = 0; i < kNumRegisters; ++i) {
@@ -345,8 +369,8 @@ Sha256Digest PlatformStateDigest(const Platform& platform) {
   StoreLe32(word, static_cast<uint32_t>(cpu.cycles()));
   StoreLe32(word + 4, static_cast<uint32_t>(cpu.cycles() >> 32));
   hasher.Update(word, 8);
-  hasher.Update(p.sram().data());
-  hasher.Update(p.dram().data());
+  absorb_pages(p.sram());
+  absorb_pages(p.dram());
   absorb32(p.gpio().out());
   const std::string& uart = p.uart().output();
   hasher.Update(reinterpret_cast<const uint8_t*>(uart.data()), uart.size());

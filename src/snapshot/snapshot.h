@@ -39,7 +39,7 @@ namespace trustlite {
 // On-disk format constants (docs/SNAPSHOT_FORMAT.md).
 inline constexpr uint8_t kSnapshotMagic[8] = {'T', 'L', 'S', 'N',
                                               'A', 'P', 0x1A, 0x0A};
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr uint32_t kSnapshotPageSize = 4096;
 inline constexpr ChunkFormat kSnapshotFormat = {"snapshot", kSnapshotMagic,
                                                 kSnapshotVersion};
@@ -52,8 +52,8 @@ inline constexpr uint32_t kChunkDigest = ChunkTag('D', 'I', 'G', 'E');
 
 struct SnapshotSaveOptions {
   // Embed the SHA-256 state digest. Costs one PlatformStateDigest (a hash
-  // over all of SRAM + DRAM); high-frequency checkpointing (the
-  // differential harness) turns it off and relies on per-chunk CRCs.
+  // over the non-zero pages of SRAM + DRAM); high-frequency checkpointing
+  // (the differential harness) turns it off and relies on per-chunk CRCs.
   bool include_digest = true;
 };
 
@@ -75,6 +75,9 @@ struct SnapshotRestoreOptions {
 // UART output. This is the fleet determinism digest — FleetNode::
 // StateDigest delegates here — and the snapshot self-digest. The pieces are
 // hashed in place, one after another, so no copy of the memories is made.
+// SRAM and DRAM contribute only their non-zero kSnapshotPageSize pages,
+// each as its LE32 index and its bytes, then LE32 0xFFFFFFFF
+// (docs/SNAPSHOT_FORMAT.md, DIGE): zero pages cost a memcmp, not a hash.
 Sha256Digest PlatformStateDigest(const Platform& platform);
 
 // Serializes the platform into the snapshot byte format. Byte-stable:

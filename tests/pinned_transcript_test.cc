@@ -8,7 +8,8 @@
 // an attestation round, an update campaign and a fleetd session. Each run
 // first asserts that its attack actually fired. Update a value only for an
 // intended change to the wire format or to guest-visible behaviour, in the
-// PinnedDigestTest idiom (tests/snapshot_test.cc).
+// PinnedDigestTest idiom (tests/snapshot_test.cc); each fleet digest is also
+// pinned through the snapshot-version-1 stream (tests/legacy_state_digest.h).
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "src/fleet/update.h"
 #include "src/harness/fleet_campaign.h"
 #include "src/update/fw_container.h"
+#include "tests/legacy_state_digest.h"
 
 namespace trustlite {
 namespace {
@@ -82,8 +84,10 @@ TEST(PinnedTranscriptTest, TamperedAttestationRoundUnderAllHostileModes) {
 
   EXPECT_EQ(HashHex(attestor.transcript()),
             "c1d1ffb570f49bf8a5c309f80eced6fb84a0950d437e5a650a5adc108133e4be");
-  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+  EXPECT_EQ(DigestHex(LegacyFleetDigest(fleet)),
             "c568058fe2223a950786d720edafc1dd576d9f79fcaad4a258312845d8e65c32");
+  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+            "9a422737c3ad408f3ba31512d7285b44950532daea431fb39c4c50f5e0e35c1e");
 }
 
 TEST(PinnedTranscriptTest, UpdateCampaignUnderCorruption) {
@@ -133,8 +137,10 @@ TEST(PinnedTranscriptTest, UpdateCampaignUnderCorruption) {
 
   EXPECT_EQ(HashHex(attestor.transcript() + campaign.transcript()),
             "80a1865910be1bdaf208a7d3c1eabce09e6d494af3e6e08f004bef5a09d5efb1");
-  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+  EXPECT_EQ(DigestHex(LegacyFleetDigest(fleet)),
             "370d993391766f21b7f5193d903a3b2c3566face016b12fd3c48bf8001c34d73");
+  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+            "eaa9ae4415c670d37780a3e5182c872961693ef487d10007a6b425a30521bc1f");
 }
 
 TEST(PinnedTranscriptTest, FleetdSessionUnderAllHostileModes) {
@@ -183,8 +189,10 @@ TEST(PinnedTranscriptTest, FleetdSessionUnderAllHostileModes) {
             "e04698ebd5c2cb2af6369041dd704fad109f9a18e5277fcc62f3625d1131b462");
   EXPECT_EQ(HashHex(status),
             "c8dba1d15779cf2ad0690d1df2d1500454f9745777e445deb7de31b04e4a9e7f");
-  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+  EXPECT_EQ(DigestHex(LegacyFleetDigest(fleet)),
             "0fb2cd90bbc655985759dcb0c2809ba8f852fcd0f1dbc54991daee4fce4592ef");
+  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+            "7440b889453fac658413bd1f5099df049b7d322744cc5940a7071374a0473db5");
 }
 
 }  // namespace

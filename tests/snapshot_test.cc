@@ -3,11 +3,13 @@
 // on-disk format, the restore-equals-live digest invariant at random
 // checkpoints across the differential corpus, fail-closed handling of
 // truncated/bit-flipped snapshots, the per-device snapshot-generation
-// counters across HardReset, checkpointed record-replay bisection, and
-// warm-boot fleet provisioning.
+// counters across HardReset, checkpointed record-replay bisection,
+// warm-boot fleet provisioning, and the state digest's byte stream.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "src/common/bytes.h"
 #include "src/common/chunks.h"
 #include "src/common/rng.h"
+#include "src/dev/gpio.h"
+#include "src/dev/uart.h"
 #include "src/fleet/attest.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/provision.h"
@@ -25,6 +29,7 @@
 #include "src/mem/layout.h"
 #include "src/platform/platform.h"
 #include "src/snapshot/snapshot.h"
+#include "tests/legacy_state_digest.h"
 
 namespace trustlite {
 namespace {
@@ -586,11 +591,192 @@ TEST(WarmBootTest, NodeSnapshottedMidSleepTracksTheLiveNode) {
 }
 
 // ---------------------------------------------------------------------------
+// The state digest's byte stream (docs/SNAPSHOT_FORMAT.md, DIGE): SRAM and
+// DRAM contribute only their non-zero pages, each as its LE32 page index and
+// its bytes, then LE32 0xFFFFFFFF.
+
+// The documented stream, built the slow way: a byte loop decides which pages
+// are zero, and the whole stream is materialized before it is hashed.
+std::vector<uint8_t> ReferenceDigestStream(Platform& p) {
+  std::vector<uint8_t> stream;
+  for (int i = 0; i < kNumRegisters; ++i) {
+    AppendLe32(stream, p.cpu().reg(i));
+  }
+  AppendLe32(stream, p.cpu().ip());
+  AppendLe32(stream, p.cpu().flags());
+  AppendLe32(stream, p.cpu().halted() ? 1 : 0);
+  AppendLe64(stream, p.cpu().cycles());
+  for (const Ram* ram : {&p.sram(), &p.dram()}) {
+    const std::vector<uint8_t>& bytes = ram->data();
+    for (size_t begin = 0; begin < bytes.size(); begin += kSnapshotPageSize) {
+      const size_t end = std::min<size_t>(bytes.size(),
+                                          begin + kSnapshotPageSize);
+      bool zero = true;
+      for (size_t i = begin; i < end; ++i) {
+        zero = zero && bytes[i] == 0;
+      }
+      if (!zero) {
+        AppendLe32(stream, static_cast<uint32_t>(begin / kSnapshotPageSize));
+        stream.insert(stream.end(), bytes.begin() + static_cast<long>(begin),
+                      bytes.begin() + static_cast<long>(end));
+      }
+    }
+    AppendLe32(stream, 0xFFFFFFFF);
+  }
+  AppendLe32(stream, p.gpio().out());
+  stream.insert(stream.end(), p.uart().output().begin(),
+                p.uart().output().end());
+  return stream;
+}
+
+// Random registers, IP, FLAGS, halt latch, cycle count, GPIO output and UART
+// text, and up to `max_pages` random pages per memory carrying a few bytes
+// each (sometimes only the first or the last byte of the page).
+void RandomizeSparseState(Platform& p, Xoshiro256& rng, int max_pages) {
+  Cpu::ArchState state = p.cpu().SaveArchState();
+  for (uint32_t& reg : state.regs) {
+    reg = rng.Next32();
+  }
+  state.ip = rng.Next32() & ~3u;
+  state.flags = static_cast<uint32_t>(rng.NextBelow(16));
+  state.halted = rng.NextBool();
+  state.cycles = rng.Next64();
+  p.cpu().RestoreArchState(state);
+  ASSERT_EQ(p.gpio().Write(kGpioRegOut, 4, rng.Next32()), AccessResult::kOk);
+  for (uint64_t n = rng.NextBelow(12); n > 0; --n) {
+    ASSERT_EQ(p.uart().Write(kUartRegTxData, 4,
+                             static_cast<uint32_t>(rng.NextInRange(32, 126))),
+              AccessResult::kOk);
+  }
+  for (Ram* ram : {&p.sram(), &p.dram()}) {
+    const uint64_t pages = ram->size() / kSnapshotPageSize;
+    for (uint64_t n = rng.NextBelow(max_pages + 1); n > 0; --n) {
+      const uint32_t page =
+          static_cast<uint32_t>(rng.NextBelow(pages) * kSnapshotPageSize);
+      switch (rng.NextBelow(3)) {
+        case 0:
+          ram->LoadBytes(page, {0x01});
+          break;
+        case 1:
+          ram->LoadBytes(page + kSnapshotPageSize - 1, {0x80});
+          break;
+        default:
+          for (int k = 0; k < 8; ++k) {
+            ram->LoadBytes(
+                page + static_cast<uint32_t>(rng.NextBelow(kSnapshotPageSize)),
+                {static_cast<uint8_t>(rng.Next32())});
+          }
+      }
+    }
+  }
+}
+
+TEST(StateDigestTest, MatchesTheDocumentedStreamOnRandomSparseStates) {
+  Xoshiro256 rng(0xD16E57);
+  for (int trial = 0; trial < 48; ++trial) {
+    Platform p;
+    RandomizeSparseState(p, rng, trial < 8 ? trial : 12);
+    EXPECT_EQ(PlatformStateDigest(p), Sha256Hash(ReferenceDigestStream(p)))
+        << "trial " << trial;
+  }
+  // Every page non-zero: the stream carries the whole of both memories.
+  Platform full;
+  for (Ram* ram : {&full.sram(), &full.dram()}) {
+    for (uint32_t page = 0; page < ram->size(); page += kSnapshotPageSize) {
+      ram->LoadBytes(page + (page / kSnapshotPageSize) % kSnapshotPageSize,
+                     {0xA5});
+    }
+  }
+  EXPECT_EQ(PlatformStateDigest(full), Sha256Hash(ReferenceDigestStream(full)));
+}
+
+TEST(StateDigestTest, EveryOneByteChangeMovesTheDigestAndUndoingRestoresIt) {
+  Platform p;
+  for (Ram* ram : {&p.sram(), &p.dram()}) {
+    ram->LoadBytes(3 * kSnapshotPageSize + 100, {1, 2, 3});
+  }
+  const Sha256Digest base = PlatformStateDigest(p);
+  std::set<Sha256Digest> seen = {base};
+  for (Ram* ram : {&p.sram(), &p.dram()}) {
+    const struct {
+      const char* where;
+      uint32_t offset;
+    } places[] = {
+        {"first byte", 0},
+        {"last byte", ram->size() - 1},
+        {"last byte before a page boundary", kSnapshotPageSize - 1},
+        {"first byte after a page boundary", kSnapshotPageSize},
+        {"byte in a non-zero page", 3 * kSnapshotPageSize + 101},
+        {"byte in an otherwise zero page", 20 * kSnapshotPageSize + 17},
+    };
+    for (const auto& place : places) {
+      SCOPED_TRACE(ram->name() + ": " + place.where);
+      const uint8_t before = ram->data()[place.offset];
+      ram->LoadBytes(place.offset, {static_cast<uint8_t>(before ^ 0x5A)});
+      EXPECT_TRUE(seen.insert(PlatformStateDigest(p)).second)
+          << "the change did not move the digest to a new value";
+      // Writing the old byte back (zero, for a zero page) restores the
+      // earlier digest: a page that becomes zero again leaves the stream.
+      ram->LoadBytes(place.offset, {before});
+      EXPECT_EQ(PlatformStateDigest(p), base);
+    }
+  }
+  EXPECT_EQ(seen.size(), 13u);
+}
+
+TEST(StateDigestTest, MovingAPageMovesTheDigest) {
+  std::vector<uint8_t> page(kSnapshotPageSize);
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<uint8_t>(7 * i + 1);
+  }
+  Platform at5;
+  at5.sram().LoadBytes(5 * kSnapshotPageSize, page);
+  Platform at6;
+  at6.sram().LoadBytes(6 * kSnapshotPageSize, page);
+  EXPECT_NE(PlatformStateDigest(at5), PlatformStateDigest(at6));
+
+  // From the end of the SRAM list to the start of the DRAM list.
+  Platform sram_last;
+  sram_last.sram().LoadBytes(kSramSize - kSnapshotPageSize, page);
+  Platform dram_first;
+  dram_first.dram().LoadBytes(0, page);
+  EXPECT_NE(PlatformStateDigest(sram_last), PlatformStateDigest(dram_first));
+  for (Platform* p : {&at5, &at6, &sram_last, &dram_first}) {
+    EXPECT_EQ(PlatformStateDigest(*p), Sha256Hash(ReferenceDigestStream(*p)));
+  }
+}
+
+TEST(SnapshotFormatTest, VersionOneSnapshotIsRejected) {
+  // Version 2 changed the byte stream under the DIGE digest, so a version-1
+  // file fails the walk in every reader instead of its digest check.
+  std::unique_ptr<Platform> platform(NewBusyPlatform());
+  platform->Run(900);
+  Result<std::vector<uint8_t>> saved = SavePlatform(*platform);
+  ASSERT_TRUE(saved.ok());
+  ASSERT_EQ(LoadLe32(saved->data() + 8), 2u);
+  std::vector<uint8_t> v1 = *saved;
+  StoreLe32(v1.data() + 8, 1);
+
+  Platform target;
+  const Sha256Digest before = PlatformStateDigest(target);
+  const Status restored = RestorePlatform(&target, v1);
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.message().find("version 1"), std::string::npos)
+      << restored.ToString();
+  EXPECT_EQ(PlatformStateDigest(target), before);
+  // InspectSnapshot backs `tlsnap info`.
+  const Result<SnapshotInfo> info = InspectSnapshot(v1);
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
 // Pinned digests. Every other digest check compares two runs of one build
 // (live vs restored, t1 vs t8), so a change to the hashed byte stream — or
 // to simulated behaviour that moves both sides alike — passes them all.
 // These two pin absolute values; update them only for an intended change
-// to the digest definition or to guest-visible behaviour.
+// to the digest definition or to guest-visible behaviour. The version-1
+// values, recomputed by the test-local copy of that stream, show that the
+// pinned runs still reach the states they reached before version 2.
 
 std::string DigestHex(const Sha256Digest& digest) {
   return HexEncode(digest.data(), digest.size());
@@ -604,8 +790,11 @@ TEST(PinnedDigestTest, SecureLoaderBootedPlatform) {
   config.seed = 42;
   Fleet fleet(config);
   ASSERT_TRUE(ProvisionAttestationFleet(&fleet, FleetProvisionConfig{}).ok());
-  EXPECT_EQ(DigestHex(PlatformStateDigest(fleet.node(0).platform())),
+  Platform& platform = fleet.node(0).platform();
+  EXPECT_EQ(DigestHex(LegacyStateDigest(platform)),
             "759396a8752900ebfb6f9bf7365bd4b8346812382ce959c81d7cef67710da109");
+  EXPECT_EQ(DigestHex(PlatformStateDigest(platform)),
+            "436ddb39e1d9bb36daf757981717762f3417f8a850862f5299243139c519316d");
 }
 
 TEST(PinnedDigestTest, WarmFleetAfterFixedQuanta) {
@@ -617,8 +806,10 @@ TEST(PinnedDigestTest, WarmFleetAfterFixedQuanta) {
   prov.warm_boot = true;
   ASSERT_TRUE(ProvisionAttestationFleet(&fleet, prov).ok());
   fleet.RunQuanta(32);
-  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+  EXPECT_EQ(DigestHex(LegacyFleetDigest(fleet)),
             "90f814fb8ed5ea57e4e2b59d189e86a7becc7de15aaba1502a8c37d97c0a32f6");
+  EXPECT_EQ(DigestHex(fleet.FleetDigest()),
+            "492ed98d2ef3947fac1ef83e961a3b01c2d2df96e56c7c2cb43c46b3a3937705");
 }
 
 }  // namespace

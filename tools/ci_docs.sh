@@ -10,6 +10,10 @@
 #      (the re-anchor contract; a placeholder list fails).
 #   4. docs/README.md index completeness: every docs/*.md spec must be
 #      linked from the docs index (a new spec that nobody can find fails).
+#   5. The docs/SNAPSHOT_FORMAT.md worked example reproduces: its recipe is
+#      rerun in a temp directory and `tlsnap info` must print the page's
+#      inventory, DIGE included; a version-1 copy of the file must fail
+#      with INVALID_ARGUMENT, as the page's version policy says.
 #
 # usage: tools/ci_docs.sh [src-dir] [tools-bin-dir]
 set -uo pipefail
@@ -92,8 +96,44 @@ if [[ "${open_items:-0}" -lt 1 ]]; then
   note "ROADMAP.md 'Open items' is empty — re-anchor it"
 fi
 
+# --- 5. docs/SNAPSHOT_FORMAT.md worked example ----------------------------
+SNAP_DOC="$SRC/docs/SNAPSHOT_FORMAT.md"
+for line in \
+    "./build/tools/tlsim run examples/guest/hello.s --snapshot-every 1000" \
+    "./build/tools/tlsnap info tlsim-snap-0001.tlsnap"; do
+  grep -qxF -- "$line" "$SNAP_DOC" \
+    || note "SNAPSHOT_FORMAT.md recipe no longer reads: $line"
+done
+if [[ -x "$BIN/tlsim" && -x "$BIN/tlsnap" ]]; then
+  snap_tmp="$(mktemp -d)"
+  bin_abs="$(cd "$BIN" && pwd)"
+  src_abs="$(cd "$SRC" && pwd)"
+  if (cd "$snap_tmp" \
+      && "$bin_abs/tlsim" run "$src_abs/examples/guest/hello.s" \
+             --snapshot-every 1000 > /dev/null \
+      && "$bin_abs/tlsnap" info tlsim-snap-0001.tlsnap > got.txt); then
+    # The inventory block: from its "<file>: version" line to the fence.
+    awk '/^tlsim-snap-0001\.tlsnap: version /{grab=1} grab && /^```/{exit}
+         grab' "$SNAP_DOC" > "$snap_tmp/want.txt"
+    diff "$snap_tmp/want.txt" "$snap_tmp/got.txt" >&2 \
+      || note "SNAPSHOT_FORMAT.md worked example differs from what its" \
+              "recipe prints (tlsnap info, DIGE included)"
+    printf '\001' | dd of="$snap_tmp/tlsim-snap-0001.tlsnap" bs=1 seek=8 \
+        conv=notrunc 2> /dev/null
+    if "$bin_abs/tlsnap" info "$snap_tmp/tlsim-snap-0001.tlsnap" \
+           > /dev/null 2> "$snap_tmp/v1.txt" \
+       || ! grep -q "INVALID_ARGUMENT.*version 1" "$snap_tmp/v1.txt"; then
+      note "tlsnap info did not reject a version-1 snapshot with" \
+           "INVALID_ARGUMENT"
+    fi
+  else
+    note "the SNAPSHOT_FORMAT.md recipe failed to run"
+  fi
+  rm -rf "$snap_tmp"
+fi
+
 if [[ "$fail" -ne 0 ]]; then
   echo "ci_docs: FAILED"
   exit 1
 fi
-echo "ci_docs: all checks passed (links, --help drift, ROADMAP open items: $open_items)"
+echo "ci_docs: all checks passed (links, --help drift, ROADMAP open items: $open_items, snapshot worked example)"

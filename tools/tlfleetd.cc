@@ -111,6 +111,7 @@ int Usage(bool help = false) {
       "               acks, then a re-measuring attestation round)\n"
       "  --scale-up K  clone K new nodes from admitted sources by snapshot\n"
       "               restore + in-place re-key, then re-attest and admit\n"
+      "               (star topology only)\n"
       "  --beacon-quanta K  node health agents beacon every K quanta\n"
       "               (0 disables beacons; default 8)\n"
       "  --idle-quanta Q  idle quanta between epochs (default 32)\n"
@@ -297,6 +298,13 @@ bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
   if (opt->update_tamper_canary && opt->update_images.empty()) {
     std::fprintf(stderr,
                  "tlfleetd: --update-tamper-canary requires --update-image\n");
+    return false;
+  }
+  // Clones join on fresh verifier links, which only a star wires
+  // (Fleet::AddNode): fail before provisioning, not after admission.
+  if (opt->scale_up > 0 && opt->fleet.topology == Topology::kRing) {
+    std::fprintf(stderr, "tlfleetd: --scale-up needs --topology star, not "
+                         "--topology ring\n");
     return false;
   }
   return true;

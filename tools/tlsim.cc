@@ -461,12 +461,15 @@ int CmdRun(const std::vector<std::string>& args) {
     platform.RemoveEventSink(&profiler);
   }
   if (!trace_json.empty()) {
-    if (!trace_writer.WriteFile(trace_json)) {
-      std::fprintf(stderr, "tlsim: cannot write %s\n", trace_json.c_str());
+    const std::string json = trace_writer.Json();
+    const Status written = WriteFileBytes(
+        trace_json, std::vector<uint8_t>(json.begin(), json.end()));
+    if (!written.ok()) {
+      std::fprintf(stderr, "tlsim: %s\n", written.ToString().c_str());
       return 1;
     }
     std::string json_error;
-    const bool valid = JsonParses(trace_writer.Json(), &json_error);
+    const bool valid = JsonParses(json, &json_error);
     std::printf("trace-json: wrote %s (%zu events%s, %s)\n", trace_json.c_str(),
                 trace_writer.event_count(),
                 trace_writer.dropped() == 0
