@@ -2,7 +2,8 @@
 //
 // Whole-file byte I/O for the CLI tools. Failures — including a read that
 // fails part-way, such as reading a directory — come back as a Status
-// instead of a short or empty buffer.
+// instead of a short or empty buffer, and the message ends with the C
+// library's reason (strerror of the failed call's errno).
 
 #ifndef TRUSTLITE_SRC_COMMON_FILE_H_
 #define TRUSTLITE_SRC_COMMON_FILE_H_

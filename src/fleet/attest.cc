@@ -76,10 +76,10 @@ void FleetAttestor::Log(int node, const std::string& event) {
 
 void FleetAttestor::LogReject(int node, const std::string& event) {
   NodeState& state = nodes_[static_cast<size_t>(node)];
-  if (state.reject_logs < policy_.max_reject_logs) {
+  if (state.reject_logs < kAttestMaxRejectLogs) {
     ++state.reject_logs;
     Log(node, event);
-  } else if (state.reject_logs == policy_.max_reject_logs) {
+  } else if (state.reject_logs == kAttestMaxRejectLogs) {
     ++state.reject_logs;
     Log(node, "reject-log cap reached; counting until resolution");
   }
@@ -193,7 +193,7 @@ void FleetAttestor::PumpNode(int node) {
         });
     if (state.state == AttestNodeState::kAwaitingResponse &&
         now >= state.deadline) {
-      if (state.attempts >= policy_.max_attempts) {
+      if (state.attempts >= kAttestMaxAttempts) {
         state.state = AttestNodeState::kQuarantined;
         // Cause classification, most-specific evidence first (see the enum
         // comment in attest.h): mismatching reports prove divergent

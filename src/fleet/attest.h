@@ -48,15 +48,17 @@
 
 namespace trustlite {
 
+// Timeouts before quarantine.
+inline constexpr int kAttestMaxAttempts = 4;
+// Transcript flood control: per node, at most this many rejected-report
+// lines (mismatch or stale) are logged verbatim; one explicit suppression
+// line follows and further rejects are counted, with the totals surfaced in
+// the node's resolution line.
+inline constexpr int kAttestMaxRejectLogs = 8;
+
 struct AttestPolicy {
   uint64_t timeout_cycles = 1'000'000;     // Challenge -> response deadline.
-  int max_attempts = 4;                    // Timeouts before quarantine.
   uint64_t backoff_base_cycles = 100'000;  // Doubles per failed attempt.
-  // Transcript flood control: per node, at most this many rejected-report
-  // lines (mismatch or stale) are logged verbatim; one explicit suppression
-  // line follows and further rejects are counted, with the totals surfaced
-  // in the node's resolution line.
-  int max_reject_logs = 8;
   // PRE-PR7 VULNERABLE MODE — accept a report matching *any* challenge ever
   // issued to the node, including retired ones. A stale report captured
   // from an earlier attempt then verifies a since-tampered node. Exists
@@ -204,7 +206,7 @@ class FleetAttestor {
     uint64_t stale_hits = 0;       // Reports matching a retired challenge.
     uint64_t noise_bytes = 0;      // Unframeable bytes skipped and reclaimed.
     uint64_t retired_dropped = 0;  // Retired digests evicted by the cap.
-    int reject_logs = 0;           // Lines logged against max_reject_logs.
+    int reject_logs = 0;           // Lines logged against kAttestMaxRejectLogs.
     // Health/status surface (accessors above).
     QuarantineReason quarantine_reason = QuarantineReason::kNone;
     uint64_t last_verified_cycle = 0;

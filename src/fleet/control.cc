@@ -241,11 +241,11 @@ void FleetController::ProcessControlRx() {
     for (int i = 0; i < fleet_->num_nodes(); ++i) {
       PushState& push = push_[static_cast<size_t>(i)];
       if (!push.target || push.acked || now < push.deadline ||
-          push.retries >= policy_.max_config_retries) {
+          push.retries >= kConfigPushMaxRetries) {
         continue;
       }
       ++push.retries;
-      push.deadline = now + policy_.config_timeout_cycles;
+      push.deadline = now + kConfigPushTimeoutCycles;
       fleet_->SendToNode(i, EncodeConfigFrame(active_push_id_,
                                               config_generation_,
                                               active_blob_));
@@ -382,7 +382,7 @@ Status FleetController::PushConfig(
   for (int node : roster) {
     PushState& push = push_[static_cast<size_t>(node)];
     push.target = true;
-    push.deadline = fleet_->now() + policy_.config_timeout_cycles;
+    push.deadline = fleet_->now() + kConfigPushTimeoutCycles;
     fleet_->SendToNode(node, EncodeConfigFrame(active_push_id_,
                                                config_generation_,
                                                active_blob_));
@@ -390,7 +390,7 @@ Status FleetController::PushConfig(
   auto settled = [&] {
     for (int node : roster) {
       const PushState& push = push_[static_cast<size_t>(node)];
-      if (!push.acked && push.retries < policy_.max_config_retries) {
+      if (!push.acked && push.retries < kConfigPushMaxRetries) {
         return false;
       }
     }
@@ -437,7 +437,13 @@ Status FleetController::ScaleUp(int count) {
     const int src =
         sources[static_cast<size_t>(scale_up_round_robin_++) %
                 sources.size()];
+    // Everything that can reject the source runs before AddNode, so a
+    // failure leaves the fleet and the per-node vectors below in step.
     FleetNode& source = fleet_->node(src);
+    auto sites = LocateIdentitySites(source, attestor_.provision(src));
+    if (!sites.ok()) {
+      return sites.status();
+    }
     SnapshotSaveOptions save_options;
     save_options.include_digest = false;  // In-memory hop; CRCs cover it.
     auto snapshot = SavePlatform(source.platform(), save_options);
@@ -450,13 +456,10 @@ Status FleetController::ScaleUp(int count) {
       return FailedPrecondition(
           "scale-up requires a star topology with free port space");
     }
-    FleetNode& clone = fleet_->node(id);
-    SnapshotRestoreOptions restore_options;
-    restore_options.verify_checksums = false;  // Same in-memory buffer.
-    TL_RETURN_IF_ERROR(
-        RestorePlatform(&clone.platform(), *snapshot, restore_options));
-    auto provision = RekeyClonedNode(clone, attestor_.provision(src),
-                                     fleet_->config().seed);
+    // The buffer never left memory, so the copy skips the CRCs.
+    auto provision = CloneNode(*snapshot, /*verify_checksums=*/false,
+                               attestor_.provision(src), *sites,
+                               fleet_->config().seed, fleet_->node(id));
     if (!provision.ok()) {
       return provision.status();
     }

@@ -21,8 +21,8 @@
 //     of the applied region (0xC7), then re-measured by a re-attestation
 //     round. Integrity split: the ack digest pins the config content, the
 //     attestation report pins the code that will consume it.
-//   * Live elasticity: snapshot a running admitted node, restore onto a
-//     new node id (Fleet::AddNode), re-key it in place (RekeyClonedNode),
+//   * Live elasticity: copy a running admitted node onto a new node id
+//     (Fleet::AddNode) with its own key (CloneNode, provision.h),
 //     re-attest, admit.
 //
 // Node-side agents (config apply + ack, periodic health beacons) are
@@ -110,6 +110,10 @@ std::string EncodeHealthFrame(const HealthBeacon& beacon);
 
 // --- Controller ----------------------------------------------------------
 
+// Config push: per-node retransmit deadline and retry cap.
+inline constexpr uint64_t kConfigPushTimeoutCycles = 400'000;
+inline constexpr int kConfigPushMaxRetries = 25;
+
 struct FleetdPolicy {
   AttestPolicy attest;
   // Budget (quanta) for the admission round and for each re-attestation /
@@ -120,9 +124,6 @@ struct FleetdPolicy {
   uint64_t epoch_idle_quanta = 32;
   // Node health agents emit a beacon every this many quanta (0 = off).
   uint32_t beacon_every_quanta = 8;
-  // Config push: per-node retransmit deadline and retry cap.
-  uint64_t config_timeout_cycles = 400'000;
-  int max_config_retries = 25;
   // Stop a phase with an error as soon as it quarantines a node (operator
   // halt-the-line policy; the node stays quarantined either way). An
   // update phase also aborts its campaign and rolls back uncommitted nodes.
@@ -187,9 +188,10 @@ class FleetController {
   Status PushConfig(
       const std::vector<std::pair<std::string, std::string>>& entries);
 
-  // Clones `count` new nodes from admitted sources (round-robin): snapshot
-  // -> Fleet::AddNode -> restore -> RekeyClonedNode -> re-attest -> admit.
-  // Emits a "scale-up" epoch. Star topologies only (Fleet::AddNode).
+  // Clones `count` new nodes from admitted sources (round-robin):
+  // LocateIdentitySites -> snapshot -> Fleet::AddNode -> CloneNode ->
+  // re-attest -> admit. Emits a "scale-up" epoch. Star topologies only
+  // (Fleet::AddNode).
   Status ScaleUp(int count);
 
   // Runs until the fabric is empty (or the phase budget ends). Emits a

@@ -88,7 +88,7 @@ void Fleet::RunQuantum() {
     }
     burst.payload.clear();
   }
-  if (config_.topology == Topology::kRing && config_.bridge_gpio && n > 1) {
+  if (config_.topology == Topology::kRing && kRingBridgesGpio && n > 1) {
     // Latch each node's GPIO OUT into its clockwise neighbour's IN. Reads
     // complete before any write lands (out() snapshots below), matching a
     // wired bus sampled at the quantum boundary.

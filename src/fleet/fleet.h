@@ -56,6 +56,9 @@ inline void AppendTranscriptLine(std::string* transcript, uint64_t cycle,
   *transcript += "@" + std::to_string(cycle) + " " + who + " " + event + "\n";
 }
 
+// Ring topologies latch each node's GPIO OUT into its neighbour's IN.
+inline constexpr bool kRingBridgesGpio = true;
+
 struct FleetConfig {
   int nodes = 4;
   Topology topology = Topology::kStar;
@@ -63,7 +66,6 @@ struct FleetConfig {
   int threads = 1;            // Host threads (0 = hardware concurrency).
   uint64_t quantum = 20'000;  // Cycles per synchronized run-quantum.
   LinkParams link;            // Per-hop link parameters.
-  bool bridge_gpio = true;    // Ring only: latch OUT into neighbour's IN.
   // TX batching horizon in quanta (FleetNode::HarvestTx). 1 = flush every
   // quantum (bit-identical to pre-batching fleets); K > 1 lets a growing
   // burst accumulate across up to K quanta before it enters the fabric.
@@ -96,9 +98,9 @@ class Fleet {
   // into a ring would re-route frames already in flight; the controller
   // fails scale-up closed on rings instead. Call only at a quantum
   // boundary; the new node first executes in the following quantum. The
-  // caller restores/patches the platform state (snapshot cloning,
-  // RekeyClonedNode) before that. Returns the new node id, or -1 when the
-  // topology does not support growth or the port space is exhausted.
+  // caller copies a node's state into it (CloneNode, provision.h) before
+  // that. Returns the new node id, or -1 when the topology does not
+  // support growth or the port space is exhausted.
   int AddNode();
 
   // --- Verifier-side transport (host remote party) ---

@@ -124,11 +124,10 @@ std::set<int> TamperPlan(const Fleet& fleet, int tamper_count) {
   return tampered;
 }
 
-// Cold-boots `node` through the full Secure Loader path. `built_out`
-// (optional) receives the build products for snapshot-based cloning.
+// Cold-boots `node` through the full Secure Loader path.
 Status ColdProvisionNode(FleetNode& node, const FleetProvisionConfig& config,
                          const std::array<uint8_t, 32>& key,
-                         NodeProvision* provision, NodeImage* built_out) {
+                         NodeProvision* provision) {
   Result<NodeImage> built = BuildNodeImage(config, key);
   if (!built.ok()) {
     return built.status();
@@ -162,124 +161,25 @@ Status ColdProvisionNode(FleetNode& node, const FleetProvisionConfig& config,
           &provision->fw_code)) {
     return Internal("cannot read back live FW code");
   }
-  if (built_out != nullptr) {
-    *built_out = std::move(*built);
-  }
   return OkStatus();
 }
 
-// Warm-boots a clone: restore the golden node's post-boot snapshot and
-// patch the per-device state in place. All clones restore the SAME bytes,
-// so every patch site is located once (LocateGoldenPatchSites) and clones
-// write directly — no per-clone searching.
-struct GoldenState {
-  std::vector<uint8_t> snapshot;
-  std::array<uint8_t, 32> key{};
-  uint32_t attn_code_addr = 0;
-  uint32_t attn_code_size = 0;
-  std::vector<uint8_t> attn_code;      // Live post-boot attestation code.
-  uint32_t sram_key_addr = 0;          // Bus address of the key in SRAM.
-  uint32_t prom_key_offset = 0;        // Key offset inside the PROM image.
-  uint32_t tt_measurement_addr = 0;    // Attn row hash in the Trustlet Table.
-};
-
-// Finds the one live SRAM key copy, the PROM image key copy and the
-// Trustlet-Table measurement row on the freshly booted golden node. Run
-// once; WarmProvisionClone reuses the addresses for every clone.
-Status LocateGoldenPatchSites(Platform& platform, GoldenState* golden) {
-  Bus& bus = platform.bus();
-  const std::vector<uint8_t> key(golden->key.begin(), golden->key.end());
-
-  if (!bus.HostReadBytes(golden->attn_code_addr, golden->attn_code_size,
-                         &golden->attn_code)) {
-    return Internal("cannot read golden attestation code");
+// Stores the offset of the first `needle` in `haystack`. Fails when there is
+// none, and when `unique` is set and there is a second.
+Status FindSite(const std::vector<uint8_t>& haystack,
+                const std::array<uint8_t, 32>& needle, bool unique,
+                const std::string& what, const std::string& where,
+                uint32_t* offset) {
+  const auto it = std::search(haystack.begin(), haystack.end(),
+                              needle.begin(), needle.end());
+  if (it == haystack.end()) {
+    return Internal(what + " not found in " + where);
   }
-  auto key_it = std::search(golden->attn_code.begin(), golden->attn_code.end(),
-                            key.begin(), key.end());
-  if (key_it == golden->attn_code.end()) {
-    return Internal("golden key not found in live attestation code");
+  if (unique && std::search(it + 1, haystack.end(), needle.begin(),
+                            needle.end()) != haystack.end()) {
+    return Internal("ambiguous " + what + " in " + where);
   }
-  golden->sram_key_addr =
-      golden->attn_code_addr +
-      static_cast<uint32_t>(std::distance(golden->attn_code.begin(), key_it));
-  if (std::search(key_it + 1, golden->attn_code.end(), key.begin(),
-                  key.end()) != golden->attn_code.end()) {
-    return Internal("multiple live key copies in attestation code");
-  }
-
-  const std::vector<uint8_t>& rom = platform.prom().data();
-  auto rom_it = std::search(rom.begin(), rom.end(), key.begin(), key.end());
-  if (rom_it == rom.end()) {
-    return Internal("golden key not found in PROM image");
-  }
-  golden->prom_key_offset =
-      static_cast<uint32_t>(std::distance(rom.begin(), rom_it));
-
-  // The Secure Loader stored SHA-256(live attn code) in the trustlet's
-  // Trustlet-Table row; find that row so clones can re-measure in place.
-  const Sha256Digest measurement = Sha256Hash(golden->attn_code);
-  std::vector<uint8_t> table;
-  if (!bus.HostReadBytes(kTrustletTableBase, 0x1000, &table)) {
-    return Internal("cannot read Trustlet Table");
-  }
-  auto tt_it = std::search(table.begin(), table.end(), measurement.begin(),
-                           measurement.end());
-  if (tt_it == table.end()) {
-    return Internal("attestation measurement not found in Trustlet Table");
-  }
-  golden->tt_measurement_addr =
-      kTrustletTableBase +
-      static_cast<uint32_t>(std::distance(table.begin(), tt_it));
-  if (std::search(tt_it + 1, table.end(), measurement.begin(),
-                  measurement.end()) != table.end()) {
-    return Internal("ambiguous attestation measurement in Trustlet Table");
-  }
-  return OkStatus();
-}
-
-Status WarmProvisionClone(FleetNode& node, const GoldenState& golden,
-                          const std::array<uint8_t, 32>& key,
-                          bool first_clone, NodeProvision* provision) {
-  // High-frequency path: skip the SHA digest check on every clone (the
-  // property tests cover it), and only CRC the golden buffer on the first
-  // clone — every later restore re-reads the same in-memory bytes, so
-  // re-checksumming them per clone is pure waste (DESIGN.md §14).
-  SnapshotRestoreOptions restore_options;
-  restore_options.verify_digest = false;
-  restore_options.verify_checksums = first_clone;
-  TL_RETURN_IF_ERROR(
-      RestorePlatform(&node.platform(), golden.snapshot, restore_options));
-  provision->key = key;
-
-  Bus& bus = node.platform().bus();
-  const std::vector<uint8_t> node_key(key.begin(), key.end());
-
-  // 1. Patch the key: live SRAM copy (what the trustlet reads at run time)
-  //    and the PROM image (what a re-boot would reload). PROM rejects bus
-  //    writes by design, so its backing store goes through the host-side
-  //    loader path with an explicit cache invalidation.
-  if (!bus.HostWriteBytes(golden.sram_key_addr, node_key)) {
-    return Internal("cannot patch live key copy");
-  }
-  node.platform().prom().LoadBytes(golden.prom_key_offset, node_key);
-  bus.NoteHostMutation();
-
-  // 2. Fix up the trustlet's Trustlet-Table row with this clone's
-  //    measurement: the golden attestation code with only the key spliced
-  //    in, exactly the bytes now live in the clone's SRAM.
-  std::vector<uint8_t> patched = golden.attn_code;
-  std::copy(key.begin(), key.end(),
-            patched.begin() + (golden.sram_key_addr - golden.attn_code_addr));
-  const Sha256Digest measurement = Sha256Hash(patched);
-  if (!bus.HostWriteBytes(
-          golden.tt_measurement_addr,
-          std::vector<uint8_t>(measurement.begin(), measurement.end()))) {
-    return Internal("cannot patch Trustlet-Table measurement");
-  }
-
-  // 3. Per-device randomness: the clone must draw from its own stream, not
-  //    the golden node's.
-  node.platform().trng().Reseed(node.device_seed());
+  *offset = static_cast<uint32_t>(std::distance(haystack.begin(), it));
   return OkStatus();
 }
 
@@ -298,87 +198,74 @@ Status TamperNode(FleetNode& node, NodeProvision* provision) {
   return OkStatus();
 }
 
-Result<NodeProvision> RekeyClonedNode(FleetNode& node,
-                                      const NodeProvision& source,
-                                      uint64_t fleet_seed) {
-  if (source.attn_code_size == 0) {
-    return Internal("source provision lacks attestation code geometry");
+Result<IdentitySites> LocateIdentitySites(FleetNode& node,
+                                          const NodeProvision& provision) {
+  if (provision.attn_code_size == 0) {
+    return Internal("provision lacks attestation code geometry");
   }
-  NodeProvision provision = source;
-  provision.tampered = false;
-  provision.key = DeriveDeviceKey(fleet_seed, node.id());
-
   Bus& bus = node.platform().bus();
-  const std::vector<uint8_t> old_key(source.key.begin(), source.key.end());
-  const std::vector<uint8_t> new_key(provision.key.begin(),
-                                     provision.key.end());
-
-  // Locate every patch site BEFORE mutating anything: the restored clone is
-  // a byte-exact copy of the source, so the source key appears exactly once
-  // in the live attestation code, once in the PROM image, and the Trustlet
-  // Table holds SHA-256 of that live code in exactly one row.
-  std::vector<uint8_t> attn_code;
-  if (!bus.HostReadBytes(source.attn_code_addr, source.attn_code_size,
-                         &attn_code)) {
-    return Internal("cannot read clone attestation code");
+  IdentitySites sites;
+  if (!bus.HostReadBytes(provision.attn_code_addr, provision.attn_code_size,
+                         &sites.attn_code)) {
+    return Internal("cannot read live attestation code");
   }
-  auto key_it = std::search(attn_code.begin(), attn_code.end(),
-                            old_key.begin(), old_key.end());
-  if (key_it == attn_code.end()) {
-    return Internal("source key not found in clone attestation code");
-  }
-  const size_t key_offset =
-      static_cast<size_t>(std::distance(attn_code.begin(), key_it));
-  if (std::search(key_it + 1, attn_code.end(), old_key.begin(),
-                  old_key.end()) != attn_code.end()) {
-    return Internal("multiple live key copies in clone attestation code");
-  }
-
-  const std::vector<uint8_t>& rom = node.platform().prom().data();
-  auto rom_it = std::search(rom.begin(), rom.end(), old_key.begin(),
-                            old_key.end());
-  if (rom_it == rom.end()) {
-    return Internal("source key not found in clone PROM image");
-  }
-  const uint32_t prom_key_offset =
-      static_cast<uint32_t>(std::distance(rom.begin(), rom_it));
-
-  const Sha256Digest old_measurement = Sha256Hash(attn_code);
+  TL_RETURN_IF_ERROR(FindSite(sites.attn_code, provision.key,
+                              /*unique=*/true, "device key",
+                              "live attestation code", &sites.key_offset));
+  TL_RETURN_IF_ERROR(FindSite(node.platform().prom().data(), provision.key,
+                              /*unique=*/false, "device key", "PROM image",
+                              &sites.prom_key_offset));
+  // The Secure Loader stored SHA-256(live attn code) in the trustlet's
+  // Trustlet-Table row.
   std::vector<uint8_t> table;
   if (!bus.HostReadBytes(kTrustletTableBase, 0x1000, &table)) {
-    return Internal("cannot read clone Trustlet Table");
+    return Internal("cannot read Trustlet Table");
   }
-  auto tt_it = std::search(table.begin(), table.end(),
-                           old_measurement.begin(), old_measurement.end());
-  if (tt_it == table.end()) {
-    return Internal("attestation measurement not found in clone Trustlet "
-                    "Table");
-  }
-  const uint32_t tt_row_addr =
-      kTrustletTableBase +
-      static_cast<uint32_t>(std::distance(table.begin(), tt_it));
+  TL_RETURN_IF_ERROR(FindSite(table, Sha256Hash(sites.attn_code),
+                              /*unique=*/true, "attestation measurement",
+                              "Trustlet Table", &sites.tt_row_offset));
+  return sites;
+}
 
-  // Patch: live SRAM key, PROM key (a re-boot reloads it), then — last, so
-  // a failure above leaves the clone attesting as a plain source copy
-  // rather than a half-keyed chimera — the Trustlet-Table measurement row.
-  if (!bus.HostWriteBytes(source.attn_code_addr +
-                              static_cast<uint32_t>(key_offset),
-                          new_key)) {
-    return Internal("cannot patch clone live key copy");
+Result<NodeProvision> CloneNode(const std::vector<uint8_t>& snapshot,
+                                bool verify_checksums,
+                                const NodeProvision& source,
+                                const IdentitySites& sites,
+                                uint64_t fleet_seed, FleetNode& clone) {
+  SnapshotRestoreOptions restore_options;
+  restore_options.verify_checksums = verify_checksums;
+  TL_RETURN_IF_ERROR(
+      RestorePlatform(&clone.platform(), snapshot, restore_options));
+  NodeProvision provision = source;
+  provision.tampered = false;
+  provision.key = DeriveDeviceKey(fleet_seed, clone.id());
+  const std::vector<uint8_t> key(provision.key.begin(), provision.key.end());
+
+  // 1. The key: live SRAM copy (what the trustlet reads at run time), then
+  //    the PROM image (what a re-boot would reload). PROM rejects bus
+  //    writes by design, so its backing store goes through the host-side
+  //    loader path with an explicit cache invalidation.
+  Bus& bus = clone.platform().bus();
+  if (!bus.HostWriteBytes(source.attn_code_addr + sites.key_offset, key)) {
+    return Internal("cannot patch live key copy");
   }
-  node.platform().prom().LoadBytes(prom_key_offset, new_key);
+  clone.platform().prom().LoadBytes(sites.prom_key_offset, key);
   bus.NoteHostMutation();
-  std::copy(new_key.begin(), new_key.end(), attn_code.begin() + key_offset);
-  const Sha256Digest new_measurement = Sha256Hash(attn_code);
-  if (!bus.HostWriteBytes(tt_row_addr,
-                          std::vector<uint8_t>(new_measurement.begin(),
-                                               new_measurement.end()))) {
-    return Internal("cannot patch clone Trustlet-Table measurement");
+
+  // 2. Last, the measurement row: the located code with only the key
+  //    spliced in, exactly the bytes now live in the copy's SRAM.
+  std::vector<uint8_t> code = sites.attn_code;
+  std::copy(key.begin(), key.end(), code.begin() + sites.key_offset);
+  const Sha256Digest measurement = Sha256Hash(code);
+  if (!bus.HostWriteBytes(
+          kTrustletTableBase + sites.tt_row_offset,
+          std::vector<uint8_t>(measurement.begin(), measurement.end()))) {
+    return Internal("cannot patch Trustlet-Table measurement");
   }
 
-  // The clone draws randomness from its own derived stream from here on.
-  node.platform().trng().Reseed(node.device_seed());
-  node.platform().ReleaseThreadAffinity();
+  // 3. Per-device randomness: the copy draws from its own stream.
+  clone.platform().trng().Reseed(clone.device_seed());
+  clone.platform().ReleaseThreadAffinity();
   return provision;
 }
 
@@ -401,26 +288,31 @@ Result<std::vector<NodeProvision>> ProvisionAttestationFleet(
   provisions.reserve(static_cast<size_t>(fleet->num_nodes()));
   const std::set<int> tampered = TamperPlan(*fleet, config.tamper_count);
 
-  GoldenState golden;
+  // Warm boot: node 0 is cold-booted and copied into every other node.
+  std::vector<uint8_t> golden;
+  IdentitySites golden_sites;
   for (int i = 0; i < fleet->num_nodes(); ++i) {
     FleetNode& node = fleet->node(i);
     NodeProvision provision;
-    const std::array<uint8_t, 32> key =
-        DeriveDeviceKey(fleet->config().seed, i);
-
-    const bool warm_clone = config.warm_boot && i > 0;
-    if (!warm_clone) {
-      NodeImage built;
-      TL_RETURN_IF_ERROR(
-          ColdProvisionNode(node, config, key, &provision,
-                            config.warm_boot ? &built : nullptr));
+    if (config.warm_boot && i > 0) {
+      // Every copy restores the same in-memory buffer: only the first one
+      // checks its CRCs (DESIGN.md §15, "Warm-boot amortizations").
+      Result<NodeProvision> copy =
+          CloneNode(golden, /*verify_checksums=*/i == 1, provisions[0],
+                    golden_sites, fleet->config().seed, node);
+      if (!copy.ok()) {
+        return copy.status();
+      }
+      provision = std::move(*copy);
+    } else {
+      TL_RETURN_IF_ERROR(ColdProvisionNode(
+          node, config, DeriveDeviceKey(fleet->config().seed, i), &provision));
       if (config.warm_boot) {
-        // This is the golden node: capture its post-Secure-Loader state
-        // once, then clone it into every other node.
-        golden.key = key;
-        golden.attn_code_addr = built.attn.code_addr;
-        golden.attn_code_size = static_cast<uint32_t>(built.attn.code.size());
-        TL_RETURN_IF_ERROR(LocateGoldenPatchSites(node.platform(), &golden));
+        Result<IdentitySites> sites = LocateIdentitySites(node, provision);
+        if (!sites.ok()) {
+          return sites.status();
+        }
+        golden_sites = std::move(*sites);
         SnapshotSaveOptions save_options;
         save_options.include_digest = false;
         Result<std::vector<uint8_t>> snapshot =
@@ -428,20 +320,8 @@ Result<std::vector<NodeProvision>> ProvisionAttestationFleet(
         if (!snapshot.ok()) {
           return snapshot.status();
         }
-        golden.snapshot = std::move(*snapshot);
+        golden = std::move(*snapshot);
       }
-    } else {
-      TL_RETURN_IF_ERROR(WarmProvisionClone(node, golden, key,
-                                            /*first_clone=*/i == 1,
-                                            &provision));
-      // Warm clones share the golden node's FW trustlet bytes.
-      provision.fw_id = provisions[0].fw_id;
-      provision.fw_code_addr = provisions[0].fw_code_addr;
-      provision.fw_code = provisions[0].fw_code;
-      provision.fw_payload_offset = provisions[0].fw_payload_offset;
-      provision.fw_payload_capacity = provisions[0].fw_payload_capacity;
-      provision.attn_code_addr = provisions[0].attn_code_addr;
-      provision.attn_code_size = provisions[0].attn_code_size;
     }
 
     if (tampered.count(i) != 0) {

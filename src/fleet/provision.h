@@ -40,11 +40,11 @@ struct FleetProvisionConfig {
   int tamper_count = 0;
   uint32_t timer_period = 2000;
   // Warm-boot cloning: run the Secure Loader once on node 0 ("golden"
-  // node), snapshot its post-boot state, and provision every other node by
-  // restoring the snapshot and patching the per-device secrets in place —
-  // the attestation key bytes (SRAM code + PROM image), the Trustlet-Table
-  // measurement of the patched attestation trustlet, and the TRNG seed.
-  // Attestation still verifies on every node; fleet digests are NOT
+  // node), snapshot its post-boot state, and provision every other node
+  // with CloneNode — restore the snapshot and patch the per-device secrets
+  // in place: the attestation key bytes (SRAM code + PROM image), the
+  // Trustlet-Table measurement of the patched attestation trustlet, and the
+  // TRNG seed. Attestation still verifies on every node; fleet digests are NOT
   // expected to match a cold boot (TRNG cursors differ by construction).
   bool warm_boot = false;
 };
@@ -59,9 +59,9 @@ struct NodeProvision {
   // fw_code_addr; capacity 0 means no window was reserved.
   uint32_t fw_payload_offset = 0;
   uint32_t fw_payload_capacity = 0;
-  // Attestation-trustlet code geometry — mid-run snapshot cloning
-  // (RekeyClonedNode) locates the embedded device key and the Trustlet-
-  // Table measurement row through this.
+  // Attestation-trustlet code geometry — node copies (LocateIdentitySites)
+  // find the embedded device key and the Trustlet-Table measurement row
+  // through this.
   uint32_t attn_code_addr = 0;
   uint32_t attn_code_size = 0;
   bool tampered = false;
@@ -85,19 +85,42 @@ Result<std::vector<NodeProvision>> ProvisionAttestationFleet(
 // provision time. Marks the provision tampered.
 Status TamperNode(FleetNode& node, NodeProvision* provision);
 
-// Mid-run re-key of a snapshot-restored clone (DESIGN.md §17): `node` holds
-// a byte-exact restore of the platform whose identity is `source`. Derives
-// the clone's own device key from (fleet_seed, node.id()), splices it over
-// the source key in the live attestation code and the PROM image, rewrites
-// the Trustlet-Table measurement row for the re-keyed code, and reseeds the
-// TRNG with the clone's derived stream — the same patch-site machinery warm
-// provisioning applies at boot time (§14), extended to a node that has
-// already been running. Fails closed (no partial patch is observable via
-// attestation: the measurement row is rewritten last). Returns the clone's
-// provision: `source` with the new key, tampered cleared.
-Result<NodeProvision> RekeyClonedNode(FleetNode& node,
-                                      const NodeProvision& source,
-                                      uint64_t fleet_seed);
+// --- Node copies (DESIGN.md §14, §17) ---
+//
+// Warm-boot provisioning and FleetController::ScaleUp copy a node the same
+// way: locate the source's identity sites, snapshot it, then CloneNode.
+// The Secure Loader measured the attestation code with the source's key in
+// it, so a copy redoes that work for its own key.
+
+// Where a node's identity lives: the one live copy of the device key inside
+// the attestation code, the key in the PROM image (a re-boot reloads it),
+// and the one Trustlet-Table row holding SHA-256 of the code.
+struct IdentitySites {
+  std::vector<uint8_t> attn_code;  // Live attestation code bytes.
+  uint32_t key_offset = 0;         // Key offset inside attn_code.
+  uint32_t prom_key_offset = 0;    // Key offset inside the PROM image.
+  uint32_t tt_row_offset = 0;      // Row offset from kTrustletTableBase.
+};
+
+// Finds `provision`'s identity sites on `node`. Fails closed and writes
+// nothing unless the provision has attestation geometry, its key occurs
+// exactly once in the live attestation code and at least once in the PROM
+// image, and exactly one Trustlet-Table row holds the code's measurement.
+Result<IdentitySites> LocateIdentitySites(FleetNode& node,
+                                          const NodeProvision& provision);
+
+// Restores `snapshot` (taken of the node `source` describes right after
+// `sites` were located on it) into `clone`, then gives the copy its own
+// identity: writes DeriveDeviceKey(fleet_seed, clone.id()) into SRAM and
+// PROM, rewrites the measurement row last (a failed copy never attests as a
+// half-keyed chimera), reseeds the TRNG from clone.device_seed() and
+// releases the thread latch. Returns `source` with the new key and
+// `tampered` cleared.
+Result<NodeProvision> CloneNode(const std::vector<uint8_t>& snapshot,
+                                bool verify_checksums,
+                                const NodeProvision& source,
+                                const IdentitySites& sites,
+                                uint64_t fleet_seed, FleetNode& clone);
 
 }  // namespace trustlite
 

@@ -192,7 +192,7 @@ void UpdateCampaign::PumpTransfer(int node) {
       });
   if (ns.state == UpdateNodeState::kTransferring &&
       fleet_->now() >= ns.deadline) {
-    if (++ns.retries > config_.max_chunk_retries) {
+    if (++ns.retries > kUpdateMaxChunkRetries) {
       ns.state = UpdateNodeState::kRejected;
       char line[80];
       std::snprintf(line, sizeof(line),

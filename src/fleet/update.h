@@ -48,6 +48,9 @@ namespace trustlite {
 std::string EncodeUpdateFrame(uint32_t campaign_id, uint32_t offset,
                               const uint8_t* data, size_t len);
 
+// Retransmits of one chunk before the node is failed.
+inline constexpr int kUpdateMaxChunkRetries = 25;
+
 struct UpdateCampaignConfig {
   // Percent of the eligible (verified) population updated first. 100 makes
   // everyone a canary: single-stage rollout.
@@ -57,9 +60,8 @@ struct UpdateCampaignConfig {
   bool halt_on_quarantine = true;
   // Transfer granule per frame.
   uint32_t chunk_bytes = 512;
-  // Retransmit deadline per chunk, and retries before the node is failed.
+  // Retransmit deadline per chunk.
   uint64_t chunk_timeout_cycles = 200'000;
-  int max_chunk_retries = 25;
 };
 
 enum class UpdatePhase {

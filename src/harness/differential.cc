@@ -263,9 +263,7 @@ std::vector<uint8_t> Checkpoint(Platform& platform) {
 
 bool RestoreCheckpoint(Platform* platform,
                        const std::vector<uint8_t>& snapshot) {
-  SnapshotRestoreOptions options;
-  options.verify_digest = false;
-  return RestorePlatform(platform, snapshot, options).ok();
+  return RestorePlatform(platform, snapshot).ok();
 }
 
 }  // namespace

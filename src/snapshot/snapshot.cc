@@ -515,7 +515,7 @@ Status RestorePlatform(Platform* platform,
     TL_RETURN_IF_ERROR(device->LoadState(state.data, state.size));
   }
 
-  if (digest_present && options.verify_digest) {
+  if (digest_present) {
     const Sha256Digest live = PlatformStateDigest(*platform);
     if (live != digest) {
       return Internal(

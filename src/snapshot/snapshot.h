@@ -58,9 +58,6 @@ struct SnapshotSaveOptions {
 };
 
 struct SnapshotRestoreOptions {
-  // Recompute the state digest after restore and require it to match the
-  // embedded one (no-op when the snapshot was saved without a digest).
-  bool verify_digest = true;
   // Check every chunk's CRC before touching target state. Leave on for
   // bytes that crossed a file system or network. Warm-boot fleet
   // provisioning restores the *same in-memory golden buffer* dozens of
@@ -90,7 +87,7 @@ Result<std::vector<uint8_t>> SavePlatform(
 // with a structurally identical PlatformConfig (MPU shape, DMA presence,
 // memory map — see SnapshotPlatformConfig). Fails closed on malformed
 // input; on success the platform's state digest equals the live state the
-// snapshot captured.
+// snapshot captured, and an embedded digest is recomputed and checked.
 Status RestorePlatform(Platform* platform,
                        const std::vector<uint8_t>& snapshot,
                        const SnapshotRestoreOptions& options = {});

@@ -674,7 +674,7 @@ TEST(FleetAttestTest, TranscriptAndDigestIdenticalAcrossThreadCounts) {
 
 TEST(FleetAttestTest, MismatchFloodIsBoundedAndLogged) {
   // An adversary shovels forged reports at the verifier. The verifier must
-  // (a) count every forgery, (b) log only the first policy.max_reject_logs
+  // (a) count every forgery, (b) log only the first kAttestMaxRejectLogs
   // of them plus one explicit suppression line — no silent truncation, no
   // unbounded transcript — and (c) reclaim the consumed RX bytes so the
   // stream buffer does not grow with the flood.
@@ -715,7 +715,7 @@ TEST(FleetAttestTest, MismatchFloodIsBoundedAndLogged) {
        at = transcript.find("report-mismatch", at + 1)) {
     ++mismatch_lines;
   }
-  EXPECT_EQ(mismatch_lines, static_cast<size_t>(policy.max_reject_logs));
+  EXPECT_EQ(mismatch_lines, static_cast<size_t>(kAttestMaxRejectLogs));
   EXPECT_NE(transcript.find("reject-log cap reached"), std::string::npos);
   EXPECT_NE(transcript.find("mismatches=40"), std::string::npos);
   // Consumed stream prefix was handed back: the buffer holds at most the

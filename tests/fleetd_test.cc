@@ -383,6 +383,126 @@ TEST(FleetControllerTest, ScaleUpRequiresAStarTopology) {
   EXPECT_FALSE(controller.ScaleUp(1).ok());
 }
 
+// --- One copy path: LocateIdentitySites fails closed ---------------------
+// Each bad identity state is host-written into a warm-provisioned node.
+
+struct WarmFleet {
+  std::unique_ptr<Fleet> fleet;
+  std::vector<NodeProvision> provisions;
+};
+
+WarmFleet MakeWarmFleet(int nodes) {
+  FleetConfig config;
+  config.nodes = nodes;
+  config.seed = 21;
+  WarmFleet warm;
+  warm.fleet = std::make_unique<Fleet>(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  auto provisions = ProvisionAttestationFleet(warm.fleet.get(), prov);
+  EXPECT_TRUE(provisions.ok()) << provisions.status().ToString();
+  warm.provisions = std::move(*provisions);
+  return warm;
+}
+
+std::vector<uint8_t> LiveAttnCode(FleetNode& node, const NodeProvision& p) {
+  std::vector<uint8_t> code;
+  EXPECT_TRUE(node.platform().bus().HostReadBytes(p.attn_code_addr,
+                                                  p.attn_code_size, &code));
+  return code;
+}
+
+// Copies the attestation measurement into the last 32 bytes of the
+// Trustlet-Table window: a second row claiming the same code.
+void DuplicateMeasurementRow(FleetNode& node, const NodeProvision& p) {
+  const Sha256Digest measurement = Sha256Hash(LiveAttnCode(node, p));
+  ASSERT_TRUE(node.platform().bus().HostWriteBytes(
+      kSramBase + kSramSize - kSha256DigestSize,
+      std::vector<uint8_t>(measurement.begin(), measurement.end())));
+}
+
+void ExpectLocateFailsClosed(FleetNode& node, const NodeProvision& p,
+                             const std::string& expected_error) {
+  const Sha256Digest before = node.StateDigest();
+  Result<IdentitySites> sites = LocateIdentitySites(node, p);
+  ASSERT_FALSE(sites.ok());
+  EXPECT_NE(sites.status().message().find(expected_error), std::string::npos)
+      << sites.status().ToString();
+  EXPECT_EQ(node.StateDigest(), before);
+}
+
+TEST(NodeCopyTest, KeyTwiceInTheAttestationCodeFailsClosed) {
+  WarmFleet warm = MakeWarmFleet(2);
+  FleetNode& node = warm.fleet->node(1);
+  const NodeProvision& p = warm.provisions[1];
+  const std::vector<uint8_t> code = LiveAttnCode(node, p);
+  const auto it = std::search(code.begin(), code.end(), p.key.begin(),
+                              p.key.end());
+  ASSERT_NE(it, code.end());
+  // A second copy that does not overlap the first.
+  const uint32_t copy_at =
+      it - code.begin() >= 32 ? 0 : p.attn_code_size - 32;
+  ASSERT_TRUE(node.platform().bus().HostWriteBytes(
+      p.attn_code_addr + copy_at,
+      std::vector<uint8_t>(p.key.begin(), p.key.end())));
+  ExpectLocateFailsClosed(node, p,
+                          "ambiguous device key in live attestation code");
+}
+
+TEST(NodeCopyTest, MeasurementInTwoTrustletTableRowsFailsClosed) {
+  WarmFleet warm = MakeWarmFleet(2);
+  FleetNode& node = warm.fleet->node(1);
+  DuplicateMeasurementRow(node, warm.provisions[1]);
+  ExpectLocateFailsClosed(node, warm.provisions[1],
+                          "ambiguous attestation measurement in Trustlet "
+                          "Table");
+}
+
+TEST(NodeCopyTest, PromImageWithoutTheKeyFailsClosed) {
+  WarmFleet warm = MakeWarmFleet(2);
+  FleetNode& node = warm.fleet->node(1);
+  const NodeProvision& p = warm.provisions[1];
+  Prom& prom = node.platform().prom();
+  for (auto it = std::search(prom.data().begin(), prom.data().end(),
+                             p.key.begin(), p.key.end());
+       it != prom.data().end();
+       it = std::search(prom.data().begin(), prom.data().end(),
+                        p.key.begin(), p.key.end())) {
+    const uint32_t offset =
+        static_cast<uint32_t>(it - prom.data().begin());
+    prom.LoadBytes(offset, {static_cast<uint8_t>(~*it)});
+  }
+  ExpectLocateFailsClosed(node, p, "device key not found in PROM image");
+}
+
+TEST(NodeCopyTest, ProvisionWithoutAttestationGeometryFailsClosed) {
+  WarmFleet warm = MakeWarmFleet(2);
+  NodeProvision p = warm.provisions[1];
+  p.attn_code_size = 0;
+  ExpectLocateFailsClosed(warm.fleet->node(1), p,
+                          "provision lacks attestation code geometry");
+}
+
+TEST(FleetControllerTest, ScaleUpRejectsASourceWithTwoMeasurementRows) {
+  // A copy rewrites the one row that measures its attestation code; with
+  // two candidate rows the phase fails before the fleet grows.
+  WarmFleet warm = MakeWarmFleet(4);
+  FleetController controller(warm.fleet.get(), warm.provisions,
+                             FleetdPolicy{});
+  ASSERT_TRUE(controller.RunAdmission().ok());
+  ASSERT_EQ(controller.Admitted().size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    DuplicateMeasurementRow(warm.fleet->node(i), warm.provisions[i]);
+  }
+  const Status scaled = controller.ScaleUp(1);
+  EXPECT_FALSE(scaled.ok());
+  EXPECT_NE(scaled.message().find("ambiguous attestation measurement"),
+            std::string::npos)
+      << scaled.ToString();
+  EXPECT_EQ(warm.fleet->num_nodes(), 4);
+  EXPECT_EQ(controller.num_nodes(), 4);
+}
+
 // --- Thread-count invariance (hostile matrix) ----------------------------
 
 struct SessionResult {

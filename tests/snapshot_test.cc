@@ -216,7 +216,6 @@ TEST(SnapshotCorruptionTest, SkippedChecksumsStillFailClosedOnFraming) {
   // verify_checksums=false (the warm-boot amortization) restores a clean
   // buffer correctly...
   SnapshotRestoreOptions no_crc;
-  no_crc.verify_digest = false;
   no_crc.verify_checksums = false;
   Platform clean;
   ASSERT_TRUE(RestorePlatform(&clean, *saved, no_crc).ok());

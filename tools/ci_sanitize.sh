@@ -28,17 +28,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # TSan stage: fleet executor + RNG tests, the fleet CLI smoke runs (ctest
 # names tlfleet_*), the hostile-link campaigns, the update-campaign suites,
-# and the tlfleetd control-plane suite — multi-threaded quanta with mid-run
-# host-port tampering, an active link adversary, host-side
-# apply/commit/rollback, and controller agents writing node DRAM between
-# quanta are exactly where a data race would hide (ctest regex covers the gtest-discovered Fleet*/
-# QuantumPool*/HostileCampaign*/ReplayWindow*/FleetUpdate*/FleetController*
-# cases plus the ci_hostile, ci_update and ci_fleetd gates).
+# the tlfleetd control-plane suite and the warm-boot copies — multi-threaded
+# quanta with mid-run host-port tampering, an active link adversary,
+# host-side apply/commit/rollback, controller agents writing node DRAM
+# between quanta, and node copies handed to pool workers are exactly where
+# a data race would hide (ctest regex covers the gtest-discovered Fleet*/
+# QuantumPool*/HostileCampaign*/ReplayWindow*/FleetUpdate*/FleetController*/
+# WarmBoot* cases plus the ci_hostile, ci_update and ci_fleetd gates).
 cmake -B "$TSAN_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
   --target fleet_test hostile_attest_test fleet_update_test fleetd_test \
-  rng_test tlfleetd tlfw
+  rng_test snapshot_test tlfleetd tlfw
 ctest --test-dir "$TSAN_DIR" --output-on-failure \
-  -R 'Fleet|QuantumPool|LinkFabric|DeriveDeviceSeed|SplitMix|tlfleet|Hostile|ReplayWindow|ControlWire|ci_hostile|ci_update|ci_fleetd'
+  -R 'Fleet|QuantumPool|LinkFabric|DeriveDeviceSeed|SplitMix|tlfleet|Hostile|ReplayWindow|ControlWire|WarmBoot|ci_hostile|ci_update|ci_fleetd'

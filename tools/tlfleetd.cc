@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <utility>
@@ -346,9 +345,10 @@ bool AssembleGuest(const std::string& path, AsmOutput* out) {
 // "<what>: wrote <path> (<detail>)".
 bool WriteOutput(const Options& opt, const char* what, const std::string& path,
                  const std::string& text, const std::string& detail) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out || !(out << text)) {
-    std::fprintf(stderr, "tlfleetd: cannot write %s\n", path.c_str());
+  const Status written =
+      WriteFileBytes(path, std::vector<uint8_t>(text.begin(), text.end()));
+  if (!written.ok()) {
+    std::fprintf(stderr, "tlfleetd: %s\n", written.ToString().c_str());
     return false;
   }
   if (!opt.quiet) {

@@ -108,6 +108,43 @@ bool ResolveAddr(const std::map<std::string, uint32_t>& symbols,
   return ParseNumber("tlsim", what, text, addr);
 }
 
+// The loader of `run` and `debug`: assembles `input` at 0x30000, writes
+// every chunk into `platform` and resets the CPU at `entry_text` (a symbol
+// or number; default `start`, else the first chunk) with SP = `sp`. Fails
+// closed with a message on stderr.
+bool LoadProgram(const std::string& input, const std::string& entry_text,
+                 uint32_t sp, Platform* platform, AsmOutput* program) {
+  std::string source;
+  if (!ReadTextFile("tlsim", input, &source)) {
+    return false;
+  }
+  Result<AsmOutput> out = Assemble(source, 0x0003'0000);
+  if (!out.ok()) {
+    std::fprintf(stderr, "tlsim: %s\n", out.status().ToString().c_str());
+    return false;
+  }
+  *program = std::move(*out);
+  for (const AsmChunk& chunk : program->chunks) {
+    if (!platform->bus().HostWriteBytes(chunk.base, chunk.bytes)) {
+      std::fprintf(stderr, "tlsim: chunk at %s does not map to any device\n",
+                   Hex32(chunk.base).c_str());
+      return false;
+    }
+  }
+  uint32_t entry = program->chunks.empty() ? 0 : program->chunks.front().base;
+  if (!entry_text.empty()) {
+    if (!ResolveAddr(program->symbols, "--entry (no such symbol)", entry_text,
+                     &entry)) {
+      return false;
+    }
+  } else if (program->symbols.count("start") != 0) {
+    entry = program->symbols.at("start");
+  }
+  platform->cpu().Reset(entry);
+  platform->cpu().set_reg(kRegSp, sp);
+  return true;
+}
+
 int CmdAsm(const std::vector<std::string>& args) {
   std::string input;
   std::string output;
@@ -247,21 +284,6 @@ int CmdRun(const std::vector<std::string>& args) {
     return Usage();
   }
 
-  // The program either comes from file.s (cold run) or travels inside the
-  // snapshot (--resume-from; a file.s argument is then ignored).
-  Result<AsmOutput> out(Status::Ok());
-  if (resume_from.empty()) {
-    std::string source;
-    if (!ReadTextFile("tlsim", input, &source)) {
-      return 1;
-    }
-    out = Assemble(source, 0x0003'0000);
-    if (!out.ok()) {
-      std::fprintf(stderr, "tlsim: %s\n", out.status().ToString().c_str());
-      return 1;
-    }
-  }
-
   PlatformConfig config;
   config.with_mpu = !no_mpu;
   std::vector<uint8_t> resume_bytes;
@@ -282,14 +304,13 @@ int CmdRun(const std::vector<std::string>& args) {
     }
     config = *snap_config;
   }
+  // The program either comes from file.s (cold run) or travels inside the
+  // snapshot (--resume-from; a file.s argument is then ignored).
   Platform platform(config);
+  AsmOutput program;
   if (resume_from.empty()) {
-    for (const AsmChunk& chunk : out->chunks) {
-      if (!platform.bus().HostWriteBytes(chunk.base, chunk.bytes)) {
-        std::fprintf(stderr, "tlsim: chunk at %s does not map to any device\n",
-                     Hex32(chunk.base).c_str());
-        return 1;
-      }
+    if (!LoadProgram(input, entry_text, sp, &platform, &program)) {
+      return 1;
     }
   } else {
     Status restored = RestorePlatform(&platform, resume_bytes);
@@ -300,22 +321,6 @@ int CmdRun(const std::vector<std::string>& args) {
     std::printf("resumed from %s at %llu instructions\n", resume_from.c_str(),
                 static_cast<unsigned long long>(
                     platform.cpu().stats().instructions));
-  }
-
-  uint32_t entry = 0;
-  if (resume_from.empty()) {
-    entry = out->chunks.empty() ? 0 : out->chunks.front().base;
-    if (!entry_text.empty()) {
-      if (!ResolveAddr(out->symbols, "--entry (no such symbol)", entry_text,
-                       &entry)) {
-        return 1;
-      }
-    } else {
-      auto it = out->symbols.find("start");
-      if (it != out->symbols.end()) {
-        entry = it->second;
-      }
-    }
   }
   if (!uart_in.empty()) {
     platform.uart().PushInput(uart_in);
@@ -331,7 +336,7 @@ int CmdRun(const std::vector<std::string>& args) {
   TrustletProfiler profiler;
   ChromeTraceWriter trace_writer;
   if ((profile || !trace_json.empty()) && resume_from.empty()) {
-    for (const AsmChunk& chunk : out->chunks) {
+    for (const AsmChunk& chunk : program.chunks) {
       char lane_name[32];
       std::snprintf(lane_name, sizeof(lane_name), "code@%08x", chunk.base);
       const uint32_t end =
@@ -347,10 +352,6 @@ int CmdRun(const std::vector<std::string>& args) {
     }
   }
 
-  if (resume_from.empty()) {
-    platform.cpu().Reset(entry);
-    platform.cpu().set_reg(kRegSp, sp);
-  }
   if (snapshot_every > 0) {
     // Periodic checkpointing: run in slices, snapshotting at each boundary.
     uint64_t executed = 0;
@@ -481,12 +482,6 @@ int CmdRun(const std::vector<std::string>& args) {
   return cpu.trap().valid ? 1 : 0;
 }
 
-struct LoadedProgram {
-  Platform* platform;
-  std::map<std::string, uint32_t> symbols;
-  uint32_t entry = 0;
-};
-
 void PrintRegs(const Cpu& cpu) {
   for (int i = 0; i < kNumRegisters; ++i) {
     std::printf("%4s=%08x%s", RegisterName(i).c_str(), cpu.reg(i),
@@ -530,35 +525,14 @@ int CmdDebug(const std::vector<std::string>& args) {
   if (input.empty()) {
     return Usage();
   }
-  std::string source;
-  if (!ReadTextFile("tlsim", input, &source)) {
+  Platform platform;
+  AsmOutput program;
+  if (!LoadProgram(input, entry_text, sp, &platform, &program)) {
     return 1;
   }
-  Result<AsmOutput> out = Assemble(source, 0x0003'0000);
-  if (!out.ok()) {
-    std::fprintf(stderr, "tlsim: %s\n", out.status().ToString().c_str());
-    return 1;
-  }
-  PlatformConfig config;
-  Platform platform(config);
-  for (const AsmChunk& chunk : out->chunks) {
-    platform.bus().HostWriteBytes(chunk.base, chunk.bytes);
-  }
-  LoadedProgram prog{&platform, out->symbols, 0};
-  prog.entry = out->chunks.empty() ? 0 : out->chunks.front().base;
-  if (!entry_text.empty()) {
-    if (!ResolveAddr(prog.symbols, "--entry (no such symbol)", entry_text,
-                     &prog.entry)) {
-      return 1;
-    }
-  } else if (out->symbols.count("start") != 0) {
-    prog.entry = out->symbols.at("start");
-  }
-  platform.cpu().Reset(prog.entry);
-  platform.cpu().set_reg(kRegSp, sp);
 
   std::printf("tlsim debugger — entry %s, 'q' to quit\n",
-              Hex32(prog.entry).c_str());
+              Hex32(platform.cpu().ip()).c_str());
   std::set<uint32_t> breakpoints;
   std::string line;
   size_t uart_seen = 0;
@@ -621,7 +595,7 @@ int CmdDebug(const std::vector<std::string>& args) {
       std::string where;
       iss >> where;
       uint32_t addr = 0;
-      if (ResolveAddr(prog.symbols, "break", where, &addr)) {
+      if (ResolveAddr(program.symbols, "break", where, &addr)) {
         breakpoints.insert(addr);
         std::printf("breakpoint set at %s\n", Hex32(addr).c_str());
       }
@@ -629,7 +603,7 @@ int CmdDebug(const std::vector<std::string>& args) {
       std::string where;
       iss >> where;
       uint32_t addr = 0;
-      if (ResolveAddr(prog.symbols, "del", where, &addr)) {
+      if (ResolveAddr(program.symbols, "del", where, &addr)) {
         breakpoints.erase(addr);
       }
     } else if (cmd == "r" || cmd == "regs") {
@@ -639,7 +613,7 @@ int CmdDebug(const std::vector<std::string>& args) {
       int count = 8;
       iss >> where >> count;
       uint32_t addr = 0;
-      if (!ResolveAddr(prog.symbols, "mem", where, &addr)) {
+      if (!ResolveAddr(program.symbols, "mem", where, &addr)) {
         continue;
       }
       addr &= ~3u;
@@ -657,12 +631,13 @@ int CmdDebug(const std::vector<std::string>& args) {
       int count = 8;
       iss >> where >> count;
       uint32_t addr = platform.cpu().ip();
-      if (!where.empty() && !ResolveAddr(prog.symbols, "disas", where, &addr)) {
+      if (!where.empty() &&
+          !ResolveAddr(program.symbols, "disas", where, &addr)) {
         continue;
       }
       PrintDisas(platform, addr, count);
     } else if (cmd == "sym") {
-      for (const auto& [name, value] : prog.symbols) {
+      for (const auto& [name, value] : program.symbols) {
         std::printf("  %-24s %s\n", name.c_str(), Hex32(value).c_str());
       }
     } else if (cmd == "u" || cmd == "uart") {
