@@ -1110,9 +1110,6 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
   if (!bus_->MemWindowFor(addr, &mem)) {
     return;  // MMIO or unmapped: never windowed.
   }
-  if (is_write && mem.rw == nullptr) {
-    return;  // Guest-read-only memory (PROM): stores must keep faulting.
-  }
   uint32_t lo = mem.lo;
   uint64_t hi = uint64_t{mem.lo} + mem.len;
   uint32_t subj_lo = 0;
@@ -1130,6 +1127,17 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
   if (addr < lo || addr >= hi) {
     return;
   }
+  uint8_t* rw = nullptr;
+  if (is_write) {
+    // Asking for exactly [lo, hi) marks those pages in the memory's write
+    // map (DESIGN.md §15), so stores through the window need no
+    // bookkeeping of their own.
+    rw = mem.device->HostMutableSpan(lo - mem.lo,
+                                     static_cast<uint32_t>(hi - lo));
+    if (rw == nullptr) {
+      return;  // Guest-read-only memory (PROM): stores must keep faulting.
+    }
+  }
   DataWindow* set = is_write ? write_windows_ : read_windows_;
   std::move_backward(set, set + kDataWindowWays - 1, set + kDataWindowWays);
   DataWindow& dw = set[0];
@@ -1138,7 +1146,7 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
   dw.subj_lo = subj_lo;
   dw.subj_hi = subj_hi;
   dw.ro = mem.ro + (lo - mem.lo);
-  dw.rw = is_write ? mem.rw + (lo - mem.lo) : nullptr;
+  dw.rw = rw;
   dw.wait_states = mem.wait_states;
   dw.mpu_generation = CurrentMpuGeneration();
   dw.topology_generation = bus_->topology_generation();

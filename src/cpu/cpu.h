@@ -459,7 +459,9 @@ class Cpu {
   // interval, FLAGS.User, the EA-MPU config generation and the bus topology
   // generation must match the build. Window stores go straight to host
   // memory, so they bump the bus memory generation themselves (the decode
-  // and fusion caches revalidate through it). len == 0 means invalid.
+  // and fusion caches revalidate through it); the memory's write map
+  // already marks the write window's pages, from when it was built.
+  // len == 0 means invalid.
   //
   // Reads and writes each keep a set of kDataWindowWays windows ordered
   // most-recently-used first: a trustlet's continue() alone reads its code,

@@ -166,7 +166,7 @@ Status ColdProvisionNode(FleetNode& node, const FleetProvisionConfig& config,
 
 // Stores the offset of the first `needle` in `haystack`. Fails when there is
 // none, and when `unique` is set and there is a second.
-Status FindSite(const std::vector<uint8_t>& haystack,
+Status FindSite(std::span<const uint8_t> haystack,
                 const std::array<uint8_t, 32>& needle, bool unique,
                 const std::string& what, const std::string& where,
                 uint32_t* offset) {
@@ -249,7 +249,8 @@ Result<NodeProvision> CloneNode(const std::vector<uint8_t>& snapshot,
   if (!bus.HostWriteBytes(source.attn_code_addr + sites.key_offset, key)) {
     return Internal("cannot patch live key copy");
   }
-  clone.platform().prom().LoadBytes(sites.prom_key_offset, key);
+  TL_RETURN_IF_ERROR(clone.platform().prom().LoadBytes(sites.prom_key_offset,
+                                                       key));
   bus.NoteHostMutation();
 
   // 2. Last, the measurement row: the located code with only the key

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <initializer_list>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -37,19 +40,38 @@ const char* EventName(StepEvent event) {
 // Byte-for-byte device comparison via the host view of the backing store.
 std::optional<Divergence> CompareRam(uint64_t step, const char* name,
                                      const Ram& a, const Ram& b) {
-  const std::vector<uint8_t>& da = a.data();
-  const std::vector<uint8_t>& db = b.data();
-  if (da == db) {
+  const std::span<const uint8_t> da = a.data();
+  const std::span<const uint8_t> db = b.data();
+  if (std::equal(da.begin(), da.end(), db.begin(), db.end())) {
     return std::nullopt;
   }
-  for (size_t i = 0; i < da.size(); ++i) {
-    if (da[i] != db[i]) {
-      return Divergence{step, std::string(name) + " byte at " +
-                                  Hex(a.base() + i) + ": fast=" + Hex(da[i]) +
-                                  " ref=" + Hex(db[i])};
+  const auto [ia, ib] = std::mismatch(da.begin(), da.end(), db.begin());
+  return Divergence{step, std::string(name) + " byte at " +
+                              Hex(a.base() + (ia - da.begin())) +
+                              ": fast=" + Hex(*ia) + " ref=" + Hex(*ib)};
+}
+
+// The write-map invariant (DESIGN.md §15): a page the map does not mark was
+// never written, so it reads zero. A page the snapshot walk skips for lack
+// of a mark would otherwise drop out of digests and snapshots unseen.
+std::optional<Divergence> CheckWriteMap(uint64_t step, const char* side,
+                                        const Ram& ram) {
+  static constexpr uint8_t kZeroPage[kRamPageSize] = {};
+  const std::span<const uint8_t> bytes = ram.data();
+  const std::span<const uint8_t> marks = ram.write_map();
+  for (size_t page = 0; page < marks.size(); ++page) {
+    const size_t offset = page * kRamPageSize;
+    if (marks[page] == 0 &&
+        std::memcmp(bytes.data() + offset, kZeroPage,
+                    std::min<size_t>(kRamPageSize, bytes.size() - offset)) !=
+            0) {
+      return Divergence{step, std::string(side) + " " + ram.name() + " page " +
+                                  Hex(page) + " at " +
+                                  Hex(ram.base() + offset) +
+                                  " is non-zero but not in the write map"};
     }
   }
-  return Divergence{step, std::string(name) + " contents differ"};
+  return std::nullopt;
 }
 
 }  // namespace
@@ -124,6 +146,15 @@ std::optional<Divergence> DifferentialExecutor::CompareFinalState(
   if (std::optional<Divergence> d =
           CompareRam(step, "prom", fast_->prom(), ref_->prom())) {
     return d;
+  }
+  for (Platform* platform : {fast_.get(), ref_.get()}) {
+    const char* side = platform == fast_.get() ? "fast" : "ref";
+    for (const Ram* ram : std::initializer_list<const Ram*>{
+             &platform->sram(), &platform->dram(), &platform->prom()}) {
+      if (std::optional<Divergence> d = CheckWriteMap(step, side, *ram)) {
+        return d;
+      }
+    }
   }
   // MPU fault registers (guest-visible latches) and retirement counters.
   if (fast_->mpu() != nullptr && ref_->mpu() != nullptr) {

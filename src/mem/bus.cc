@@ -248,7 +248,7 @@ bool Bus::MemWindowFor(uint32_t addr, MemWindow* out) const {
   out->lo = device->base();
   out->len = device->size();
   out->ro = ro;
-  out->rw = device->HostMutableSpan(0, device->size());
+  out->device = device;
   out->wait_states =
       device->WaitStates(addr - device->base(), 4, AccessKind::kRead);
   return true;

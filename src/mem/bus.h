@@ -91,17 +91,20 @@ class Bus {
   const uint8_t* HostMemSpan(uint32_t addr, uint32_t len) const;
 
   // Resolved description of the memory-backed device containing `addr`, for
-  // the CPU's data-access windows: guest address range, host backing
-  // pointers (rw null when the device rejects guest stores, e.g. PROM), and
-  // the device's wait states. Assumes memory devices insert offset- and
-  // width-independent wait states (true for Ram/Prom; a future memory device
-  // violating this must not be window-eligible). Side-effect-free routing,
-  // like HostMemSpan. Returns false for unmapped or non-memory addresses.
+  // the CPU's data-access windows: guest address range, read-only host
+  // backing pointer, the device itself, and its wait states. A store window
+  // asks `device` for a mutable span of exactly its own range
+  // (Device::HostMutableSpan, null when the device rejects guest stores,
+  // e.g. PROM), which marks those pages in a Ram's write map. Assumes memory
+  // devices insert offset- and width-independent wait states (true for
+  // Ram/Prom; a future memory device violating this must not be
+  // window-eligible). Side-effect-free routing, like HostMemSpan. Returns
+  // false for unmapped or non-memory addresses.
   struct MemWindow {
     uint32_t lo = 0;
     uint32_t len = 0;
     const uint8_t* ro = nullptr;
-    uint8_t* rw = nullptr;
+    Device* device = nullptr;
     uint32_t wait_states = 0;
   };
   bool MemWindowFor(uint32_t addr, MemWindow* out) const;

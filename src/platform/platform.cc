@@ -87,8 +87,7 @@ Status Platform::InstallImage(const SystemImage& image, uint32_t directory) {
       directory + bytes->size() > kPromBase + kPromSize) {
     return OutOfRange("system image does not fit in PROM");
   }
-  prom_->LoadBytes(directory - kPromBase, *bytes);
-  return OkStatus();
+  return prom_->LoadBytes(directory - kPromBase, *bytes);
 }
 
 Result<LoadReport> Platform::Boot(const LoaderConfig& loader_config) {

@@ -2,6 +2,7 @@
 
 #include "src/sancus/sancus.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/common/bytes.h"
@@ -124,9 +125,9 @@ SpongentDigest SancusUnit::DeriveKey(const std::vector<uint8_t>& text) const {
 SpongentDigest SancusUnit::ExpectedTag(const SpongentDigest& key,
                                        uint32_t nonce,
                                        const std::vector<uint8_t>& target) const {
-  std::vector<uint8_t> message;
-  AppendLe32(message, nonce);
-  message.insert(message.end(), target.begin(), target.end());
+  std::vector<uint8_t> message(4 + target.size());
+  StoreLe32(message.data(), nonce);
+  std::copy(target.begin(), target.end(), message.begin() + 4);
   return SpongentMac(std::vector<uint8_t>(key.begin(), key.end()), message);
 }
 

@@ -2,6 +2,7 @@
 
 #include "src/smart/smart.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/common/bytes.h"
@@ -333,13 +334,12 @@ SmartSystem::SmartSystem(const SmartConfig& config,
       unit_(config) {
   platform_.bus().SetProtectionUnit(&unit_);
   Result<std::vector<uint8_t>> routine = BuildSmartRoutine(config_);
-  // Configuration errors are programming bugs in this research harness.
-  if (routine.ok()) {
-    platform_.prom().LoadBytes(config_.rom_base - kPromBase, *routine);
+  status_ = routine.ok() ? platform_.prom().LoadBytes(
+                               config_.rom_base - kPromBase, *routine)
+                         : routine.status();
+  if (status_.ok()) {
+    status_ = platform_.prom().LoadBytes(config_.key_base - kPromBase, key_);
   }
-  platform_.prom().LoadBytes(
-      config_.key_base - kPromBase,
-      std::vector<uint8_t>(key_.begin(), key_.end()));
 }
 
 void SmartSystem::WriteRequest(uint32_t nonce, uint32_t region_base,
@@ -355,6 +355,9 @@ void SmartSystem::WriteRequest(uint32_t nonce, uint32_t region_base,
 bool SmartSystem::InvokeAttestation(uint32_t nonce, uint32_t region_base,
                                     uint32_t region_end, Sha256Digest* tag,
                                     uint64_t* cycles) {
+  if (!status_.ok()) {
+    return false;
+  }
   // Untrusted stub in open RAM: jump to the ROM routine, halt on return.
   const uint32_t stub = config_.mailbox + 0x100;
   std::ostringstream src;
@@ -395,9 +398,9 @@ bool SmartSystem::InvokeAttestation(uint32_t nonce, uint32_t region_base,
 
 Sha256Digest SmartSystem::ExpectedTag(
     uint32_t nonce, const std::vector<uint8_t>& region_bytes) const {
-  std::vector<uint8_t> message;
-  AppendLe32(message, nonce);
-  message.insert(message.end(), region_bytes.begin(), region_bytes.end());
+  std::vector<uint8_t> message(4 + region_bytes.size());
+  StoreLe32(message.data(), nonce);
+  std::copy(region_bytes.begin(), region_bytes.end(), message.begin() + 4);
   return HmacSha256(key_.data(), key_.size(), message.data(), message.size());
 }
 

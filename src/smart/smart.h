@@ -98,6 +98,10 @@ class SmartSystem {
   Platform& platform() { return platform_; }
   SmartUnit& unit() { return unit_; }
   const SmartConfig& config() const { return config_; }
+  // Why the ROM routine or the key could not be put in PROM (a routine that
+  // does not assemble, or a window outside PROM); OK otherwise.
+  // InvokeAttestation fails while it is not OK.
+  const Status& status() const { return status_; }
 
   // Writes an attestation request into the mailbox. The caller then points
   // the CPU at some untrusted code that jumps to rom_base (or uses
@@ -124,6 +128,7 @@ class SmartSystem {
   std::array<uint8_t, 32> key_;
   Platform platform_;
   SmartUnit unit_;
+  Status status_;
 };
 
 // Assembles the ROM attestation routine for `config` (exposed for tests).

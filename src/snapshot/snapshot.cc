@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "src/common/bytes.h"
 #include "src/mem/layout.h"
@@ -179,23 +180,33 @@ Status DecodeCpu(const Chunk& chunk, Cpu::ArchState* state) {
 
 // --- Zero-page walk (MEM chunks and the state digest) ---
 
+static_assert(kSnapshotPageSize == kRamPageSize,
+              "the page walk visits whole write-map pages");
+
 constexpr uint8_t kZeroPage[kSnapshotPageSize] = {};
 
 // Closes a memory's page list in the state digest: no page index is this.
 constexpr uint32_t kDigestPagesEnd = 0xFFFFFFFF;
 
-// Calls `visit(index, bytes, len)` for every page of `memory` that holds a
+// Calls `visit(index, bytes, len)` for every page of `ram` that holds a
 // non-zero byte, in ascending index order; the last page of a memory that
-// is not a page multiple is short. The one zero test of the file: a memcmp
-// against a static zero page, which scans at memory bandwidth.
+// is not a page multiple is short. Only pages the write map marks can hold
+// one; a marked page may have been zeroed again, so each is still tested
+// with a memcmp against a static zero page, the one zero test of the file.
 template <typename Visit>
-void ForEachNonZeroPage(const std::vector<uint8_t>& memory, Visit visit) {
-  for (size_t offset = 0; offset < memory.size(); offset += kSnapshotPageSize) {
+void ForEachNonZeroPage(const Ram& ram, Visit visit) {
+  const std::span<const uint8_t> memory = ram.data();
+  const std::span<const uint8_t> marks = ram.write_map();
+  for (size_t index = 0; index < marks.size(); ++index) {
+    if (marks[index] == 0) {
+      continue;
+    }
+    const size_t offset = index * kSnapshotPageSize;
     const uint8_t* page = memory.data() + offset;
     const size_t len =
         std::min<size_t>(kSnapshotPageSize, memory.size() - offset);
     if (std::memcmp(page, kZeroPage, len) != 0) {
-      visit(static_cast<uint32_t>(offset / kSnapshotPageSize), page, len);
+      visit(static_cast<uint32_t>(index), page, len);
     }
   }
 }
@@ -212,8 +223,8 @@ std::vector<uint8_t> EncodeMemory(const Ram& ram) {
   const size_t count_at = payload.size();
   AppendLe32(payload, 0);
   uint32_t present = 0;
-  ForEachNonZeroPage(ram.data(), [&](uint32_t index, const uint8_t* page,
-                                     size_t len) {
+  ForEachNonZeroPage(ram, [&](uint32_t index, const uint8_t* page,
+                              size_t len) {
     ++present;
     AppendLe32(payload, index);
     AppendLe32(payload, static_cast<uint32_t>(len));
@@ -352,8 +363,8 @@ Sha256Digest PlatformStateDigest(const Platform& platform) {
   // A memory is its non-zero pages, each as its index and its bytes, then
   // the end marker.
   auto absorb_pages = [&](const Ram& ram) {
-    ForEachNonZeroPage(ram.data(), [&](uint32_t index, const uint8_t* page,
-                                       size_t len) {
+    ForEachNonZeroPage(ram, [&](uint32_t index, const uint8_t* page,
+                                size_t len) {
       absorb32(index);
       hasher.Update(page, len);
     });
@@ -501,10 +512,9 @@ Status RestorePlatform(Platform* platform,
   // --- Apply (everything validated above). ---
   for (auto& [ram, image] : memories) {
     ram->Fill(0);
-    std::vector<uint8_t> page_bytes;
     for (const MemoryImage::Page& page : image.pages) {
-      page_bytes.assign(page.data, page.data + page.len);
-      ram->LoadBytes(page.index * kSnapshotPageSize, page_bytes);
+      TL_RETURN_IF_ERROR(ram->LoadBytes(page.index * kSnapshotPageSize,
+                                        {page.data, page.len}));
     }
   }
   // The memory rewrite bypassed the bus write path; decode caches must

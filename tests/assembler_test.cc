@@ -291,8 +291,8 @@ INSTANTIATE_TEST_SUITE_P(
         ErrorCase{"SwiOperands", "  swi", "vector"},
         ErrorCase{"RetOperands", "  ret r1", "no operands"},
         ErrorCase{"MemOperand", "  ldw r1, r2", "memory operand"}),
-    [](const ::testing::TestParamInfo<ErrorCase>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<ErrorCase>& param_info) {
+      return param_info.param.name;
     });
 
 TEST(AssemblerTest, HalfDirectiveLittleEndian) {

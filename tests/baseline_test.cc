@@ -54,6 +54,17 @@ TEST(SmartTest, AttestationTagIsGenuineHmac) {
   EXPECT_EQ(tag2, smart.ExpectedTag(0xDEAD0002, firmware));
 }
 
+TEST(SmartTest, KeyWindowPastTheEndOfPromFailsClosed) {
+  SmartConfig config;
+  config.key_base = kPromBase + kPromSize - 16;  // Half the key overruns.
+  config.key_end = config.key_base + 32;
+  SmartSystem smart(config, TestKey());
+  EXPECT_EQ(smart.status().code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(SmartSystem(SmartConfig{}, TestKey()).status().ok());
+  Sha256Digest tag;
+  EXPECT_FALSE(smart.InvokeAttestation(1, 0x0003'1000, 0x0003'1040, &tag));
+}
+
 TEST(SmartTest, TamperedFirmwareChangesTag) {
   SmartSystem smart(SmartConfig{}, TestKey());
   const uint32_t region_base = 0x0003'1000;

@@ -159,7 +159,7 @@ TEST_P(CpuDifferentialTest, AluAndControlFlowMatchGoldenModel) {
     // only compare the architectural transition, so any value is fine (the
     // next fetch never happens: we step exactly once).
     RefState ref;
-    ram.LoadBytes(kInsnAddr, {0, 0, 0, 0});
+    ram.LoadBytes(kInsnAddr, std::vector<uint8_t>{0, 0, 0, 0});
     uint8_t word_bytes[4];
     StoreLe32(word_bytes, Encode(insn));
     ram.LoadBytes(kInsnAddr,

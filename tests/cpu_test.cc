@@ -231,9 +231,10 @@ TEST_F(CpuTest, CliStiToggleInterruptFlag) {
 TEST_F(CpuTest, UnhandledIllegalInstructionHalts) {
   // Opcode 63 is undefined; no handler installed -> trap.
   const uint32_t bad = 63u << 26;
-  ram_.LoadBytes(kOrigin, {static_cast<uint8_t>(bad), static_cast<uint8_t>(bad >> 8),
-                           static_cast<uint8_t>(bad >> 16),
-                           static_cast<uint8_t>(bad >> 24)});
+  ram_.LoadBytes(kOrigin, std::vector<uint8_t>{static_cast<uint8_t>(bad),
+                                               static_cast<uint8_t>(bad >> 8),
+                                               static_cast<uint8_t>(bad >> 16),
+                                               static_cast<uint8_t>(bad >> 24)});
   cpu_->Reset(kOrigin);
   cpu_->Run(10);
   EXPECT_TRUE(cpu_->halted());

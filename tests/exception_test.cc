@@ -21,6 +21,8 @@
 #include "src/isa/assembler.h"
 #include "src/mem/layout.h"
 #include "src/platform/platform.h"
+#include "src/snapshot/snapshot.h"
+#include "tests/reference_state_digest.h"
 
 namespace trustlite {
 namespace {
@@ -700,6 +702,29 @@ TEST_F(FrameSaveTest, PerWordSaveLeavesWindowForTheNextEntry) {
   EXPECT_EQ(Word(platform_, kObsBase + 56), Word(reference_, kObsBase + 56));
   EXPECT_EQ(fast.entry_checks, (std::vector<uint64_t>{19, 2}));
   EXPECT_EQ(ref.entry_checks, (std::vector<uint64_t>{19, 19}));
+}
+
+TEST_F(FrameSaveTest, WindowedSaveAcrossAPageBoundaryIsInTheDigest) {
+  // The data region, its write window and the frame below the stack top
+  // all straddle the SRAM page boundary at kTlData. The counter store that
+  // builds the window lands in the lower page, so only the window's marks
+  // put the frame's words in the upper page into the state digest, as the
+  // per-word save's bus stores do (DESIGN.md §15).
+  constexpr uint32_t kStackTop = kTlData + 0x20;
+  constexpr uint32_t kLowCounter = kTlData - 0x70;
+  auto straddle = [](Platform& p) {
+    SetRegion(p, kRegionTlData, kTlData - 0x80, kTlDataEnd, kMpuAttrEnable);
+  };
+  const std::string guest =
+      TrustletSource(kStackTop, kLowCounter) + OsSource(kRecordingIsr);
+  const Outcome fast = RunScenario(platform_, guest, kStackTop, straddle);
+  const Outcome ref = RunScenario(reference_, guest, kStackTop, straddle);
+  ExpectSameState(fast, ref);
+  EXPECT_EQ(fast.tt_slot, kStackTop - kTrustletFrameBytes);
+  EXPECT_EQ(fast.entry_checks, std::vector<uint64_t>{2});  // Window path.
+  EXPECT_EQ(PlatformStateDigest(platform_), PlatformStateDigest(reference_));
+  EXPECT_EQ(PlatformStateDigest(platform_),
+            Sha256Hash(ReferenceDigestStream(platform_)));
 }
 
 TEST_F(FrameSaveTest, FrameStraddlingTopOfDataRegionTerminates) {

@@ -234,7 +234,8 @@ rom_entry:
   ASSERT_TRUE(rom_code.ok());
   uint32_t base = 0;
   platform.prom().LoadBytes(0x200, rom_code->Flatten(&base));
-  platform.prom().LoadBytes(0xF00, {0xEF, 0xBE, 0xAD, 0xDE});
+  platform.prom().LoadBytes(0xF00,
+                            std::vector<uint8_t>{0xEF, 0xBE, 0xAD, 0xDE});
 
   // Untrusted code may call the ROM trustlet (entry vector) ...
   Result<AsmOutput> caller = Assemble(R"(

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,8 @@
 #include "src/mem/memory.h"
 #include "src/mpu/ea_mpu.h"
 #include "src/platform/platform.h"
+#include "src/snapshot/snapshot.h"
+#include "tests/reference_state_digest.h"
 
 namespace trustlite {
 namespace {
@@ -367,6 +371,92 @@ TEST(FastPathBusTest, MemoryGenerationTracksStores) {
   const uint64_t gen2 = bus.memory_generation();
   ASSERT_TRUE(bus.HostWriteWord(kMpuMmioBase + kMpuRegCtrl, 0));
   EXPECT_EQ(bus.memory_generation(), gen2);
+}
+
+// ---------------------------------------------------------------------------
+// Write windows and the write map (DESIGN.md §15, "Node memory: pages on
+// demand"). A store window asks its memory for a mutable span of exactly its
+// range, which marks those pages when the window is built; stores through
+// the window do no bookkeeping. The byte-scan reference digest reads every
+// byte and never the map, so a page the map missed changes it.
+
+constexpr uint32_t kWinCode = kDramBase;
+constexpr uint32_t kWinData = kSramBase + 0x1800;     // SRAM pages 1 and 2.
+constexpr uint32_t kWinDataEnd = kSramBase + 0x2800;
+
+void SetWindowRegion(Platform& p, int index, uint32_t base, uint32_t end,
+                     uint32_t attr) {
+  const uint32_t reg = kMpuMmioBase + kMpuRegionBank +
+                       static_cast<uint32_t>(index) * kMpuRegionStride;
+  ASSERT_TRUE(p.bus().HostWriteWord(reg + 0, base));
+  ASSERT_TRUE(p.bus().HostWriteWord(reg + 4, end));
+  ASSERT_TRUE(p.bus().HostWriteWord(reg + 8, attr));
+}
+
+std::vector<uint32_t> MarkedPages(const Ram& ram) {
+  std::vector<uint32_t> pages;
+  for (size_t i = 0; i < ram.write_map().size(); ++i) {
+    if (ram.write_map()[i] != 0) {
+      pages.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return pages;
+}
+
+TEST(FastPathWriteMapTest, WindowMarksItsRangeWhenBuiltAndOutlivesFillZero) {
+  Platform p;
+  // Code in DRAM, a data region over the boundary of SRAM pages 1 and 2.
+  SetWindowRegion(p, 0, kWinCode, kWinCode + 0x100,
+                  kMpuAttrEnable | kMpuAttrCode);
+  SetWindowRegion(p, 1, kWinData, kWinDataEnd, kMpuAttrEnable);
+  for (const auto& [index, rule] :
+       {std::pair<int, uint32_t>{0, EncodeMpuRule(0, 0, true, false, true)},
+        {1, EncodeMpuRule(0, 1, true, true, false)},
+        {2, EncodeMpuRule(kMpuSubjectAny, 0, false, false, true)}}) {
+    ASSERT_TRUE(p.bus().HostWriteWord(
+        kMpuMmioBase + kMpuRuleBank + static_cast<uint32_t>(index) * 4, rule));
+  }
+  ASSERT_TRUE(p.bus().HostWriteWord(kMpuMmioBase + kMpuRegCtrl,
+                                    kMpuCtrlEnable));
+  char source[256];
+  std::snprintf(source, sizeof(source), R"(
+    .org 0x%x
+start:
+    li   r4, 0x%x
+    li   r5, 0x%x
+    li   r1, 0x5A5A
+    stw  r1, [r4]
+second:
+    stw  r1, [r5]
+    halt
+)", kWinCode, kWinData, kWinDataEnd - 0x400);
+  Result<AsmOutput> out = Assemble(source);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  for (const AsmChunk& chunk : out->chunks) {
+    ASSERT_TRUE(p.bus().HostWriteBytes(chunk.base, chunk.bytes));
+  }
+  const uint32_t start = out->symbols.at("start");
+  p.cpu().Reset(start);
+
+  // The first store misses, goes down the bus and builds the window: both
+  // of its pages are marked before anything is stored through it.
+  p.Run((out->symbols.at("second") - start) / 4);
+  ASSERT_EQ(p.cpu().ip(), out->symbols.at("second"));
+  EXPECT_EQ(MarkedPages(p.sram()), (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(MarkedPages(p.dram()), (std::vector<uint32_t>{0}));
+
+  // A host clear while the window is live zeroes the pages and keeps the
+  // marks, so the store through the window into page 2 is still walked.
+  p.sram().Fill(0);
+  const uint64_t hits = p.cpu().stats().data_window_hits;
+  p.Run(100);
+  ASSERT_TRUE(p.cpu().halted());
+  EXPECT_EQ(p.cpu().stats().data_window_hits, hits + 1);
+  EXPECT_EQ(MarkedPages(p.sram()), (std::vector<uint32_t>{1, 2}));
+  uint32_t stored = 0;
+  ASSERT_TRUE(p.bus().HostReadWord(kWinDataEnd - 0x400, &stored));
+  EXPECT_EQ(stored, 0x5A5Au);
+  EXPECT_EQ(PlatformStateDigest(p), Sha256Hash(ReferenceDigestStream(p)));
 }
 
 }  // namespace

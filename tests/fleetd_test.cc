@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -463,14 +466,14 @@ TEST(NodeCopyTest, PromImageWithoutTheKeyFailsClosed) {
   FleetNode& node = warm.fleet->node(1);
   const NodeProvision& p = warm.provisions[1];
   Prom& prom = node.platform().prom();
-  for (auto it = std::search(prom.data().begin(), prom.data().end(),
-                             p.key.begin(), p.key.end());
-       it != prom.data().end();
-       it = std::search(prom.data().begin(), prom.data().end(),
-                        p.key.begin(), p.key.end())) {
-    const uint32_t offset =
-        static_cast<uint32_t>(it - prom.data().begin());
-    prom.LoadBytes(offset, {static_cast<uint8_t>(~*it)});
+  const std::span<const uint8_t> bytes = prom.data();
+  for (auto it = std::search(bytes.begin(), bytes.end(), p.key.begin(),
+                             p.key.end());
+       it != bytes.end();
+       it = std::search(bytes.begin(), bytes.end(), p.key.begin(),
+                        p.key.end())) {
+    const uint32_t offset = static_cast<uint32_t>(it - bytes.begin());
+    prom.LoadBytes(offset, std::vector<uint8_t>{static_cast<uint8_t>(~*it)});
   }
   ExpectLocateFailsClosed(node, p, "device key not found in PROM image");
 }
@@ -553,6 +556,50 @@ TEST(FleetControllerTest, SessionsAreBitIdenticalAcrossThreadsHostileMatrix) {
               std::string::npos);
     EXPECT_EQ(t1.admitted, 10u);
   }
+}
+
+// --- Node footprint (DESIGN.md §15, "Node memory: pages on demand") -----
+// A node's memories cost host RAM only for the pages it writes, and its
+// write maps count them. The pins are the marked SRAM + DRAM + PROM pages of
+// each node of a warm 16-node session; a change that makes nodes write
+// more pages (and so cost more memory) moves them.
+
+TEST(NodeFootprintTest, WarmSessionMarksThePinnedPagesPerNode) {
+  FleetConfig config;
+  config.nodes = 16;
+  config.topology = Topology::kStar;
+  config.seed = 42;
+  config.quantum = 20'000;
+  config.link.latency_cycles = 1'000;
+  Fleet fleet(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  auto provisions = ProvisionAttestationFleet(&fleet, prov);
+  ASSERT_TRUE(provisions.ok()) << provisions.status().ToString();
+  FleetController controller(&fleet, std::move(*provisions), FleetdPolicy{});
+  ASSERT_TRUE(controller.RunAdmission().ok());
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    ASSERT_TRUE(controller.RunReattestEpoch().ok());
+  }
+  ASSERT_TRUE(controller.PushConfig({{"k", "v"}}).ok());
+  ASSERT_TRUE(controller.ScaleUp(4).ok());
+  ASSERT_EQ(fleet.num_nodes(), 20);
+
+  // {SRAM, DRAM, PROM} pages per node, originals and clones alike.
+  std::vector<std::array<int, 3>> marked;
+  for (int i = 0; i < fleet.num_nodes(); ++i) {
+    Platform& p = fleet.node(i).platform();
+    std::array<int, 3> pages{};
+    int m = 0;
+    for (const Ram* ram :
+         std::initializer_list<const Ram*>{&p.sram(), &p.dram(), &p.prom()}) {
+      pages[m++] = static_cast<int>(std::count_if(
+          ram->write_map().begin(), ram->write_map().end(),
+          [](uint8_t mark) { return mark != 0; }));
+    }
+    marked.push_back(pages);
+  }
+  EXPECT_EQ(marked, (std::vector<std::array<int, 3>>(20, {7, 1, 1})));
 }
 
 }  // namespace

@@ -33,8 +33,9 @@ inline Sha256Digest LegacyStateDigest(Platform& p) {
   tail.insert(tail.end(), p.uart().output().begin(), p.uart().output().end());
   Sha256 hasher;
   hasher.Update(head);
-  hasher.Update(p.sram().data());
-  hasher.Update(p.dram().data());
+  for (const Ram* ram : {&p.sram(), &p.dram()}) {
+    hasher.Update(ram->data().data(), ram->data().size());
+  }
   hasher.Update(tail);
   return hasher.Finish();
 }

@@ -407,8 +407,9 @@ TEST_F(LoaderTest, DisabledMpuInstantiation) {
 TEST_F(LoaderTest, CorruptRecordRejected) {
   BuildImageWithTrustletAndOs();
   // Corrupt the record-size field of the first record in PROM.
-  platform_.prom().LoadBytes(kPromDirectoryBase + 4 - kPromBase,
-                             {0x02, 0x00, 0x00, 0x00});  // size = 2 (invalid)
+  platform_.prom().LoadBytes(
+      kPromDirectoryBase + 4 - kPromBase,
+      std::vector<uint8_t>{0x02, 0x00, 0x00, 0x00});  // size = 2 (invalid)
   Result<LoadReport> report = platform_.Boot();
   EXPECT_FALSE(report.ok());
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "src/mem/bus.h"
 #include "src/mem/layout.h"
 #include "src/mem/memory.h"
@@ -78,7 +81,7 @@ TEST_F(MemTest, PromRejectsGuestWrites) {
 }
 
 TEST_F(MemTest, PromHostProgrammingAndGuestRead) {
-  prom_.LoadBytes(0, {0xDE, 0xAD, 0xBE, 0xEF});
+  prom_.LoadBytes(0, std::vector<uint8_t>{0xDE, 0xAD, 0xBE, 0xEF});
   uint32_t value = 0;
   EXPECT_EQ(bus_.Read(Ctx(), 0x4000, 4, &value), AccessResult::kOk);
   EXPECT_EQ(value, 0xEFBEADDEu);
@@ -109,8 +112,106 @@ TEST_F(MemTest, FindDevice) {
 
 TEST_F(MemTest, RamFillAndReadBytes) {
   ram_.Fill(0xAA);
-  const std::vector<uint8_t> bytes = ram_.ReadBytes(0x10, 4);
-  EXPECT_EQ(bytes, (std::vector<uint8_t>{0xAA, 0xAA, 0xAA, 0xAA}));
+  const std::span<const uint8_t> bytes = ram_.data().subspan(0x10, 4);
+  EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.end()),
+            (std::vector<uint8_t>{0xAA, 0xAA, 0xAA, 0xAA}));
+}
+
+TEST_F(MemTest, LoadBytesPastTheEndFailsAndWritesNothing) {
+  const std::vector<uint8_t> two = {0x11, 0x22};
+  // One byte past the end, and an end that wraps 32 bits.
+  for (const uint32_t offset : {ram_.size() - 1, 0xFFFF'FFFFu}) {
+    const Status status = ram_.LoadBytes(offset, two);
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << offset;
+  }
+  for (const uint8_t byte : ram_.data()) {
+    ASSERT_EQ(byte, 0u);
+  }
+  for (const uint8_t mark : ram_.write_map()) {
+    ASSERT_EQ(mark, 0u);
+  }
+  // The last two bytes fit exactly.
+  ASSERT_TRUE(ram_.LoadBytes(ram_.size() - 2, two).ok());
+  EXPECT_EQ(ram_.data()[ram_.size() - 1], 0x22u);
+}
+
+// --- Write map (DESIGN.md §15, "Node memory: pages on demand") -----------
+
+// Three whole pages and a short fourth.
+constexpr uint32_t kMapRamSize = 3 * kRamPageSize + 100;
+
+std::vector<uint8_t> Marks(const Ram& ram) {
+  return std::vector<uint8_t>(ram.write_map().begin(), ram.write_map().end());
+}
+
+TEST(WriteMapTest, WritesAndLoadsMarkExactlyTheirPages) {
+  Ram ram("ram", 0x10000, kMapRamSize);
+  EXPECT_EQ(Marks(ram), (std::vector<uint8_t>{0, 0, 0, 0}));
+  ASSERT_EQ(ram.Write(kRamPageSize + 8, 4, 0xCAFE), AccessResult::kOk);
+  EXPECT_EQ(Marks(ram), (std::vector<uint8_t>{0, 1, 0, 0}));
+  // A byte store into the short last page.
+  ASSERT_EQ(ram.Write(kMapRamSize - 1, 1, 0x7F), AccessResult::kOk);
+  EXPECT_EQ(Marks(ram), (std::vector<uint8_t>{0, 1, 0, 1}));
+  // A load that straddles pages 0 and 1 marks both; one that ends exactly
+  // at a page boundary marks no page after it.
+  Ram loaded("loaded", 0x10000, kMapRamSize);
+  ASSERT_TRUE(
+      loaded.LoadBytes(kRamPageSize - 2, std::vector<uint8_t>{1, 2, 3, 4})
+          .ok());
+  EXPECT_EQ(Marks(loaded), (std::vector<uint8_t>{1, 1, 0, 0}));
+  ASSERT_TRUE(loaded
+                  .LoadBytes(3 * kRamPageSize - 4,
+                             std::vector<uint8_t>{5, 6, 7, 8})
+                  .ok());
+  EXPECT_EQ(Marks(loaded), (std::vector<uint8_t>{1, 1, 1, 0}));
+  // An empty load marks nothing.
+  Ram empty("empty", 0x10000, kMapRamSize);
+  ASSERT_TRUE(empty.LoadBytes(kRamPageSize, {}).ok());
+  EXPECT_EQ(Marks(empty), (std::vector<uint8_t>{0, 0, 0, 0}));
+}
+
+TEST(WriteMapTest, FillMarksEveryPageAndFillZeroKeepsTheMarks) {
+  Ram ram("ram", 0x10000, kMapRamSize);
+  ram.Fill(0x5A);
+  EXPECT_EQ(Marks(ram), (std::vector<uint8_t>{1, 1, 1, 1}));
+  for (const uint8_t byte : ram.data()) {
+    ASSERT_EQ(byte, 0x5Au);
+  }
+  ram.Fill(0);
+  EXPECT_EQ(Marks(ram), (std::vector<uint8_t>{1, 1, 1, 1}));
+  for (const uint8_t byte : ram.data()) {
+    ASSERT_EQ(byte, 0u);
+  }
+
+  // Fill(0) zeroes a marked page and leaves the unmarked ones alone.
+  Ram sparse("sparse", 0x10000, kMapRamSize);
+  ASSERT_EQ(sparse.Write(2 * kRamPageSize + 4, 4, 0xFFFF'FFFFu),
+            AccessResult::kOk);
+  sparse.Fill(0);
+  EXPECT_EQ(Marks(sparse), (std::vector<uint8_t>{0, 0, 1, 0}));
+  EXPECT_EQ(sparse.data()[2 * kRamPageSize + 4], 0u);
+}
+
+TEST(WriteMapTest, MutableSpanMarksItsWholeSpanAndOutlivesFillZero) {
+  Ram ram("ram", 0x10000, kMapRamSize);
+  uint8_t* span = ram.HostMutableSpan(kRamPageSize - 4, kRamPageSize + 8);
+  ASSERT_NE(span, nullptr);
+  // Marked when handed out, before anything is stored through it.
+  EXPECT_EQ(Marks(ram), (std::vector<uint8_t>{1, 1, 1, 0}));
+  // The holder may store anywhere in the span, also after a Fill(0).
+  ram.Fill(0);
+  span[kRamPageSize + 7] = 0x42;
+  EXPECT_EQ(ram.data()[2 * kRamPageSize + 3], 0x42u);
+  EXPECT_EQ(Marks(ram), (std::vector<uint8_t>{1, 1, 1, 0}));
+
+  // A span that does not fit is refused and marks nothing; PROM hands out
+  // no mutable span at all.
+  Ram other("other", 0x10000, kMapRamSize);
+  EXPECT_EQ(other.HostMutableSpan(3 * kRamPageSize, 101), nullptr);
+  EXPECT_EQ(Marks(other), (std::vector<uint8_t>{0, 0, 0, 0}));
+  Prom prom("prom", 0x10000, kMapRamSize);
+  EXPECT_EQ(prom.HostMutableSpan(0, 4), nullptr);
+  EXPECT_EQ(Marks(prom), (std::vector<uint8_t>{0, 0, 0, 0}));
 }
 
 // A protection unit that denies everything, to verify check placement.

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "src/platform/platform.h"
 #include "src/snapshot/snapshot.h"
 #include "tests/legacy_state_digest.h"
+#include "tests/reference_state_digest.h"
 
 namespace trustlite {
 namespace {
@@ -110,6 +112,35 @@ TEST(SnapshotFormatTest, SaveRestoreSaveRoundTripsExactly) {
   EXPECT_EQ(PlatformStateDigest(*platform), PlatformStateDigest(other));
 }
 
+TEST(SnapshotFormatTest, RestoreIntoAUsedPlatformMatchesAFreshOne) {
+  std::unique_ptr<Platform> platform(NewBusyPlatform());
+  platform->Run(1234);
+  Result<std::vector<uint8_t>> saved = SavePlatform(*platform);
+  ASSERT_TRUE(saved.ok());
+
+  // The used platform ran further and holds bytes on pages the snapshot
+  // does not carry; the restore's Fill(0) must clear every one of them.
+  std::unique_ptr<Platform> used(NewBusyPlatform());
+  used->Run(5000);
+  for (Ram* ram : {&used->sram(), &used->dram()}) {
+    for (uint32_t page = 0; page < ram->size(); page += 7 * kRamPageSize) {
+      ASSERT_TRUE(ram->LoadBytes(page + 17, std::vector<uint8_t>{0xEE}).ok());
+    }
+  }
+  Platform fresh;
+  ASSERT_TRUE(RestorePlatform(used.get(), *saved).ok());
+  ASSERT_TRUE(RestorePlatform(&fresh, *saved).ok());
+  EXPECT_EQ(PlatformStateDigest(*used), PlatformStateDigest(fresh));
+  EXPECT_EQ(PlatformStateDigest(*used),
+            Sha256Hash(ReferenceDigestStream(*used)));
+  Result<std::vector<uint8_t>> from_used = SavePlatform(*used);
+  Result<std::vector<uint8_t>> from_fresh = SavePlatform(fresh);
+  ASSERT_TRUE(from_used.ok());
+  ASSERT_TRUE(from_fresh.ok());
+  EXPECT_EQ(*from_used, *from_fresh);
+  EXPECT_EQ(*from_used, *saved);
+}
+
 TEST(SnapshotFormatTest, RestoredRunContinuesBitIdentically) {
   std::unique_ptr<Platform> live(NewBusyPlatform());
   live->Run(700);
@@ -154,7 +185,10 @@ TEST(SnapshotFormatTest, ConfigRoundTrips) {
 }
 
 TEST(SnapshotFormatTest, MismatchedPlatformShapeFailsClosed) {
-  Platform small_mpu(PlatformConfig{.mpu_regions = 8, .mpu_rules = 16});
+  PlatformConfig small_config;
+  small_config.mpu_regions = 8;
+  small_config.mpu_rules = 16;
+  Platform small_mpu(small_config);
   Result<std::vector<uint8_t>> saved = SavePlatform(small_mpu);
   ASSERT_TRUE(saved.ok());
   Platform default_shape;
@@ -589,45 +623,6 @@ TEST(WarmBootTest, NodeSnapshottedMidSleepTracksTheLiveNode) {
   EXPECT_GT(live.cpu().stats().interrupts, interrupts_before + 8);
 }
 
-// ---------------------------------------------------------------------------
-// The state digest's byte stream (docs/SNAPSHOT_FORMAT.md, DIGE): SRAM and
-// DRAM contribute only their non-zero pages, each as its LE32 page index and
-// its bytes, then LE32 0xFFFFFFFF.
-
-// The documented stream, built the slow way: a byte loop decides which pages
-// are zero, and the whole stream is materialized before it is hashed.
-std::vector<uint8_t> ReferenceDigestStream(Platform& p) {
-  std::vector<uint8_t> stream;
-  for (int i = 0; i < kNumRegisters; ++i) {
-    AppendLe32(stream, p.cpu().reg(i));
-  }
-  AppendLe32(stream, p.cpu().ip());
-  AppendLe32(stream, p.cpu().flags());
-  AppendLe32(stream, p.cpu().halted() ? 1 : 0);
-  AppendLe64(stream, p.cpu().cycles());
-  for (const Ram* ram : {&p.sram(), &p.dram()}) {
-    const std::vector<uint8_t>& bytes = ram->data();
-    for (size_t begin = 0; begin < bytes.size(); begin += kSnapshotPageSize) {
-      const size_t end = std::min<size_t>(bytes.size(),
-                                          begin + kSnapshotPageSize);
-      bool zero = true;
-      for (size_t i = begin; i < end; ++i) {
-        zero = zero && bytes[i] == 0;
-      }
-      if (!zero) {
-        AppendLe32(stream, static_cast<uint32_t>(begin / kSnapshotPageSize));
-        stream.insert(stream.end(), bytes.begin() + static_cast<long>(begin),
-                      bytes.begin() + static_cast<long>(end));
-      }
-    }
-    AppendLe32(stream, 0xFFFFFFFF);
-  }
-  AppendLe32(stream, p.gpio().out());
-  stream.insert(stream.end(), p.uart().output().begin(),
-                p.uart().output().end());
-  return stream;
-}
-
 // Random registers, IP, FLAGS, halt latch, cycle count, GPIO output and UART
 // text, and up to `max_pages` random pages per memory carrying a few bytes
 // each (sometimes only the first or the last byte of the page).
@@ -654,16 +649,17 @@ void RandomizeSparseState(Platform& p, Xoshiro256& rng, int max_pages) {
           static_cast<uint32_t>(rng.NextBelow(pages) * kSnapshotPageSize);
       switch (rng.NextBelow(3)) {
         case 0:
-          ram->LoadBytes(page, {0x01});
+          ram->LoadBytes(page, std::vector<uint8_t>{0x01});
           break;
         case 1:
-          ram->LoadBytes(page + kSnapshotPageSize - 1, {0x80});
+          ram->LoadBytes(page + kSnapshotPageSize - 1,
+                         std::vector<uint8_t>{0x80});
           break;
         default:
           for (int k = 0; k < 8; ++k) {
             ram->LoadBytes(
                 page + static_cast<uint32_t>(rng.NextBelow(kSnapshotPageSize)),
-                {static_cast<uint8_t>(rng.Next32())});
+                std::vector<uint8_t>{static_cast<uint8_t>(rng.Next32())});
           }
       }
     }
@@ -683,7 +679,7 @@ TEST(StateDigestTest, MatchesTheDocumentedStreamOnRandomSparseStates) {
   for (Ram* ram : {&full.sram(), &full.dram()}) {
     for (uint32_t page = 0; page < ram->size(); page += kSnapshotPageSize) {
       ram->LoadBytes(page + (page / kSnapshotPageSize) % kSnapshotPageSize,
-                     {0xA5});
+                     std::vector<uint8_t>{0xA5});
     }
   }
   EXPECT_EQ(PlatformStateDigest(full), Sha256Hash(ReferenceDigestStream(full)));
@@ -692,7 +688,7 @@ TEST(StateDigestTest, MatchesTheDocumentedStreamOnRandomSparseStates) {
 TEST(StateDigestTest, EveryOneByteChangeMovesTheDigestAndUndoingRestoresIt) {
   Platform p;
   for (Ram* ram : {&p.sram(), &p.dram()}) {
-    ram->LoadBytes(3 * kSnapshotPageSize + 100, {1, 2, 3});
+    ram->LoadBytes(3 * kSnapshotPageSize + 100, std::vector<uint8_t>{1, 2, 3});
   }
   const Sha256Digest base = PlatformStateDigest(p);
   std::set<Sha256Digest> seen = {base};
@@ -711,12 +707,13 @@ TEST(StateDigestTest, EveryOneByteChangeMovesTheDigestAndUndoingRestoresIt) {
     for (const auto& place : places) {
       SCOPED_TRACE(ram->name() + ": " + place.where);
       const uint8_t before = ram->data()[place.offset];
-      ram->LoadBytes(place.offset, {static_cast<uint8_t>(before ^ 0x5A)});
+      ram->LoadBytes(place.offset,
+                     std::vector<uint8_t>{static_cast<uint8_t>(before ^ 0x5A)});
       EXPECT_TRUE(seen.insert(PlatformStateDigest(p)).second)
           << "the change did not move the digest to a new value";
       // Writing the old byte back (zero, for a zero page) restores the
       // earlier digest: a page that becomes zero again leaves the stream.
-      ram->LoadBytes(place.offset, {before});
+      ram->LoadBytes(place.offset, std::vector<uint8_t>{before});
       EXPECT_EQ(PlatformStateDigest(p), base);
     }
   }

@@ -12,6 +12,11 @@
 #    with no retry tail, so the gate stays fast at 256 nodes. The full
 #    hostile matrix runs at 4 nodes in ci_hostile.sh and at 1k nodes in
 #    stress mode below.
+# Every attested session must also stay under a peak-RSS bound of NODES/2
+# MiB (at least 64 MiB): node memories cost host RAM only for the pages a
+# node writes (DESIGN.md §15, "Node memory: pages on demand"), and a fleet
+# that paid for all 1.3 MiB of each node's SRAM, DRAM and PROM again would
+# blow it at either size the gate runs.
 #
 # usage: ci_fleet_scale.sh <tlfleetd-binary> <guest.s> <work-dir> <nodes> [stress]
 #
@@ -31,12 +36,22 @@ mkdir -p "$WORK"
 
 fail() { echo "ci_fleet_scale: FAIL: $*" >&2; exit 1; }
 
+RSS_LIMIT_MIB=$(( NODES / 2 > 64 ? NODES / 2 : 64 ))
+
 # session <tag> <threads> <extra tlfleetd run args...>: an attested session;
-# returns its exit status.
+# returns its exit status. Its peak resident set, in MiB, goes to
+# rss_<tag>_t<threads>.txt (ru_maxrss of the one waited-for child).
 session() {
   local tag="$1" threads="$2"
   shift 2
-  "$TLFLEETD" run "$GUEST" --epochs 0 --beacon-quanta 0 --nodes "$NODES" \
+  python3 -c '
+import resource, subprocess, sys
+status = subprocess.call(sys.argv[2:])
+with open(sys.argv[1], "w") as out:
+    out.write("%d\n" % (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024))
+sys.exit(status if status >= 0 else 128 - status)
+' "$WORK/rss_${tag}_t${threads}.txt" \
+      "$TLFLEETD" run "$GUEST" --epochs 0 --beacon-quanta 0 --nodes "$NODES" \
       --seed 5 --threads "$threads" --stats "$@" \
       > "$WORK/out_${tag}_t${threads}.txt"
 }
@@ -85,6 +100,18 @@ transcripts_match() {
 verdict() {
   grep -q "$2" "$WORK/out_${1}_t1.txt" \
       || fail "$1: verdict mismatch (want: $2)"
+}
+
+# rss_within_limit: every session's peak RSS is at most RSS_LIMIT_MIB.
+rss_within_limit() {
+  local file mib max=0
+  for file in "$WORK"/rss_*.txt; do
+    mib="$(cat "$file")"
+    [ "$mib" -le "$RSS_LIMIT_MIB" ] || fail "$(basename "$file" .txt):" \
+        "peak RSS $mib MiB over the $RSS_LIMIT_MIB MiB bound"
+    [ "$mib" -le "$max" ] || max="$mib"
+  done
+  echo "ci_fleet_scale: peak RSS ok (max $max MiB, bound $RSS_LIMIT_MIB MiB)"
 }
 
 # fired <tag> <counter name> — reads the aggregate "hostile:" line, which
@@ -145,6 +172,7 @@ if [ "$MODE" = "stress" ]; then
     digests_match "$tag"
     echo "ci_fleet_scale: stress $tag ok"
   done
+  rss_within_limit
   echo "ci_fleet_scale: all checks passed"
   exit 0
 fi
@@ -175,5 +203,7 @@ fired hostile reflected
 transcripts_match hostile
 digests_match hostile
 echo "ci_fleet_scale: hostile ok"
+
+rss_within_limit
 
 echo "ci_fleet_scale: all checks passed"
