@@ -78,7 +78,7 @@ BENCHMARK(BM_InterpreterWithMpu);
 
 // Same workload and MPU layout as BM_InterpreterWithMpu above with
 // superinstruction fusion switched off, isolating the fusion layer's
-// contribution on top of the decode cache (DESIGN.md §15).
+// contribution on top of the code cache's decodes (DESIGN.md §15).
 void BM_InterpreterWithMpuNoFusion(benchmark::State& state) {
   PlatformConfig config;
   config.fusion = false;

@@ -2,11 +2,12 @@
 //
 // Interpreter core. The instruction semantics live in the TL_SEMANTICS
 // X-macro below, expanded once into the switch inside Execute(). Every
-// dispatch path goes through it: Step() (the fast_path=false reference),
-// RunLoop()'s single-instruction dispatch, and the fused-group executor, so
-// the fast paths differ from the reference only in how they fetch, decode
-// and check, never in what an opcode does; the differential harness
-// verifies the two lockstep (tests/differential_test.cc).
+// dispatch path goes through it: Step() (and the fast_path=false reference
+// loop over it), RunLoop()'s single-instruction dispatch, and the
+// fused-group executor, so the fast paths differ from the reference only in
+// how they fetch, decode and check, never in what an opcode does; the
+// differential harness verifies the two lockstep
+// (tests/differential_test.cc).
 
 #include "src/cpu/cpu.h"
 
@@ -26,7 +27,7 @@ constexpr uint32_t ExcClassOf(AccessResult r) {
                                           : kExcBusError;
 }
 
-// Guest memory is little-endian; fused-entry revalidation reassembles the
+// Guest memory is little-endian; fused-group revalidation reassembles the
 // instruction word from the device's host backing bytes, and the data-access
 // windows read/write guest memory through the same stable pointers.
 inline uint32_t LoadWordLe(const uint8_t* p) {
@@ -90,7 +91,7 @@ inline bool FusableTail(Opcode op) {
 
 // Exception-storm watchdog of a run budgeted `budget` instructions (or
 // cycles): exception entries retire nothing (and zero-cost ones do not
-// advance the clock), so every run loop halts after budget * 8 + 1024
+// advance the clock), so both run loops halt after budget * 8 + 1024
 // steps. Saturated: a budget of 2^61 or more must not wrap to a small bound.
 constexpr uint64_t RunWatchdogLimit(uint64_t budget) {
   constexpr uint64_t kSlack = 1024;
@@ -152,8 +153,8 @@ constexpr uint64_t RunWatchdogLimit(uint64_t budget) {
     } else {                                                                  \
       p[0] = static_cast<uint8_t>(regs_[insn.rd]);                            \
     }                                                                         \
-    /* The store bypassed Bus::Write: bump the memory generation so the    */ \
-    /* decode and fusion caches revalidate, exactly as a bus store would.  */ \
+    /* The store bypassed Bus::Write: bump the memory generation so fused  */ \
+    /* groups revalidate, exactly as a bus store would.                    */ \
     bus_->NoteHostMutation();                                                 \
     out.cycles = c.memory + dw.wait_states;                                   \
   } else {                                                                    \
@@ -256,9 +257,8 @@ Cpu::Cpu(Bus* bus, SysCtl* sysctl, const CpuConfig& config)
     : bus_(bus), sysctl_(sysctl), config_(config) {
   assert(bus_ != nullptr);
   assert(sysctl_ != nullptr);
-  decode_cache_.resize(kDecodeCacheSize);
-  fusion_cache_.resize(kFusionCacheSize);
-  data_window_enabled_ = config_.fast_dispatch;
+  code_cache_.resize(kCodeCacheSize);
+  data_window_enabled_ = config_.fast_path;
 }
 
 void Cpu::AddIrqSource(Device* device) {
@@ -289,8 +289,8 @@ void Cpu::Reset(uint32_t reset_vector) {
   last_exception_entry_cycles_ = 0;
   // Cycle counter and stats persist across reset so boot-cost benches can
   // measure the re-initialization itself (see CpuStats in cpu.h).
-  // Decode and fusion caches survive too: both revalidate against the
-  // fetched word / memory generation / MPU generation, and the EA-MPU's
+  // The code cache survives too: decodes revalidate against the fetched
+  // word, groups against the memory and MPU generations, and the EA-MPU's
   // Reset() bumps its config generation, which alone invalidates every
   // fused group built under the pre-reset protection layout.
 }
@@ -756,6 +756,38 @@ StepEvent Cpu::Step() {
   return event;
 }
 
+AccessResult Cpu::Fetch(uint32_t* word) {
+  AccessContext ctx;
+  ctx.curr_ip = prev_ip_;
+  ctx.kind = AccessKind::kFetch;
+  ctx.privileged = (flags_ & kFlagUser) == 0;
+  return bus_->Read(ctx, ip_, 4, word);
+}
+
+inline const Instruction* Cpu::DecodeFetched(CodeEntry& entry,
+                                            uint32_t word) {
+  FusedOp& head = entry.ops[0];
+  if (config_.fast_path && entry.valid && head.addr == ip_ &&
+      head.word == word) {
+    ++stats_.decode_hits;
+    return &head.insn;
+  }
+  ++stats_.decode_misses;
+  const std::optional<Instruction> decoded = Decode(word);
+  if (!decoded.has_value()) {
+    return nullptr;
+  }
+  if (entry.count != 0) {
+    ++stats_.fusion_invalidations;
+    entry.count = 0;
+  }
+  entry.valid = true;
+  head.insn = *decoded;
+  head.addr = ip_;
+  head.word = word;
+  return &head.insn;
+}
+
 StepEvent Cpu::StepOnce() {
   if (halted_) {
     return StepEvent::kHalted;
@@ -771,7 +803,7 @@ StepEvent Cpu::StepOnce() {
   }
 
   // A misaligned IP faults before anything else — in particular before the
-  // decode-cache lookup, whose index drops the low two bits: without this
+  // code-cache lookup, whose index drops the low two bits: without this
   // latch a 4-unaligned IP would alias the entry of a different aligned
   // address. (The bus rejects misaligned word reads too; this makes the
   // ordering explicit and independent of the bus.)
@@ -782,39 +814,17 @@ StepEvent Cpu::StepOnce() {
   // Fetch. The access subject is the instruction that transferred control
   // here (prev_ip_), not the target itself — this is the execution-aware
   // check that confines cross-region entry to entry vectors.
-  AccessContext fetch_ctx;
-  fetch_ctx.curr_ip = prev_ip_;
-  fetch_ctx.kind = AccessKind::kFetch;
-  fetch_ctx.privileged = (flags_ & kFlagUser) == 0;
   uint32_t word = 0;
-  const AccessResult fetch = bus_->Read(fetch_ctx, ip_, 4, &word);
+  const AccessResult fetch = Fetch(&word);
   if (fetch != AccessResult::kOk) {
     return TakeFetchFault(ExcClassOf(fetch), cycles_before);
   }
 
-  // Decode, via the direct-mapped decode cache. The fetched word is always
-  // compared against the cached one, so a store that rewrote this address
-  // (self-modifying code, loader) can never replay a stale decode; the
-  // generation check additionally re-stamps entries after memory writes.
-  const uint64_t mem_gen = bus_->memory_generation();
-  DecodeEntry& cached =
-      decode_cache_[CodeCacheIndex(ip_, kDecodeCacheSize - 1)];
-  const Instruction* insn = nullptr;
-  if (config_.decode_cache && cached.valid && cached.addr == ip_ &&
-      cached.word == word) {
-    cached.generation = mem_gen;  // Revalidated against the fresh word.
-    ++stats_.decode_hits;
-    insn = &cached.insn;
-  } else {
-    ++stats_.decode_misses;
-    const std::optional<Instruction> decoded = Decode(word);
-    if (!decoded.has_value()) {
-      return TakeIllegal(cycles_before);
-    }
-    cached = DecodeEntry{ip_, word, mem_gen, true, *decoded};
-    insn = &cached.insn;
+  const Instruction* insn =
+      DecodeFetched(code_cache_[CodeCacheIndex(ip_)], word);
+  if (insn == nullptr) {
+    return TakeIllegal(cycles_before);
   }
-
   if (insn->opcode == Opcode::kWfi) {
     return Wait(*insn, word, /*bound=*/1);
   }
@@ -822,219 +832,146 @@ StepEvent Cpu::StepOnce() {
   return FinishExecute(Execute(*insn), insn_addr, word, cycles_before);
 }
 
-StepEvent Cpu::RunLoop(uint64_t max_instructions, uint64_t target_cycle,
-                       bool cycle_bound) {
-  const uint64_t start = stats_.instructions;
-  // Exception storms do not retire instructions (and zero-cost storms do not
-  // advance the clock); bound them separately, exactly like the Step loops.
-  const uint64_t safety_limit = RunWatchdogLimit(
-      cycle_bound ? (target_cycle > cycles_ ? target_cycle - cycles_ : 0)
-                  : max_instructions);
-  uint64_t safety = 0;
-  StepEvent event = StepEvent::kExecuted;
+StepEvent Cpu::RunLoop(const RunBound& bound) {
   // The host may have touched devices since the last run.
   irq_horizon_ = 0;
-
-  while (!halted_ &&
-         (cycle_bound ? cycles_ < target_cycle
-                      : stats_.instructions - start < max_instructions)) {
+  // Fusion is suppressed while a consumer wants per-fetch MpuCheckEvents
+  // (tail fetch checks are precomputed and pinned heads skip theirs, so
+  // the per-check event stream would under-report).
+  const bool fusion = config_.fusion && !fusion_suppressed_;
+  uint64_t safety = 0;
+  uint64_t steps = 0;  // Watchdog steps taken by the last iteration.
+  StepEvent event = StepEvent::kExecuted;
+  for (;;) {
+    // The one exit, after every step. A kSleep ends the run: a cycle-bound
+    // run has reached its target, and an instruction-bound one has no IRQ
+    // source armed, so nothing can wake the core. Sleeping is not an
+    // exception storm, so only a wfi's retire counts toward the watchdog.
+    if (event == StepEvent::kHalted || event == StepEvent::kSleep) {
+      break;
+    }
+    safety += steps;
+    if (safety > bound.watchdog_limit) {
+      HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
+      event = StepEvent::kHalted;
+      break;
+    }
+    if (halted_ || Reached(bound)) {
+      break;
+    }
+    steps = 1;
     const uint64_t cycles_before = cycles_;
 
     // Interrupt recognition happens between instructions; inside the IRQ
     // horizon no source can be pending, so the poll is skipped.
-    if ((flags_ & kFlagIf) != 0 && !IrqHorizonOpen()) {
-      StepEvent irq_event = StepEvent::kExecuted;
-      if (RecognizeIrq(&irq_event, cycles_before)) {
-        event = irq_event;
-        if (event == StepEvent::kHalted) {
-          break;
-        }
-        if (++safety > safety_limit) {
-          HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-          return StepEvent::kHalted;
-        }
-        continue;
-      }
+    if ((flags_ & kFlagIf) != 0 && !IrqHorizonOpen() &&
+        RecognizeIrq(&event, cycles_before)) {
+      continue;
     }
 
-    // Misaligned IP faults before the (index-truncating) cache lookups.
+    // Misaligned IP faults before the (index-truncating) cache lookup.
     if ((ip_ & 3u) != 0) {
       event = TakeFetchFault(kExcAlign, cycles_before);
-      if (event == StepEvent::kHalted) {
-        break;
-      }
-      if (++safety > safety_limit) {
-        HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-        return StepEvent::kHalted;
-      }
       continue;
     }
 
     // Fetch, subject = prev_ip_ (entry-vector rule), exactly as in Step().
     // Only the source of the word differs for a group head pinned to this
     // predecessor: its host backing, as that fetch is known to pass.
-    // Fusion is suppressed while a consumer wants per-fetch MpuCheckEvents
-    // (tail fetch checks are precomputed and pinned heads skip theirs, so
-    // the per-check event stream would under-report).
-    FusionEntry* fe =
-        config_.fusion && config_.decode_cache && !fusion_suppressed_
-            ? &fusion_cache_[CodeCacheIndex(ip_, kFusionCacheSize - 1)]
-            : nullptr;
-    const bool fe_current =
-        fe != nullptr && fe->valid && fe->head_addr == ip_ &&
-        fe->user_mode == ((flags_ & kFlagUser) != 0) &&
-        fe->mpu_generation == CurrentMpuGeneration() &&
-        fe->topology_generation == bus_->topology_generation();
+    CodeEntry& entry = code_cache_[CodeCacheIndex(ip_)];
+    const bool current =
+        fusion && entry.count != 0 && entry.ops[0].addr == ip_ &&
+        entry.user_mode == ((flags_ & kFlagUser) != 0) &&
+        entry.mpu_generation == CurrentMpuGeneration() &&
+        entry.topology_generation == bus_->topology_generation();
     uint32_t word = 0;
-    if (fe_current && fe->count >= 2 && fe->head_prev_ip == prev_ip_) {
-      word = LoadWordLe(fe->ops[0].backing);
+    if (current && entry.count >= 2 && entry.head_prev_ip == prev_ip_) {
+      word = LoadWordLe(entry.ops[0].backing);
     } else {
-      AccessContext fetch_ctx;
-      fetch_ctx.curr_ip = prev_ip_;
-      fetch_ctx.kind = AccessKind::kFetch;
-      fetch_ctx.privileged = (flags_ & kFlagUser) == 0;
-      const AccessResult fetch = bus_->Read(fetch_ctx, ip_, 4, &word);
+      const AccessResult fetch = Fetch(&word);
       if (fetch != AccessResult::kOk) {
         event = TakeFetchFault(ExcClassOf(fetch), cycles_before);
-        if (event == StepEvent::kHalted) {
-          break;
-        }
-        if (++safety > safety_limit) {
-          HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-          return StepEvent::kHalted;
-        }
         continue;
       }
     }
 
-    const uint64_t mem_gen = bus_->memory_generation();
-    DecodeEntry& cached =
-        decode_cache_[CodeCacheIndex(ip_, kDecodeCacheSize - 1)];
-    const Instruction* insn_ptr = nullptr;
-    if (config_.decode_cache && cached.valid && cached.addr == ip_ &&
-        cached.word == word) {
-      cached.generation = mem_gen;  // Revalidated against the fresh word.
-      ++stats_.decode_hits;
-      insn_ptr = &cached.insn;
-    } else {
-      ++stats_.decode_misses;
-      const std::optional<Instruction> decoded = Decode(word);
-      if (!decoded.has_value()) {
-        event = TakeIllegal(cycles_before);
-        if (event == StepEvent::kHalted) {
-          break;
-        }
-        if (++safety > safety_limit) {
-          HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-          return StepEvent::kHalted;
-        }
-        continue;
-      }
-      cached = DecodeEntry{ip_, word, mem_gen, true, *decoded};
-      insn_ptr = &cached.insn;
+    const Instruction* insn = DecodeFetched(entry, word);
+    if (insn == nullptr) {
+      event = TakeIllegal(cycles_before);
+      continue;
     }
-
     // A wfi never fuses: it sleeps to the earliest IRQ deadline, or to the
-    // cycle target. Sleeping is not an exception storm, so only its retire
-    // counts toward the watchdog. A kSleep ends the run: a cycle-bound run
-    // has reached its target, and an instruction-bound one has no IRQ
-    // source armed, so nothing can wake the core.
-    if (insn_ptr->opcode == Opcode::kWfi) {
-      event = Wait(*insn_ptr, word,
-                   cycle_bound ? target_cycle - cycles_ : kNoIrqDeadline);
-      if (event == StepEvent::kSleep) {
-        break;
-      }
-      if (++safety > safety_limit) {
-        HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-        return StepEvent::kHalted;
-      }
+    // cycle target.
+    if (insn->opcode == Opcode::kWfi) {
+      event = Wait(*insn, word,
+                   bound.cycle_bound ? bound.target_cycle - cycles_
+                                     : kNoIrqDeadline);
       continue;
     }
 
     // Superinstruction fusion: execute a validated straight-line group from
-    // one cache entry.
-    if (fe != nullptr) {
+    // the entry, unless the decode above missed and dropped it.
+    if (fusion) {
+      const uint64_t mem_gen = bus_->memory_generation();
       bool run_group = false;
-      if (fe_current && fe->ops[0].word == word) {
-        if (fe->count >= 2) {
+      if (current && entry.count != 0) {
+        if (entry.count >= 2) {
           // Re-compare the tail words through their stable host backing on
-          // every dispatch (the head's word is the fetch above). Like
-          // the decode cache's always-compare rule, this stays exact even
-          // for out-of-band host mutations that never bumped the bus memory
-          // generation (Ram::LoadBytes program reloads in tests/tools).
+          // every dispatch (the head's word is the fetch above). Like the
+          // head's word compare, this stays exact even for out-of-band host
+          // mutations that never bumped the bus memory generation
+          // (Ram::LoadBytes program reloads in tests/tools).
           bool intact = true;
-          for (int i = 1; i < fe->count; ++i) {
-            if (LoadWordLe(fe->ops[i].backing) != fe->ops[i].word) {
+          for (int i = 1; i < entry.count; ++i) {
+            if (LoadWordLe(entry.ops[i].backing) != entry.ops[i].word) {
               intact = false;
               break;
             }
           }
           if (intact) {
-            fe->mem_generation = mem_gen;
-            fe->head_prev_ip = prev_ip_;  // This fetch passed: re-pin.
+            entry.mem_generation = mem_gen;
+            entry.head_prev_ip = prev_ip_;  // This fetch passed: re-pin.
             run_group = true;
           } else {
             ++stats_.fusion_invalidations;
-            fe->valid = false;
+            entry.count = 0;
           }
         }
         // count == 1 is a tombstone: the head is not fusable under the
         // current word/MPU configuration — fall through to single dispatch.
       } else {
-        if (fe->valid) {
+        if (entry.count != 0) {
           ++stats_.fusion_invalidations;
         }
-        BuildFusionGroup(*fe, ip_, word, *insn_ptr, mem_gen);
-        run_group = fe->count >= 2;
+        BuildFusionGroup(entry, mem_gen);
+        run_group = entry.count >= 2;
       }
       if (run_group) {
-        event = ExecuteFusedGroup(*fe, max_instructions, target_cycle,
-                                  cycle_bound, start, &safety);
-        if (event == StepEvent::kHalted) {
-          break;
-        }
-        if (safety > safety_limit) {
-          HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-          return StepEvent::kHalted;
-        }
+        event = ExecuteFusedGroup(entry, bound, &steps);
         continue;
       }
     }
 
     // Single-instruction dispatch.
     const uint32_t insn_addr = ip_;
-    event = FinishExecute(Execute(*insn_ptr), insn_addr, word, cycles_before);
-    if (event == StepEvent::kHalted) {
-      break;
-    }
-    if (++safety > safety_limit) {
-      HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-      return StepEvent::kHalted;
-    }
+    event = FinishExecute(Execute(*insn), insn_addr, word, cycles_before);
   }
+  bus_->FlushTicks();  // Callers observe device state after a run.
   return event;
 }
 
-void Cpu::BuildFusionGroup(FusionEntry& entry, uint32_t head_ip,
-                           uint32_t head_word, const Instruction& head,
-                           uint64_t mem_gen) {
+void Cpu::BuildFusionGroup(CodeEntry& entry, uint64_t mem_gen) {
   ++stats_.fusion_builds;
-  entry = FusionEntry{};
-  entry.head_addr = head_ip;
+  FusedOp& head = entry.ops[0];
   entry.mem_generation = mem_gen;
   entry.mpu_generation = CurrentMpuGeneration();
   entry.topology_generation = bus_->topology_generation();
   entry.head_prev_ip = prev_ip_;
   entry.user_mode = (flags_ & kFlagUser) != 0;
-  entry.valid = true;
   entry.count = 1;  // Tombstone unless a group forms below.
-  entry.ops[0].insn = head;
-  entry.ops[0].addr = head_ip;
-  entry.ops[0].word = head_word;
-  entry.ops[0].backing = bus_->HostMemSpan(head_ip, 4);
+  head.backing = bus_->HostMemSpan(head.addr, 4);
 
-  if (!FusableInterior(head.opcode) || entry.ops[0].backing == nullptr) {
+  if (!FusableInterior(head.insn.opcode) || head.backing == nullptr) {
     return;
   }
   // Tail fetch permissions are precomputed with the EA-MPU's advisory query
@@ -1047,7 +984,7 @@ void Cpu::BuildFusionGroup(FusionEntry& entry, uint32_t head_ip,
     return;
   }
   const bool privileged = (flags_ & kFlagUser) == 0;
-  uint32_t prev_addr = head_ip;
+  uint32_t prev_addr = head.addr;
   for (int i = 1; i < kMaxFusedOps; ++i) {
     const uint32_t addr = prev_addr + 4;
     if (addr < prev_addr) {  // Wrapped past the top of the address space.
@@ -1153,23 +1090,17 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
   dw.user_mode = (flags_ & kFlagUser) != 0;
 }
 
-StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
-                                 uint64_t target_cycle, bool cycle_bound,
-                                 uint64_t start_instructions,
-                                 uint64_t* safety) {
+StepEvent Cpu::ExecuteFusedGroup(CodeEntry& entry, const RunBound& bound,
+                                 uint64_t* steps) {
   ++stats_.fusion_groups;
+  *steps = 0;
   StepEvent event = StepEvent::kExecuted;
   for (int i = 0; i < entry.count; ++i) {
     if (i > 0) {
       // Between constituents the architecture is at an instruction boundary:
       // honor every event the Step loop would honor there, in the same
       // order, by handing control back to the outer loop.
-      if (halted_) {
-        break;
-      }
-      if (cycle_bound
-              ? cycles_ >= target_cycle
-              : stats_.instructions - start_instructions >= max_instructions) {
+      if (halted_ || Reached(bound)) {
         break;
       }
       if ((flags_ & kFlagIf) != 0 && !IrqHorizonOpen() &&
@@ -1183,7 +1114,7 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
         // A constituent reconfigured protection (engine-port store): the
         // precomputed tail fetch permissions are void.
         ++stats_.fusion_invalidations;
-        entry.valid = false;
+        entry.count = 0;
         break;
       }
       const uint64_t mem_gen = bus_->memory_generation();
@@ -1200,7 +1131,7 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
         }
         if (!intact) {
           ++stats_.fusion_invalidations;
-          entry.valid = false;
+          entry.count = 0;
           break;
         }
         entry.mem_generation = mem_gen;
@@ -1210,12 +1141,12 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
     const uint64_t cycles_before = cycles_;
     if (i > 0) {
       // A validated tail constituent executes from its cached decode — the
-      // same reuse the decode cache counts as a hit in the Step path.
+      // same reuse the code cache counts as a decode hit for a head.
       ++stats_.decode_hits;
     }
     const ExecOutcome out = Execute(op.insn);
     event = FinishExecute(out, op.addr, op.word, cycles_before);
-    ++*safety;
+    ++*steps;
     if (event != StepEvent::kExecuted) {
       break;
     }
@@ -1224,64 +1155,43 @@ StepEvent Cpu::ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
   return event;
 }
 
-StepEvent Cpu::Run(uint64_t max_instructions) {
-  if (config_.fast_dispatch) {
-    const StepEvent event = RunLoop(max_instructions, 0, false);
-    bus_->FlushTicks();  // Callers observe device state after a run.
-    return event;
-  }
-  const uint64_t start = stats_.instructions;
-  const uint64_t safety_limit = RunWatchdogLimit(max_instructions);
+StepEvent Cpu::StepLoop(const RunBound& bound) {
   uint64_t safety = 0;
   StepEvent event = StepEvent::kExecuted;
-  while (!halted_ && stats_.instructions - start < max_instructions) {
+  while (!halted_ && !Reached(bound)) {
     event = Step();
     if (event == StepEvent::kHalted) {
       break;
     }
     if (event == StepEvent::kSleep) {
       // Sleeping is not an exception storm. Step() sleeps one cycle at a
-      // time; like RunLoop, stop when no IRQ source can ever wake the core.
-      if (CyclesUntilWake() == kNoIrqDeadline) {
+      // time; like RunLoop, an instruction-bound run stops when no IRQ
+      // source can ever wake the core.
+      if (!bound.cycle_bound && CyclesUntilWake() == kNoIrqDeadline) {
         break;
       }
       continue;
     }
-    // Exception storms do not retire instructions; bound them separately.
-    if (++safety > safety_limit) {
+    if (++safety > bound.watchdog_limit) {
       HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-      return StepEvent::kHalted;
+      event = StepEvent::kHalted;
+      break;
     }
   }
   return event;
 }
 
+StepEvent Cpu::Run(uint64_t max_instructions) {
+  const RunBound bound{false, 0, max_instructions, stats_.instructions,
+                       RunWatchdogLimit(max_instructions)};
+  return config_.fast_path ? RunLoop(bound) : StepLoop(bound);
+}
+
 StepEvent Cpu::RunUntilCycle(uint64_t target_cycle) {
-  if (config_.fast_dispatch) {
-    const StepEvent event = RunLoop(0, target_cycle, true);
-    bus_->FlushTicks();  // Callers observe device state after a run.
-    return event;
-  }
-  StepEvent event = StepEvent::kExecuted;
-  uint64_t safety = 0;
-  const uint64_t safety_limit =
-      RunWatchdogLimit(target_cycle > cycles_ ? target_cycle - cycles_ : 0);
-  while (!halted_ && cycles_ < target_cycle) {
-    event = Step();
-    if (event == StepEvent::kHalted) {
-      break;
-    }
-    if (event == StepEvent::kSleep) {
-      continue;  // Sleeping is not an exception storm.
-    }
-    // Every architectural step costs at least one cycle; bound pathological
-    // zero-cost storms the same way Run() bounds exception storms.
-    if (++safety > safety_limit) {
-      HaltWithTrap(0, ip_, "run watchdog expired (exception storm?)");
-      return StepEvent::kHalted;
-    }
-  }
-  return event;
+  const RunBound bound{
+      true, target_cycle, 0, stats_.instructions,
+      RunWatchdogLimit(target_cycle > cycles_ ? target_cycle - cycles_ : 0)};
+  return config_.fast_path ? RunLoop(bound) : StepLoop(bound);
 }
 
 Cpu::ArchState Cpu::SaveArchState() const {
@@ -1319,15 +1229,12 @@ void Cpu::RestoreArchState(const ArchState& state) {
   stats_.interrupts = state.interrupts;
   stats_.trustlet_interrupts = state.trustlet_interrupts;
   // Memory was (or may have been) rewritten out-of-band around this call;
-  // drop every decoded word rather than rely on generation revalidation.
-  for (DecodeEntry& entry : decode_cache_) {
+  // drop every decode and group rather than rely on revalidation (a group's
+  // mid-group re-compare only runs when the memory generation moved, and
+  // out-of-band rewrites may not have bumped it).
+  for (CodeEntry& entry : code_cache_) {
     entry.valid = false;
-  }
-  // Fused groups likewise: their word-compare revalidation only runs when
-  // the memory generation moved, and out-of-band rewrites may not have
-  // bumped it at the moment entries were last stamped.
-  for (FusionEntry& entry : fusion_cache_) {
-    entry.valid = false;
+    entry.count = 0;
   }
   // Data windows map addresses, not contents, so a rewrite alone cannot
   // stale them — but a restore may also land in a different subject/mode

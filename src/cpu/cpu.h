@@ -111,18 +111,16 @@ struct CpuConfig {
   // trustlets can be sanitized to always point to the trustlet's entry
   // vector").
   bool sanitize_faulting_ip = false;
-  // Host-side switch for the decoded-instruction cache (differential
-  // harness). Guest-visible behavior must be identical either way.
-  bool decode_cache = true;
-  // Host-side switch for the fast run loop: Run()/RunUntilCycle() execute
-  // through Cpu::RunLoop (superinstruction fusion, data-access windows)
-  // instead of repeated Step() calls. Step() itself always takes the plain
-  // path, so the differential harness's lockstep reference is untouched.
-  // Guest-visible behavior must be identical.
-  bool fast_dispatch = true;
-  // Host-side switch for superinstruction fusion over the decode cache
+  // Host-side switch for the fast paths (differential harness): decodes
+  // come from the code cache, and Run()/RunUntilCycle() execute through
+  // Cpu::RunLoop (superinstruction fusion, data-access windows) instead of
+  // the Step()-driven reference loop. Step() never fuses, so the harness's
+  // lockstep reference is untouched. Guest-visible behavior must be
+  // identical either way.
+  bool fast_path = true;
+  // Host-side switch for superinstruction fusion over the code cache
   // (pairs-and-quads of straight-line instructions retired from one fused
-  // entry). Only effective inside RunLoop with the decode cache on.
+  // entry). Only effective inside RunLoop.
   bool fusion = true;
   CycleModel cycles;
 };
@@ -138,7 +136,8 @@ struct CpuStats {
   uint64_t exceptions = 0;
   uint64_t interrupts = 0;
   uint64_t trustlet_interrupts = 0;  // Secure-engine full-save entries.
-  // Decoded-instruction cache counters (host-side simulation detail).
+  // Code-cache decode counters (host-side simulation detail): fetched
+  // words whose decode was reused vs decoded afresh.
   uint64_t decode_hits = 0;
   uint64_t decode_misses = 0;
   // Superinstruction fusion counters (host-side simulation detail, like the
@@ -147,7 +146,9 @@ struct CpuStats {
   uint64_t fusion_groups = 0;         // Fused groups dispatched.
   uint64_t fusion_retired = 0;        // Instructions retired inside groups.
   uint64_t fusion_builds = 0;         // Build attempts (incl. tombstones).
-  uint64_t fusion_invalidations = 0;  // Entries dropped by revalidation.
+  // Groups and tombstones dropped: by revalidation, or by a decode miss
+  // that replaced their head.
+  uint64_t fusion_invalidations = 0;
   // Data-access window counters (host-side simulation detail): loads/stores
   // served from a resolved window vs through the full bus path.
   uint64_t data_window_hits = 0;
@@ -205,7 +206,7 @@ class Cpu {
   // Wired by Platform::RewireEventSinks.
   void SetFusionSuppressed(bool suppressed) {
     fusion_suppressed_ = suppressed;
-    data_window_enabled_ = config_.fast_dispatch && !suppressed;
+    data_window_enabled_ = config_.fast_path && !suppressed;
     if (suppressed) {
       ClearDataWindows();
     }
@@ -256,7 +257,7 @@ class Cpu {
 
   // --- Snapshot support (DESIGN.md §14) ---
   // Everything guest-visible plus the architectural execution counters.
-  // Decode-cache counters stay host telemetry (cumulative across restores,
+  // Code-cache counters stay host telemetry (cumulative across restores,
   // like across HardReset); TrapInfo::reason is a static string and travels
   // only within the process — a restore from disk repoints it at a generic
   // placeholder (no comparison or digest consumes it).
@@ -275,7 +276,7 @@ class Cpu {
     uint64_t trustlet_interrupts = 0;
   };
   ArchState SaveArchState() const;
-  // Installs `state` and invalidates the decode cache (the snapshot restore
+  // Installs `state` and invalidates the code cache (the snapshot restore
   // path rewrites memory behind the bus).
   void RestoreArchState(const ArchState& state);
 
@@ -293,10 +294,31 @@ class Cpu {
 
   ExecOutcome Execute(const Instruction& insn);
 
+  // The bound of one Run() or RunUntilCycle() call: no instruction starts
+  // at or after `target_cycle` when `cycle_bound`, else at most
+  // `max_instructions` retire after the `start` count of retired ones. The
+  // run halts with a watchdog trap after `watchdog_limit` steps that are
+  // not sleeps: an exception storm retires nothing.
+  struct RunBound {
+    bool cycle_bound = false;
+    uint64_t target_cycle = 0;
+    uint64_t max_instructions = 0;
+    uint64_t start = 0;
+    uint64_t watchdog_limit = 0;
+  };
+  bool Reached(const RunBound& bound) const {
+    return bound.cycle_bound
+               ? cycles_ >= bound.target_cycle
+               : stats_.instructions - bound.start >= bound.max_instructions;
+  }
+
   // --- Shared step machinery (used by Step() and RunLoop()) ---
   // Step() minus the lazy-tick flush: the public wrapper flushes deferred
   // device ticks so external single-steppers always observe eager state.
   StepEvent StepOnce();
+  // Fetches the word at ip_, with prev_ip_ as the subject (entry-vector
+  // rule) and FLAGS.User as the privilege.
+  AccessResult Fetch(uint32_t* word);
   // Interrupt recognition after the kFlagIf gate: returns true when the
   // step was consumed (guard reset or exception entry), with *event set;
   // false for no-pending and for the spurious ack-and-drop case.
@@ -336,13 +358,13 @@ class Cpu {
   // state), kNoIrqDeadline when none is armed.
   uint64_t CyclesUntilWake() const;
 
-  // Fast interpreter loop backing Run()/RunUntilCycle() when
-  // config_.fast_dispatch is set. `cycle_bound` selects the RunUntilCycle
-  // contract (no instruction starts at or after target_cycle) over the
-  // retired-instruction budget. Guest-visible behavior is identical to the
-  // equivalent Step() loop; verified by the differential harness.
-  StepEvent RunLoop(uint64_t max_instructions, uint64_t target_cycle,
-                    bool cycle_bound);
+  // The two loops behind Run()/RunUntilCycle(), both ending with deferred
+  // ticks flushed: with config_.fast_path RunLoop, the fast interpreter
+  // loop (code cache, superinstruction fusion, data-access windows), else
+  // StepLoop, the reference, which calls Step(). Guest-visible behavior is
+  // identical; verified by the differential harness.
+  StepEvent RunLoop(const RunBound& bound);
+  StepEvent StepLoop(const RunBound& bound);
 
   uint64_t CurrentMpuGeneration() const {
     return mpu_ != nullptr ? mpu_->config_generation() : 0;
@@ -371,31 +393,25 @@ class Cpu {
 
   bool PendingIrq(Device** source) const;
 
-  // Direct-mapped decoded-instruction cache. Every fetch still goes through
-  // the bus (so MPU checks and device semantics are untouched); the cache
-  // only skips re-running Decode() on the fetched word. An entry is used
-  // when its address AND raw word match the fetched word, which makes it
-  // exact even for self-modifying code; the bus memory generation marks
-  // entries written since they were filled, so a stale-generation entry is
-  // revalidated against the fresh word before reuse.
-  struct DecodeEntry {
-    uint32_t addr = 0;
-    uint32_t word = 0;
-    uint64_t generation = 0;  // Bus memory generation at fill/revalidate.
-    bool valid = false;
-    Instruction insn;
-  };
-  static constexpr uint32_t kDecodeCacheSize = 1024;  // Power of two.
-
-  // Superinstruction cache (DESIGN.md §15). A fused entry covers 2..4
-  // consecutive straight-line instructions starting at head_addr; only the
-  // head pays the real bus fetch (and its MPU fetch check) — the tail
-  // constituents' fetch permissions are precomputed with the EA-MPU's
-  // advisory query and pinned to mpu_generation, and their instruction
-  // words are revalidated through stable host backing pointers whenever the
-  // bus memory generation moved (self-modifying code, loaders, snapshot
-  // restore). count == 1 marks a tombstone: the head is not fusable, don't
-  // retry until its word or the MPU configuration changes.
+  // The code cache (DESIGN.md §15), direct-mapped. An entry holds the
+  // decode of the word last fetched at ops[0].addr and, on top of it, what
+  // the run loop built there: count == 0 is a decode alone, count == 1 a
+  // tombstone (the head is not fusable; don't retry until its word or the
+  // MPU configuration changes), 2..4 a superinstruction group of
+  // consecutive straight-line instructions headed by ops[0]. Every fetch
+  // still goes through the bus (so MPU checks and device semantics are
+  // untouched), except a pinned group head, below; the decode is reused
+  // only when the fetched word equals ops[0].word, which makes it exact even
+  // for self-modifying code. A word that differs is decoded afresh into
+  // ops[0] and drops the group; a group dropped by revalidation keeps the
+  // decode.
+  //
+  // Only the head of a group pays the real bus fetch (and its MPU fetch
+  // check) — the tail constituents' fetch permissions are precomputed with
+  // the EA-MPU's advisory query and pinned to mpu_generation, and their
+  // instruction words are re-compared through stable host backing pointers
+  // on every dispatch and whenever the bus memory generation moves
+  // mid-group (self-modifying code, loaders, snapshot restore).
   //
   // The head is pinned to one predecessor: head_prev_ip is the prev_ip_
   // whose real fetch of the head last passed. That decision depends only on
@@ -412,42 +428,43 @@ class Cpu {
     uint32_t word = 0;
     const uint8_t* backing = nullptr;  // Host pointer to the word's bytes.
   };
-  struct FusionEntry {
-    uint32_t head_addr = 0;
+  struct CodeEntry {
     uint64_t mem_generation = 0;  // Bus memory generation at build/revalidate.
     uint64_t mpu_generation = 0;  // EA-MPU config generation at build.
     uint64_t topology_generation = 0;  // Bus topology generation at build.
     uint32_t head_prev_ip = 0;  // Pinned predecessor of the head (above).
-    bool valid = false;
-    bool user_mode = false;  // FLAGS.User at build (fetch privilege).
-    uint8_t count = 0;       // 1 = tombstone; 2..4 = fused group.
+    bool valid = false;         // ops[0] holds a decode.
+    bool user_mode = false;     // FLAGS.User at build (fetch privilege).
+    uint8_t count = 0;          // 0 = decode only, 1 = tombstone, 2..4 = group.
     FusedOp ops[kMaxFusedOps];
   };
-  static constexpr uint32_t kFusionCacheSize = 512;  // Power of two.
+  static constexpr uint32_t kCodeCacheSize = 512;  // Power of two.
 
-  // Set index shared by the decode and fusion caches (`mask` = size - 1).
-  // Trustlet code regions start on 4 KiB boundaries (FW at 0x11000, the
-  // attestation trustlet at 0x15000, nanOS at 0x20000), so the plain word
-  // index (ip >> 2) puts the hot entry code of every region in the same
-  // sets and the trustlet-to-OS yield round trip evicts itself on every
-  // pass. Adding a per-page offset staggers consecutive pages by 331 sets.
-  static uint32_t CodeCacheIndex(uint32_t ip, uint32_t mask) {
-    return ((ip >> 2) + (ip >> 12) * 331) & mask;
+  // Set index of the code cache. Trustlet code regions start on 4 KiB
+  // boundaries (FW at 0x11000, the attestation trustlet at 0x15000, nanOS
+  // at 0x20000), so the plain word index (ip >> 2) puts the hot entry code
+  // of every region in the same sets and the trustlet-to-OS yield round
+  // trip evicts itself on every pass. Adding a per-page offset staggers
+  // consecutive pages by 331 sets.
+  static uint32_t CodeCacheIndex(uint32_t ip) {
+    return ((ip >> 2) + (ip >> 12) * 331) & (kCodeCacheSize - 1);
   }
 
-  // Builds (or tombstones) the fusion entry for the instruction at
-  // `head_ip`, already fetched by prev_ip_ as `head_word` and decoded as
-  // `head`. A group's head must be memory-backed, so it can be pinned.
-  void BuildFusionGroup(FusionEntry& entry, uint32_t head_ip,
-                        uint32_t head_word, const Instruction& head,
-                        uint64_t mem_gen);
+  // The decode of `word`, just fetched at ip_: from `entry` when it holds
+  // that word at ip_ (a decode hit; never with fast_path off), else decoded
+  // afresh into ops[0], dropping any group or tombstone (a decode miss).
+  // Null, with `entry` untouched, when the word does not decode.
+  const Instruction* DecodeFetched(CodeEntry& entry, uint32_t word);
+  // Builds a group (or a tombstone) over the decode in `entry`, whose head
+  // prev_ip_ has just fetched. A group's head must be memory-backed, so it
+  // can be pinned.
+  void BuildFusionGroup(CodeEntry& entry, uint64_t mem_gen);
   // Executes a validated group; retires constituents until the group ends
-  // or an architectural event (fault, IRQ window, budget/cycle bound,
-  // invalidation) stops it. Returns the last per-instruction event and
-  // bumps *safety once per constituent (matching the Step-loop watchdog).
-  StepEvent ExecuteFusedGroup(FusionEntry& entry, uint64_t max_instructions,
-                              uint64_t target_cycle, bool cycle_bound,
-                              uint64_t start_instructions, uint64_t* safety);
+  // or an architectural event (fault, IRQ window, run bound, invalidation)
+  // stops it. Returns the last per-instruction event and sets *steps to the
+  // number of constituents dispatched (each a watchdog step).
+  StepEvent ExecuteFusedGroup(CodeEntry& entry, const RunBound& bound,
+                              uint64_t* steps);
 
   // Data-access window (DESIGN.md §15): a resolved guest address range,
   // inside one memory device, over which a load (read window) or store
@@ -458,9 +475,9 @@ class Cpu {
   // is re-established per access: the accessing IP must sit in the subject
   // interval, FLAGS.User, the EA-MPU config generation and the bus topology
   // generation must match the build. Window stores go straight to host
-  // memory, so they bump the bus memory generation themselves (the decode
-  // and fusion caches revalidate through it); the memory's write map
-  // already marks the write window's pages, from when it was built.
+  // memory, so they bump the bus memory generation themselves (fused groups
+  // revalidate through it); the memory's write map already marks the write
+  // window's pages, from when it was built.
   // len == 0 means invalid.
   //
   // Reads and writes each keep a set of kDataWindowWays windows ordered
@@ -535,8 +552,7 @@ class Cpu {
   uint32_t last_exception_entry_cycles_ = 0;
   CpuStats stats_;
   TrapInfo trap_;
-  std::vector<DecodeEntry> decode_cache_;
-  std::vector<FusionEntry> fusion_cache_;
+  std::vector<CodeEntry> code_cache_;
   bool fusion_suppressed_ = false;
   bool data_window_enabled_ = false;
   DataWindow read_windows_[kDataWindowWays];   // Most recently used first.

@@ -2,7 +2,7 @@
 //
 // Differential-execution harness (DESIGN.md Sec. 11): runs the same guest
 // program on two Platform instances — one with the simulator fast path
-// (decode cache, EA-MPU decision caches, bus route memo) enabled and one
+// (code cache, EA-MPU decision caches, bus route memo) enabled and one
 // with every cache force-disabled — and diffs the architectural state in
 // lockstep. Any divergence is, by construction, a fast-path bug: the caches
 // are pure memoization and must be invisible to the guest.

@@ -26,14 +26,7 @@ void Bus::Attach(Device* device) {
   ++topology_generation_;
 }
 
-Device* Bus::FindDevice(uint32_t addr) const {
-  // Hot path: the previously resolved device. Bus traffic is dominated by
-  // runs against a single device (straight-line fetch, one RAM for data).
-  if (route_memo_ && last_device_ != nullptr && last_device_->Contains(addr)) {
-    ++stats_.route_hits;
-    return last_device_;
-  }
-  ++stats_.route_misses;
+Device* Bus::DeviceAt(uint32_t addr) const {
   // Binary search over the sorted, non-overlapping table: the candidate is
   // the last device with base <= addr.
   auto it = std::upper_bound(devices_.begin(), devices_.end(), addr,
@@ -44,10 +37,19 @@ Device* Bus::FindDevice(uint32_t addr) const {
     return nullptr;
   }
   Device* device = *(it - 1);
-  if (!device->Contains(addr)) {
-    return nullptr;
+  return device->Contains(addr) ? device : nullptr;
+}
+
+Device* Bus::FindDevice(uint32_t addr) const {
+  // Hot path: the previously resolved device. Bus traffic is dominated by
+  // runs against a single device (straight-line fetch, one RAM for data).
+  if (route_memo_ && last_device_ != nullptr && last_device_->Contains(addr)) {
+    ++stats_.route_hits;
+    return last_device_;
   }
-  if (route_memo_) {
+  ++stats_.route_misses;
+  Device* device = DeviceAt(addr);
+  if (route_memo_ && device != nullptr) {
     last_device_ = device;
   }
   return device;
@@ -209,18 +211,8 @@ bool Bus::HostWriteBytes(uint32_t addr, const std::vector<uint8_t>& bytes) {
 }
 
 const uint8_t* Bus::HostMemSpan(uint32_t addr, uint32_t len) const {
-  // Deliberately bypasses FindDevice: that helper updates the routing memo
-  // and counters, and this query must stay free of side effects so the CPU
-  // can call it on the superinstruction validate path.
-  auto it = std::upper_bound(devices_.begin(), devices_.end(), addr,
-                             [](uint32_t a, const Device* d) {
-                               return a < d->base();
-                             });
-  if (it == devices_.begin()) {
-    return nullptr;
-  }
-  const Device* device = *(it - 1);
-  if (!device->IsMemory() || !device->Contains(addr) ||
+  const Device* device = DeviceAt(addr);
+  if (device == nullptr || !device->IsMemory() ||
       uint64_t{addr} + len > device->end()) {
     return nullptr;
   }
@@ -228,17 +220,8 @@ const uint8_t* Bus::HostMemSpan(uint32_t addr, uint32_t len) const {
 }
 
 bool Bus::MemWindowFor(uint32_t addr, MemWindow* out) const {
-  // Same side-effect-free routing rationale as HostMemSpan (the CPU calls
-  // this while building access caches; the memo and counters must not move).
-  auto it = std::upper_bound(devices_.begin(), devices_.end(), addr,
-                             [](uint32_t a, const Device* d) {
-                               return a < d->base();
-                             });
-  if (it == devices_.begin()) {
-    return false;
-  }
-  Device* device = *(it - 1);
-  if (!device->IsMemory() || !device->Contains(addr)) {
+  Device* device = DeviceAt(addr);
+  if (device == nullptr || !device->IsMemory()) {
     return false;
   }
   const uint8_t* ro = device->HostSpan(0, device->size());

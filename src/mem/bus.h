@@ -114,8 +114,8 @@ class Bus {
   const std::vector<Device*>& devices() const { return devices_; }
 
   // Monotonic counter bumped on every store into a memory-backed device
-  // (guest, engine, or host path). Consumers (the CPU decode cache) treat a
-  // change as "any instruction word may have changed".
+  // (guest, engine, or host path). Consumers (the CPU's fused groups) treat
+  // a change as "any instruction word may have changed".
   uint64_t memory_generation() const { return memory_generation_; }
 
   // Records an out-of-band mutation of memory contents performed directly
@@ -179,6 +179,10 @@ class Bus {
   }
 
  private:
+  // The device containing `addr`, else null: FindDevice's search without
+  // its memo and counters, so the CPU's code and data caches can resolve
+  // addresses (HostMemSpan, MemWindowFor) without side effects.
+  Device* DeviceAt(uint32_t addr) const;
   void EmitBusError(const AccessContext& ctx, uint32_t addr);
   void TickDevicesNow(uint64_t cycles);
   // Bookkeeping for an access routed to `device`, before it happens: a

@@ -66,7 +66,7 @@ class Device {
 
   // True for memory-backed devices (RAM/PROM): a guest or host store into
   // such a device may overwrite instructions, so the bus bumps its memory
-  // generation counter (consumed by the CPU's decode cache).
+  // generation counter (consumed by the CPU's fused groups).
   virtual bool IsMemory() const { return false; }
 
   // Stable host pointer to the device's backing bytes at `offset`, or null

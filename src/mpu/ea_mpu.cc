@@ -13,10 +13,9 @@ namespace trustlite {
 
 EaMpu::EaMpu(uint32_t mmio_base, int num_regions, int num_rules)
     : Device("ea-mpu", mmio_base, kMmioBlockSize) {
-  assert(num_regions > 0 && num_regions < 0xFF);
-  assert(num_rules > 0);
-  assert(kMpuRegionBank + static_cast<uint32_t>(num_regions) * kMpuRegionStride
-             <= kMpuRuleBank);
+  assert(num_regions > 0 &&
+         static_cast<uint32_t>(num_regions) <= kMpuMaxRegions);
+  assert(num_rules > 0 && static_cast<uint32_t>(num_rules) <= kMpuMaxRules);
   regions_.resize(static_cast<size_t>(num_regions));
   rules_.resize(static_cast<size_t>(num_rules), 0);
   region_hardwired_.resize(static_cast<size_t>(num_regions), false);
@@ -288,6 +287,32 @@ bool EaMpu::RuleAllows(const AccessContext& ctx, std::optional<int> subject,
   return false;
 }
 
+EaMpu::SubjectCache EaMpu::ResolveSubject(uint32_t ip) const {
+  // FindCodeRegion(ip) and, alongside, the widest interval around `ip` in
+  // which the answer cannot change: shrink by the boundaries of every
+  // enabled code region scanned before the first match (first-match
+  // precedence) — or of all of them when there is no match.
+  SubjectCache c{config_gen_, 0, uint64_t{1} << 32, -1};
+  for (size_t i = 0; i < regions_.size(); ++i) {
+    const MpuRegion& r = regions_[i];
+    if (!r.enabled() || (r.attr & kMpuAttrCode) == 0) {
+      continue;
+    }
+    if (r.Contains(ip)) {
+      c.subject = static_cast<int>(i);
+      c.lo = std::max(c.lo, r.base);
+      c.hi = std::min<uint64_t>(c.hi, r.end);
+      break;
+    }
+    if (r.base > ip) {
+      c.hi = std::min<uint64_t>(c.hi, r.base);
+    } else {
+      c.lo = std::max(c.lo, r.end);
+    }
+  }
+  return c;
+}
+
 int EaMpu::SubjectFor(uint32_t ip) {
   if (subject_cache_.gen == config_gen_ && ip >= subject_cache_.lo &&
       ip < subject_cache_.hi) {
@@ -295,43 +320,14 @@ int EaMpu::SubjectFor(uint32_t ip) {
     return subject_cache_.subject;
   }
   ++stats_.subject_misses;
-  // Recompute FindCodeRegion(ip) and, alongside, the widest interval around
-  // `ip` in which the answer cannot change: shrink by the boundaries of
-  // every enabled code region scanned before the first match (first-match
-  // precedence) — or of all of them when there is no match.
-  uint32_t lo = 0;
-  uint64_t hi = uint64_t{1} << 32;
-  int found = -1;
-  for (size_t i = 0; i < regions_.size(); ++i) {
-    const MpuRegion& r = regions_[i];
-    if (!r.enabled() || (r.attr & kMpuAttrCode) == 0) {
-      continue;
-    }
-    if (r.Contains(ip)) {
-      found = static_cast<int>(i);
-      lo = std::max(lo, r.base);
-      hi = std::min<uint64_t>(hi, r.end);
-      break;
-    }
-    if (r.base > ip) {
-      hi = std::min<uint64_t>(hi, r.base);
-    } else {
-      lo = std::max(lo, r.end);
-    }
-  }
-  subject_cache_ = SubjectCache{config_gen_, lo, hi, found};
-  return found;
+  subject_cache_ = ResolveSubject(ip);
+  return subject_cache_.subject;
 }
 
-const EaMpu::CoverageCache& EaMpu::CoverageFor(uint32_t addr) {
-  if (coverage_cache_.gen == config_gen_ && addr >= coverage_cache_.lo &&
-      addr < coverage_cache_.hi) {
-    return coverage_cache_;
-  }
+EaMpu::CoverageCache EaMpu::ResolveCoverage(uint32_t addr) const {
   CoverageCache c;
   c.gen = config_gen_;
-  uint32_t lo = 0;
-  uint64_t hi = uint64_t{1} << 32;
+  c.hi = uint64_t{1} << 32;
   for (size_t i = 0; i < regions_.size(); ++i) {
     const MpuRegion& r = regions_[i];
     if (!r.enabled()) {
@@ -343,17 +339,22 @@ const EaMpu::CoverageCache& EaMpu::CoverageFor(uint32_t addr) {
       } else {
         c.overflow = true;
       }
-      lo = std::max(lo, r.base);
-      hi = std::min<uint64_t>(hi, r.end);
+      c.lo = std::max(c.lo, r.base);
+      c.hi = std::min<uint64_t>(c.hi, r.end);
     } else if (r.base > addr) {
-      hi = std::min<uint64_t>(hi, r.base);
+      c.hi = std::min<uint64_t>(c.hi, r.base);
     } else {
-      lo = std::max(lo, r.end);
+      c.lo = std::max(c.lo, r.end);
     }
   }
-  c.lo = lo;
-  c.hi = hi;
-  coverage_cache_ = c;
+  return c;
+}
+
+const EaMpu::CoverageCache& EaMpu::CoverageFor(uint32_t addr) {
+  if (coverage_cache_.gen != config_gen_ || addr < coverage_cache_.lo ||
+      addr >= coverage_cache_.hi) {
+    coverage_cache_ = ResolveCoverage(addr);
+  }
   return coverage_cache_;
 }
 
@@ -476,51 +477,20 @@ bool EaMpu::DataWindowFor(uint32_t subject_ip, bool privileged, bool is_write,
     // generation, so the full-address window cannot outlive the disable.
     return true;
   }
-  // Subject resolution with its constancy interval — the uncached twin of
-  // SubjectFor (this query must not move the shared caches or stats).
-  int subject = -1;
-  for (size_t i = 0; i < regions_.size(); ++i) {
-    const MpuRegion& r = regions_[i];
-    if (!r.enabled() || (r.attr & kMpuAttrCode) == 0) {
-      continue;
-    }
-    if (r.Contains(subject_ip)) {
-      subject = static_cast<int>(i);
-      *subj_lo = std::max(*subj_lo, r.base);
-      *subj_hi = std::min<uint64_t>(*subj_hi, r.end);
-      break;
-    }
-    if (r.base > subject_ip) {
-      *subj_hi = std::min<uint64_t>(*subj_hi, r.base);
-    } else {
-      *subj_lo = std::max(*subj_lo, r.end);
-    }
+  // The memo fills' resolvers, not the memos: this query must not move the
+  // shared caches or stats.
+  const SubjectCache subject = ResolveSubject(subject_ip);
+  *subj_lo = subject.lo;
+  *subj_hi = subject.hi;
+  // Within the coverage interval the covering-region set is constant and
+  // data rules never consult the address, so one decision settles it.
+  const CoverageCache cov = ResolveCoverage(addr);
+  if (cov.overflow) {
+    return false;  // Too tangled to summarize; callers use the full path.
   }
-  // Coverage of `addr` with its constancy interval — the uncached twin of
-  // CoverageFor. Within [lo, hi) the covering-region set is constant and
-  // data rules never consult the address, so one decision settles the whole
-  // interval.
-  int covering[kMaxCoverage];
-  int count = 0;
-  for (size_t i = 0; i < regions_.size(); ++i) {
-    const MpuRegion& r = regions_[i];
-    if (!r.enabled()) {
-      continue;
-    }
-    if (r.Contains(addr)) {
-      if (count == kMaxCoverage) {
-        return false;  // Too tangled to summarize; callers use the full path.
-      }
-      covering[count++] = static_cast<int>(i);
-      *lo = std::max(*lo, r.base);
-      *hi = std::min<uint64_t>(*hi, r.end);
-    } else if (r.base > addr) {
-      *hi = std::min<uint64_t>(*hi, r.base);
-    } else {
-      *lo = std::max(*lo, r.end);
-    }
-  }
-  if (count == 0) {
+  *lo = cov.lo;
+  *hi = cov.hi;
+  if (cov.count == 0) {
     return true;  // Uncovered background memory is open.
   }
   AccessContext ctx;
@@ -528,10 +498,10 @@ bool EaMpu::DataWindowFor(uint32_t subject_ip, bool privileged, bool is_write,
   ctx.kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
   ctx.privileged = privileged;
   const std::optional<int> subj =
-      subject >= 0 ? std::optional<int>(subject) : std::nullopt;
-  for (int i = 0; i < count; ++i) {
-    if (RuleAllows(ctx, subj, covering[i],
-                   regions_[static_cast<size_t>(covering[i])].base)) {
+      subject.subject >= 0 ? std::optional<int>(subject.subject)
+                           : std::nullopt;
+  for (int i = 0; i < cov.count; ++i) {
+    if (RuleAllows(ctx, subj, cov.regions[i], regions_[cov.regions[i]].base)) {
       return true;
     }
   }

@@ -39,6 +39,7 @@
 
 #include "src/mem/bus.h"
 #include "src/mem/device.h"
+#include "src/mem/layout.h"
 #include "src/platform/observe/events.h"
 
 namespace trustlite {
@@ -53,6 +54,13 @@ inline constexpr uint32_t kMpuRegRuleCount = 0x014;
 inline constexpr uint32_t kMpuRegionBank = 0x100;  // 16 bytes per region
 inline constexpr uint32_t kMpuRegionStride = 16;
 inline constexpr uint32_t kMpuRuleBank = 0x800;  // 4 bytes per rule
+
+// Bank capacities of the 4 KiB register block: the region bank ends at or
+// below the rule bank (so every region index stays below kMpuSubjectAny),
+// and the rule bank at the end of the block.
+inline constexpr uint32_t kMpuMaxRegions =
+    (kMpuRuleBank - kMpuRegionBank) / kMpuRegionStride;
+inline constexpr uint32_t kMpuMaxRules = (kMmioBlockSize - kMpuRuleBank) / 4;
 
 // CTRL bits.
 inline constexpr uint32_t kMpuCtrlEnable = 1u << 0;
@@ -171,7 +179,7 @@ class EaMpu : public Device, public ProtectionUnit {
   // would a fetch of `addr` issued by the instruction at `subject_ip` pass
   // under the current configuration and privilege state? Side-effect-free —
   // no stats, no fault latching, no check events — and valid only until
-  // config_generation() changes (the fusion cache keys on it).
+  // config_generation() changes (fused groups key on it).
   bool FetchWouldPass(uint32_t subject_ip, uint32_t addr,
                       bool privileged) const;
 
@@ -225,12 +233,19 @@ class EaMpu : public Device, public ProtectionUnit {
                            uint32_t width) const;
 
   // --- Access-decision fast path (behaviour-preserving memoization) ---
-  // Subject resolution: FindCodeRegion(ip) memoized together with the
-  // largest interval [lo, hi) around ip over which the answer is constant
-  // given the current region bank (accounts for first-match precedence).
-  int SubjectFor(uint32_t ip);  // Region index, or -1 for "unprotected".
+  // Subject resolution: FindCodeRegion(ip) together with the largest
+  // interval [lo, hi) around ip over which the answer is constant given the
+  // current region bank (accounts for first-match precedence).
+  struct SubjectCache {
+    uint64_t gen = 0;
+    uint32_t lo = 0;
+    uint64_t hi = 0;  // Exclusive.
+    int subject = -1;  // Region index, or -1 for "unprotected".
+  };
+  SubjectCache ResolveSubject(uint32_t ip) const;
+  int SubjectFor(uint32_t ip);  // ResolveSubject's subject, memoized.
   // Object coverage: the set of enabled regions containing an address,
-  // memoized with its constancy interval.
+  // with its constancy interval.
   struct CoverageCache {
     uint64_t gen = 0;
     uint32_t lo = 0;
@@ -240,19 +255,14 @@ class EaMpu : public Device, public ProtectionUnit {
     uint8_t regions[8];
   };
   static constexpr int kMaxCoverage = 8;
-  const CoverageCache& CoverageFor(uint32_t addr);
+  CoverageCache ResolveCoverage(uint32_t addr) const;
+  const CoverageCache& CoverageFor(uint32_t addr);  // Memoized.
   // Memoized RuleAllows for data accesses (address-independent).
   bool DataRuleAllows(const AccessContext& ctx, int subject, int object);
   // Per-address fetch decision: covered-implies-allowed at exactly `addr`.
   bool FetchCheckPasses(const AccessContext& ctx, int subject, uint32_t addr);
   void BumpConfigGen() { ++config_gen_; }
 
-  struct SubjectCache {
-    uint64_t gen = 0;
-    uint32_t lo = 0;
-    uint64_t hi = 0;  // Exclusive.
-    int subject = -1;
-  };
   struct DecisionEntry {
     uint64_t gen = 0;
     uint32_t key = 0;

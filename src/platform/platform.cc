@@ -65,9 +65,8 @@ Platform::Platform(const PlatformConfig& config) : config_(config) {
   CpuConfig cpu_config;
   cpu_config.secure_exceptions = config.secure_exceptions;
   cpu_config.sanitize_faulting_ip = config.sanitize_faulting_ip;
-  cpu_config.decode_cache = config.fast_path;
-  cpu_config.fast_dispatch = config.fast_path;
-  cpu_config.fusion = config.fast_path && config.fusion;
+  cpu_config.fast_path = config.fast_path;
+  cpu_config.fusion = config.fusion;
   cpu_config.cycles = config.cycles;
   cpu_ = std::make_unique<Cpu>(&bus_, sysctl_.get(), cpu_config);
   cpu_->AttachMpu(mpu_.get());

@@ -82,6 +82,19 @@ Status DecodeShape(const Chunk& chunk, PlatformShape* shape) {
   if (!reader.Done()) {
     return InvalidArgument("snapshot PCFG chunk malformed");
   }
+  // Readers build a Platform from these fields (SnapshotPlatformConfig):
+  // the EA-MPU constructor only asserts its bank sizes, and a DMA mode
+  // outside the enum names no engine.
+  if (shape->mpu_regions == 0 || shape->mpu_regions > kMpuMaxRegions ||
+      shape->mpu_rules == 0 || shape->mpu_rules > kMpuMaxRules) {
+    return InvalidArgument("snapshot PCFG: EA-MPU bank sizes out of range");
+  }
+  if (shape->dma_mode !=
+          static_cast<uint32_t>(DmaEngine::Mode::kUnchecked) &&
+      shape->dma_mode !=
+          static_cast<uint32_t>(DmaEngine::Mode::kExecutionAware)) {
+    return InvalidArgument("snapshot PCFG: unknown DMA mode");
+  }
   return OkStatus();
 }
 
@@ -517,7 +530,7 @@ Status RestorePlatform(Platform* platform,
                                         {page.data, page.len}));
     }
   }
-  // The memory rewrite bypassed the bus write path; decode caches must
+  // The memory rewrite bypassed the bus write path; code caches must
   // revalidate (RestoreArchState below also drops the CPU's outright).
   platform->bus().NoteHostMutation();
   platform->cpu().RestoreArchState(cpu_state);

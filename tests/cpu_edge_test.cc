@@ -411,15 +411,15 @@ loop:
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   uint32_t base = 0;
   ram_.LoadBytes(kOrigin, out->Flatten(&base));
-  for (const bool fast_dispatch : {true, false}) {
+  for (const bool fast_path : {true, false}) {
     for (const bool cycle_bound : {false, true}) {
       CpuConfig config;
-      config.fast_dispatch = fast_dispatch;
+      config.fast_path = fast_path;
       Cpu cpu(&bus_, &sysctl_, config);
       cpu.Reset(kOrigin);
       const StepEvent event =
           cycle_bound ? cpu.RunUntilCycle(UINT64_MAX) : cpu.Run(UINT64_MAX);
-      SCOPED_TRACE(testing::Message() << "fast_dispatch=" << fast_dispatch
+      SCOPED_TRACE(testing::Message() << "fast_path=" << fast_path
                                       << " cycle_bound=" << cycle_bound);
       EXPECT_EQ(event, StepEvent::kHalted);
       EXPECT_FALSE(cpu.trap().valid) << cpu.trap().reason;

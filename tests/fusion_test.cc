@@ -2,10 +2,11 @@
 //
 // Invalidation tests for the superinstruction fusion layer (DESIGN.md §15)
 // and the data-access windows that ride on the same generation counters.
-// Fusion only engages inside Cpu::Run's fast run loop, so every
-// test here drives the guest through Platform::Run — never Step() — and
-// first proves fusion actually fired (fusion_groups > 0) before asserting
-// that stale fused state did not leak into guest-visible behavior.
+// Fusion only engages inside Cpu::Run's fast run loop, so the tests drive
+// the guest through Platform::Run — Step() only where it shares the code
+// cache with a run — and first prove fusion actually fired
+// (fusion_groups > 0) before asserting that stale fused state did not leak
+// into guest-visible behavior.
 
 #include <cstdio>
 #include <string>
@@ -58,7 +59,7 @@ void EnableMpu(Platform& platform) {
 
 // Restarts the installed guest at `start` with r6 = `passes` (the loop
 // bound of the guests below) and runs it to HALT. Cpu::Reset keeps the
-// decode/fusion caches and the data windows, so a second call runs warm.
+// code cache and the data windows, so a second call runs warm.
 void RunPasses(Platform& platform, uint32_t start, uint32_t passes) {
   platform.cpu().Reset(start);
   platform.cpu().set_reg(6, passes);
@@ -377,6 +378,91 @@ back:
   EXPECT_GT(stats.fusion_groups, warm.fusion_groups);
   EXPECT_EQ(stats.decode_misses, warm.decode_misses);
   EXPECT_EQ(stats.fusion_builds, warm.fusion_builds);
+}
+
+// ---------------------------------------------------------------------------
+// One code cache for Step() and Run(): a fused group's head is the decode
+// Step() reads too. A host store rewrites the head of a hot group between a
+// Run() and the Step()s after it. The stepped head must execute the new
+// word (a decode miss, which drops the group), and the next Run(), entering
+// at the head, must build the group once over that decode and then reuse
+// it. Registers, IP and cycles track a fast_path=false platform driven the
+// same way throughout.
+
+TEST(FusionTest, StepAndRunShareOneCodeCache) {
+  const std::string source = R"(
+.org 0x30000
+start:
+    movi r3, 0
+    movi r5, 0
+    li   r6, 100000
+loop:
+    addi r3, r3, 1
+    addi r5, r5, 1
+    addi r7, r7, 2
+    bne  r5, r6, loop
+    halt
+)";
+  Result<AsmOutput> out = Assemble(source);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const uint32_t head = out->symbols.at("loop");
+  PlatformConfig config;
+  config.with_mpu = false;
+  Platform fast(config);
+  config.fast_path = false;
+  Platform ref(config);
+  Install(fast, source);
+  Install(ref, source);
+  const auto expect_same_state = [&] {
+    for (int i = 0; i < kNumRegisters; ++i) {
+      EXPECT_EQ(fast.cpu().reg(i), ref.cpu().reg(i)) << "r" << i;
+    }
+    EXPECT_EQ(fast.cpu().ip(), ref.cpu().ip());
+    EXPECT_EQ(fast.cpu().cycles(), ref.cpu().cycles());
+  };
+
+  for (int32_t round = 1; round <= 3; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    // Budgets of 37, 74 and 111 instructions end inside the group at
+    // different constituents.
+    fast.Run(37 * static_cast<uint64_t>(round));
+    ref.Run(37 * static_cast<uint64_t>(round));
+    EXPECT_GT(fast.cpu().stats().fusion_groups, 0u);
+    expect_same_state();
+
+    Instruction patched;
+    patched.opcode = Opcode::kAddi;
+    patched.rd = 3;
+    patched.rs1 = 3;
+    patched.imm = 100 * round;
+    ASSERT_TRUE(fast.bus().HostWriteWord(head, Encode(patched)));
+    ASSERT_TRUE(ref.bus().HostWriteWord(head, Encode(patched)));
+    const auto step_to_head = [&] {
+      while (fast.cpu().ip() != head) {
+        fast.cpu().Step();
+        ref.cpu().Step();
+      }
+    };
+    step_to_head();
+    const CpuStats before_step = fast.cpu().stats();
+    const uint32_t r3 = fast.cpu().reg(3);
+    fast.cpu().Step();
+    ref.cpu().Step();
+    EXPECT_EQ(fast.cpu().reg(3), r3 + 100u * static_cast<uint32_t>(round));
+    EXPECT_EQ(fast.cpu().stats().decode_misses, before_step.decode_misses + 1);
+    step_to_head();
+    expect_same_state();
+
+    // 50 passes of the 4-instruction body, one group each.
+    const CpuStats before_run = fast.cpu().stats();
+    fast.Run(200);
+    ref.Run(200);
+    const CpuStats& after_run = fast.cpu().stats();
+    EXPECT_EQ(after_run.fusion_builds, before_run.fusion_builds + 1);
+    EXPECT_EQ(after_run.fusion_groups, before_run.fusion_groups + 50);
+    EXPECT_EQ(fast.cpu().ip(), head);
+    expect_same_state();
+  }
 }
 
 // ---------------------------------------------------------------------------

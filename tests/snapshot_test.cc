@@ -299,6 +299,59 @@ std::vector<uint8_t> Rechunk(const std::vector<uint8_t>& snapshot, Edit edit) {
   return out;
 }
 
+TEST(SnapshotFormatTest, OutOfRangePlatformShapeFailsClosed) {
+  // `tlsnap verify` and `tlsim run --resume-from` build their Platform from
+  // PCFG, and the EA-MPU constructor only asserts its bank sizes: 0xFFFFFFFF
+  // regions used to abort both tools with std::length_error. Each crafted
+  // PCFG below has valid framing and CRCs and one field out of range; the
+  // config reader and the restore both fail with INVALID_ARGUMENT, and no
+  // Platform is built from the crafted shape.
+  Platform platform;
+  Result<std::vector<uint8_t>> saved = SavePlatform(platform);
+  ASSERT_TRUE(saved.ok());
+  // PCFG payload: four flag bytes, then LE32 mpu_regions, mpu_rules and
+  // dma_mode (docs/SNAPSHOT_FORMAT.md).
+  const auto with_shape = [&](size_t offset, uint32_t value) {
+    return Rechunk(*saved, [&](auto* chunks) {
+      StoreLe32(chunks->front().second.data() + offset, value);
+    });
+  };
+  struct BadField {
+    const char* name;
+    size_t offset;
+    uint32_t value;
+  };
+  const BadField bad_fields[] = {
+      {"mpu_regions", 4, 0},
+      {"mpu_regions", 4, kMpuMaxRegions + 1},
+      {"mpu_regions", 4, 0x10000000},
+      {"mpu_regions", 4, 0xFFFFFFFF},
+      {"mpu_rules", 8, 0},
+      {"mpu_rules", 8, kMpuMaxRules + 1},
+      {"mpu_rules", 8, 0xFFFFFFFF},
+      {"dma_mode", 12, 2},
+      {"dma_mode", 12, 0xFFFFFFFF},
+  };
+  for (const BadField& field : bad_fields) {
+    SCOPED_TRACE(testing::Message() << field.name << " = " << field.value);
+    const std::vector<uint8_t> crafted = with_shape(field.offset, field.value);
+    const Result<PlatformConfig> config = SnapshotPlatformConfig(crafted);
+    ASSERT_FALSE(config.ok());
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(RestorePlatform(&platform, crafted).code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The largest banks the 4 KiB register block holds still read back.
+  const Result<PlatformConfig> widest =
+      SnapshotPlatformConfig(Rechunk(*saved, [](auto* chunks) {
+        StoreLe32(chunks->front().second.data() + 4, kMpuMaxRegions);
+        StoreLe32(chunks->front().second.data() + 8, kMpuMaxRules);
+      }));
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->mpu_regions, 112);
+  EXPECT_EQ(widest->mpu_rules, 512);
+}
+
 TEST(SnapshotCorruptionTest, MalformedDevicePayloadLeavesTargetUntouched) {
   // Framing and CRCs are valid, but the uart payload carries one byte more
   // than the uart parses. The restore must fail before it writes RAM, the

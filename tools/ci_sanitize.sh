@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer build-and-test configurations:
 #  * ASan + UBSan over the full suite: cache/invalidation bugs in the
-#    simulator fast path (decode cache, EA-MPU decision caches, bus routing
+#    simulator fast path (code cache, EA-MPU decision caches, bus routing
 #    memoization, superinstruction fusion's host backing pointers, the
 #    data-access windows, and the SHA-NI/scalar SHA-256 engines) surface
 #    as sanitizer failures instead of heisenbugs. The fusion/windowed-
