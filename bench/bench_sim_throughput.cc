@@ -7,6 +7,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <memory>
+#include <string>
+
+#include "src/common/rng.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/sha256_engine.h"
 #include "src/isa/assembler.h"
@@ -54,9 +59,12 @@ void BM_InterpreterNoMpu(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterNoMpu);
 
-void BM_InterpreterWithMpu(benchmark::State& state) {
-  Platform platform;
-  Bus& bus = platform.bus();
+// WorkloadImage under an enabled EA-MPU with 16 regions, none covering the
+// workload, so every fetch and data access runs the full protection check
+// path until the fast-path caches take over.
+std::unique_ptr<Platform> MpuWorkload(const PlatformConfig& config = {}) {
+  auto platform = std::make_unique<Platform>(config);
+  Bus& bus = platform->bus();
   for (int i = 0; i < 16; ++i) {
     const uint32_t reg = kMpuMmioBase + kMpuRegionBank +
                          static_cast<uint32_t>(i) * kMpuRegionStride;
@@ -67,12 +75,48 @@ void BM_InterpreterWithMpu(benchmark::State& state) {
   bus.HostWriteWord(kMpuMmioBase + kMpuRegCtrl, kMpuCtrlEnable);
   uint32_t entry = 0;
   bus.HostWriteBytes(0x30000, WorkloadImage(&entry));
-  platform.cpu().Reset(entry);
+  platform->cpu().Reset(entry);
+  return platform;
+}
+
+// Deterministic work counters of the fast run loop, as plain (not rate)
+// user counters: fused instructions per dispatched group, the fused share
+// of retired instructions, the decode-miss ratio and full EA-MPU checks per
+// instruction. They cover the first 100 Run(10000) calls of a fresh
+// platform from `make`, not the timed loop, whose iteration count depends
+// on the host: the same build gives the same values on every host.
+template <typename Make>
+void SetDispatchCounters(benchmark::State& state, Make make) {
+  const std::unique_ptr<Platform> platform = make();
+  const CpuStats before = platform->cpu().stats();
+  const uint64_t checks_before = platform->fast_path_stats().mpu.checks;
+  for (int i = 0; i < 100; ++i) {
+    platform->Run(10000);
+  }
+  const CpuStats& after = platform->cpu().stats();
+  const auto ratio = [](uint64_t num, uint64_t den) {
+    return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
+  };
+  const uint64_t insn = after.instructions - before.instructions;
+  const uint64_t fused = after.fusion_retired - before.fusion_retired;
+  const uint64_t misses = after.decode_misses - before.decode_misses;
+  state.counters["insn_per_group"] =
+      ratio(fused, after.fusion_groups - before.fusion_groups);
+  state.counters["fused_frac"] = ratio(fused, insn);
+  state.counters["decode_miss_ratio"] =
+      ratio(misses, after.decode_hits - before.decode_hits + misses);
+  state.counters["mpu_checks_per_insn"] =
+      ratio(platform->fast_path_stats().mpu.checks - checks_before, insn);
+}
+
+void BM_InterpreterWithMpu(benchmark::State& state) {
+  const std::unique_ptr<Platform> platform = MpuWorkload();
   for (auto _ : state) {
-    platform.Run(10000);
+    platform->Run(10000);
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(platform.cpu().stats().instructions));
+      static_cast<int64_t>(platform->cpu().stats().instructions));
+  SetDispatchCounters(state, [] { return MpuWorkload(); });
 }
 BENCHMARK(BM_InterpreterWithMpu);
 
@@ -82,24 +126,12 @@ BENCHMARK(BM_InterpreterWithMpu);
 void BM_InterpreterWithMpuNoFusion(benchmark::State& state) {
   PlatformConfig config;
   config.fusion = false;
-  Platform platform(config);
-  Bus& bus = platform.bus();
-  for (int i = 0; i < 16; ++i) {
-    const uint32_t reg = kMpuMmioBase + kMpuRegionBank +
-                         static_cast<uint32_t>(i) * kMpuRegionStride;
-    bus.HostWriteWord(reg + 0, 0x40000 + static_cast<uint32_t>(i) * 0x100);
-    bus.HostWriteWord(reg + 4, 0x40080 + static_cast<uint32_t>(i) * 0x100);
-    bus.HostWriteWord(reg + 8, kMpuAttrEnable);
-  }
-  bus.HostWriteWord(kMpuMmioBase + kMpuRegCtrl, kMpuCtrlEnable);
-  uint32_t entry = 0;
-  bus.HostWriteBytes(0x30000, WorkloadImage(&entry));
-  platform.cpu().Reset(entry);
+  const std::unique_ptr<Platform> platform = MpuWorkload(config);
   for (auto _ : state) {
-    platform.Run(10000);
+    platform->Run(10000);
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(platform.cpu().stats().instructions));
+      static_cast<int64_t>(platform->cpu().stats().instructions));
 }
 BENCHMARK(BM_InterpreterWithMpuNoFusion);
 
@@ -110,28 +142,16 @@ BENCHMARK(BM_InterpreterWithMpuNoFusion);
 // event pointers are null and BM_InterpreterWithMpu itself is the
 // tracing-off number (DESIGN.md §12 overhead budget).
 void BM_InterpreterWithMpuProfiled(benchmark::State& state) {
-  Platform platform;
-  Bus& bus = platform.bus();
-  for (int i = 0; i < 16; ++i) {
-    const uint32_t reg = kMpuMmioBase + kMpuRegionBank +
-                         static_cast<uint32_t>(i) * kMpuRegionStride;
-    bus.HostWriteWord(reg + 0, 0x40000 + static_cast<uint32_t>(i) * 0x100);
-    bus.HostWriteWord(reg + 4, 0x40080 + static_cast<uint32_t>(i) * 0x100);
-    bus.HostWriteWord(reg + 8, kMpuAttrEnable);
-  }
-  bus.HostWriteWord(kMpuMmioBase + kMpuRegCtrl, kMpuCtrlEnable);
-  uint32_t entry = 0;
-  bus.HostWriteBytes(0x30000, WorkloadImage(&entry));
-  platform.cpu().Reset(entry);
+  const std::unique_ptr<Platform> platform = MpuWorkload();
   TrustletProfiler profiler;
   profiler.AddLane("workload", 0x30000, 0x30100);
-  platform.AddEventSink(&profiler);
+  platform->AddEventSink(&profiler);
   for (auto _ : state) {
-    platform.Run(10000);
+    platform->Run(10000);
   }
-  platform.RemoveEventSink(&profiler);
+  platform->RemoveEventSink(&profiler);
   state.SetItemsProcessed(
-      static_cast<int64_t>(platform.cpu().stats().instructions));
+      static_cast<int64_t>(platform->cpu().stats().instructions));
 }
 BENCHMARK(BM_InterpreterWithMpuProfiled);
 
@@ -248,9 +268,11 @@ handler:
 }
 BENCHMARK(BM_MpuFaultPath);
 
-void BM_PreemptiveSystem(benchmark::State& state) {
-  // Full system: nanOS + 2 trustlets under a fast scheduler tick.
-  Platform platform;
+// nanOS (`os`) preempting two trustlets that run `body[i]`, code at 0x11000
+// and 0x13000, data at 0x12000 and 0x14000, booted by the Secure Loader.
+std::unique_ptr<Platform> PreemptivePlatform(const NanosConfig& os,
+                                             const std::string body[2]) {
+  auto platform = std::make_unique<Platform>();
   SystemImage image;
   for (int i = 0; i < 2; ++i) {
     TrustletBuildSpec spec;
@@ -259,21 +281,80 @@ void BM_PreemptiveSystem(benchmark::State& state) {
     spec.data_addr = 0x12000 + static_cast<uint32_t>(i) * 0x2000;
     spec.data_size = 0x400;
     spec.stack_size = 0x100;
-    spec.body = "tl_main:\nloop:\n    addi r1, r1, 1\n    jmp loop\n";
+    spec.body = body[i];
     image.Add(*BuildTrustlet(spec));
   }
-  NanosConfig os_config;
-  os_config.timer_period = 500;
-  image.Add(*BuildNanos(os_config));
-  (void)platform.InstallImage(image);
-  (void)platform.BootAndLaunch();
+  image.Add(*BuildNanos(os));
+  (void)platform->InstallImage(image);
+  (void)platform->BootAndLaunch();
+  return platform;
+}
+
+// Full system: nanOS + 2 trustlets under a fast scheduler tick.
+std::unique_ptr<Platform> BusyTrustlets() {
+  NanosConfig os;
+  os.timer_period = 500;
+  const std::string body = "tl_main:\nloop:\n    addi r1, r1, 1\n    jmp loop\n";
+  const std::string bodies[2] = {body, body};
+  return PreemptivePlatform(os, bodies);
+}
+
+void BM_PreemptiveSystem(benchmark::State& state) {
+  const std::unique_ptr<Platform> platform = BusyTrustlets();
   for (auto _ : state) {
-    platform.Run(10000);
+    platform->Run(10000);
   }
   state.SetItemsProcessed(
-      static_cast<int64_t>(platform.cpu().stats().instructions));
+      static_cast<int64_t>(platform->cpu().stats().instructions));
+  SetDispatchCounters(state, BusyTrustlets);
 }
 BENCHMARK(BM_PreemptiveSystem);
+
+// The fleet benchmark's `compute` node at seed 42 (a copy of
+// perfbench/fleetbench.cc's ComputeImage): nanOS with its default tick and
+// two trustlets running a load/store/ALU loop over their own EA-MPU data
+// regions, the multiplier drawn from the seed. Every iteration stores inside
+// a fused group, so the run loop re-compares the group's remaining words
+// mid-group.
+std::unique_ptr<Platform> ComputeNode() {
+  constexpr uint64_t kSeed = 42;
+  std::string bodies[2];
+  for (int i = 0; i < 2; ++i) {
+    char body[320];
+    std::snprintf(body, sizeof(body),
+                  "tl_main:\n"
+                  "    li   r4, TL_DATA\n"
+                  "    li   r5, 0x%08x\n"
+                  "    movi r1, 0\n"
+                  "loop:\n"
+                  "    ldw  r2, [r4 + 4]\n"
+                  "    add  r2, r2, r5\n"
+                  "    mul  r3, r2, r1\n"
+                  "    stw  r3, [r4 + 4]\n"
+                  "    addi r1, r1, 1\n"
+                  "    stw  r1, [r4]\n"
+                  "    jmp  loop\n",
+                  static_cast<uint32_t>(DeriveDeviceSeed(
+                      kSeed, static_cast<uint32_t>(i))) |
+                      1u);
+    bodies[i] = body;
+  }
+  return PreemptivePlatform(NanosConfig{}, bodies);
+}
+
+void BM_PreemptiveLoadStore(benchmark::State& state) {
+  const std::unique_ptr<Platform> platform = ComputeNode();
+  for (auto _ : state) {
+    platform->Run(10000);
+  }
+  if (platform->cpu().halted()) {
+    state.SkipWithError("workload trapped");
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(platform->cpu().stats().instructions));
+  SetDispatchCounters(state, ComputeNode);
+}
+BENCHMARK(BM_PreemptiveLoadStore);
 
 void BM_Assembler(benchmark::State& state) {
   NanosConfig config;

@@ -3,9 +3,9 @@
 // Interpreter core. The instruction semantics live in the TL_SEMANTICS
 // X-macro below, expanded once into the switch inside Execute(). Every
 // dispatch path goes through it: Step() (and the fast_path=false reference
-// loop over it), RunLoop()'s single-instruction dispatch, and the
-// fused-group executor, so the fast paths differ from the reference only in
-// how they fetch, decode and check, never in what an opcode does; the
+// loop over it), Wait(), and RunLoop()'s one dispatch site, where it is
+// inlined, so the fast path differs from the reference only in how it
+// fetches, decodes and checks, never in what an opcode does; the
 // differential harness verifies the two lockstep
 // (tests/differential_test.cc).
 
@@ -592,7 +592,10 @@ bool Cpu::EnterException(uint32_t exception_class, uint32_t handler,
   return true;
 }
 
-Cpu::ExecOutcome Cpu::Execute(const Instruction& insn) {
+// Inlined at every call site: in RunLoop the switch sits in the dispatch
+// loop itself, with no call per guest instruction.
+[[gnu::always_inline]] inline Cpu::ExecOutcome Cpu::Execute(
+    const Instruction& insn) {
   ExecOutcome out;
   out.cycles = config_.cycles.alu;
   const auto& c = config_.cycles;
@@ -666,11 +669,10 @@ StepEvent Cpu::TakeIllegal(uint64_t cycles_before) {
   return halted_ ? StepEvent::kHalted : StepEvent::kException;
 }
 
-StepEvent Cpu::FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
-                             uint32_t word, uint64_t cycles_before) {
-  cycles_ += out.cycles;
-  prev_ip_ = insn_addr;
-
+// FinishExecute's rare paths, out of line: fault and SWI entry, and HALT.
+[[gnu::noinline]] StepEvent Cpu::RetireRare(const ExecOutcome& out,
+                                            uint32_t insn_addr, uint32_t word,
+                                            uint64_t cycles_before) {
   if (out.fault_class.has_value()) {
     const uint32_t cls = *out.fault_class;
     uint32_t handler = 0;
@@ -702,19 +704,26 @@ StepEvent Cpu::FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
     bus_->TickDevices(cycles_ - cycles_before);
     return halted_ ? StepEvent::kHalted : StepEvent::kException;
   }
-
   ++stats_.instructions;
-  if (out.halted) {
-    halted_ = true;
-    if (sink_ != nullptr) {
-      // Clean HALT: reported as a HaltEvent (not an InsnEvent) so
-      // instruction-stream consumers see exactly the productive retires.
-      sink_->OnHalt(HaltEvent{cycles_, insn_addr, out.cycles, false, 0});
-    }
-    bus_->TickDevices(cycles_ - cycles_before);
-    return StepEvent::kHalted;
+  halted_ = true;
+  if (sink_ != nullptr) {
+    // Clean HALT: reported as a HaltEvent (not an InsnEvent) so
+    // instruction-stream consumers see exactly the productive retires.
+    sink_->OnHalt(HaltEvent{cycles_, insn_addr, out.cycles, false, 0});
   }
-  if (insn_sink_ != nullptr) {
+  bus_->TickDevices(cycles_ - cycles_before);
+  return StepEvent::kHalted;
+}
+
+inline StepEvent Cpu::FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
+                                    uint32_t word, uint64_t cycles_before) {
+  cycles_ += out.cycles;
+  prev_ip_ = insn_addr;
+  if (out.fault_class.has_value() || out.halted) [[unlikely]] {
+    return RetireRare(out, insn_addr, word, cycles_before);
+  }
+  ++stats_.instructions;
+  if (insn_sink_ != nullptr) [[unlikely]] {
     insn_sink_->OnInstruction(InsnEvent{cycles_, insn_addr, word, out.cycles});
   }
   if (!out.control_transfer) {
@@ -762,6 +771,15 @@ AccessResult Cpu::Fetch(uint32_t* word) {
   ctx.kind = AccessKind::kFetch;
   ctx.privileged = (flags_ & kFlagUser) == 0;
   return bus_->Read(ctx, ip_, 4, word);
+}
+
+inline bool Cpu::WordsIntact(const CodeEntry& entry, int from) {
+  for (int i = from; i < entry.count; ++i) {
+    if (LoadWordLe(entry.ops[i].backing) != entry.ops[i].word) {
+      return false;
+    }
+  }
+  return true;
 }
 
 inline const Instruction* Cpu::DecodeFetched(CodeEntry& entry,
@@ -909,52 +927,95 @@ StepEvent Cpu::RunLoop(const RunBound& bound) {
       continue;
     }
 
-    // Superinstruction fusion: execute a validated straight-line group from
-    // the entry, unless the decode above missed and dropped it.
+    // Superinstruction fusion: a validated straight-line group from the
+    // entry dispatches all its constituents, unless the decode above missed
+    // and dropped it.
+    int count = 1;  // Constituents to dispatch from entry.ops.
     if (fusion) {
       const uint64_t mem_gen = bus_->memory_generation();
-      bool run_group = false;
       if (current && entry.count != 0) {
         if (entry.count >= 2) {
-          // Re-compare the tail words through their stable host backing on
-          // every dispatch (the head's word is the fetch above). Like the
-          // head's word compare, this stays exact even for out-of-band host
-          // mutations that never bumped the bus memory generation
-          // (Ram::LoadBytes program reloads in tests/tools).
-          bool intact = true;
-          for (int i = 1; i < entry.count; ++i) {
-            if (LoadWordLe(entry.ops[i].backing) != entry.ops[i].word) {
-              intact = false;
-              break;
-            }
-          }
-          if (intact) {
+          // Re-compare the tail words on every dispatch (the head's word is
+          // the fetch above). Like the head's word compare, this stays exact
+          // even for out-of-band host mutations that never bumped the bus
+          // memory generation (Ram::LoadBytes program reloads in
+          // tests/tools).
+          if (WordsIntact(entry, 1)) {
             entry.mem_generation = mem_gen;
             entry.head_prev_ip = prev_ip_;  // This fetch passed: re-pin.
-            run_group = true;
+            count = entry.count;
           } else {
             ++stats_.fusion_invalidations;
             entry.count = 0;
           }
         }
         // count == 1 is a tombstone: the head is not fusable under the
-        // current word/MPU configuration — fall through to single dispatch.
+        // current word/MPU configuration — dispatched alone.
       } else {
         if (entry.count != 0) {
           ++stats_.fusion_invalidations;
         }
         BuildFusionGroup(entry, mem_gen);
-        run_group = entry.count >= 2;
-      }
-      if (run_group) {
-        event = ExecuteFusedGroup(entry, bound, &steps);
-        continue;
+        count = entry.count;  // 1 for a tombstone.
       }
     }
 
-    // Single-instruction dispatch.
-    const uint32_t insn_addr = ip_;
-    event = FinishExecute(Execute(*insn), insn_addr, word, cycles_before);
+    // The one dispatch site. DecodeFetched has just put the decode of the
+    // word fetched at ip_ in ops[0], so a lone decode is a group of one.
+    // Each constituent is one watchdog step.
+    for (int i = 0; i < count; ++i) {
+      if (i > 0) {
+        // Between constituents the architecture is at an instruction
+        // boundary: honor every event the Step loop would honor there, in
+        // the same order, by handing control back to the top of the loop.
+        if (halted_ || Reached(bound)) {
+          break;
+        }
+        if ((flags_ & kFlagIf) != 0 && !IrqHorizonOpen() &&
+            PollIrq() != nullptr) {
+          break;  // The next iteration runs full interrupt recognition.
+        }
+        if (ip_ != entry.ops[i].addr) {
+          break;  // A hook or fault redirected control mid-group.
+        }
+        if (entry.mpu_generation != CurrentMpuGeneration()) {
+          // A constituent reconfigured protection (engine-port store): the
+          // precomputed tail fetch permissions are void.
+          ++stats_.fusion_invalidations;
+          entry.count = 0;
+          break;
+        }
+        const uint64_t mem_gen = bus_->memory_generation();
+        if (entry.mem_generation != mem_gen) {
+          // A constituent stored to memory: re-compare the remaining words
+          // so self-modifying code inside the group is executed from the
+          // fresh bytes, never the fused decode.
+          if (!WordsIntact(entry, i)) {
+            ++stats_.fusion_invalidations;
+            entry.count = 0;
+            break;
+          }
+          entry.mem_generation = mem_gen;
+        }
+        // A validated tail constituent executes from its cached decode —
+        // the same reuse the code cache counts as a decode hit for a head.
+        ++stats_.decode_hits;
+        ++steps;
+      }
+      const FusedOp& op = entry.ops[i];
+      const uint64_t op_start = cycles_;
+      event = FinishExecute(Execute(op.insn), op.addr, op.word, op_start);
+      if (event != StepEvent::kExecuted) {
+        break;
+      }
+    }
+    if (count > 1) {
+      ++stats_.fusion_groups;
+      // Constituents retired inside the group: all dispatched ones but one
+      // whose event ended it.
+      stats_.fusion_retired +=
+          steps - (event == StepEvent::kExecuted ? 0 : 1);
+    }
   }
   bus_->FlushTicks();  // Callers observe device state after a run.
   return event;
@@ -1088,71 +1149,6 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
   dw.mpu_generation = CurrentMpuGeneration();
   dw.topology_generation = bus_->topology_generation();
   dw.user_mode = (flags_ & kFlagUser) != 0;
-}
-
-StepEvent Cpu::ExecuteFusedGroup(CodeEntry& entry, const RunBound& bound,
-                                 uint64_t* steps) {
-  ++stats_.fusion_groups;
-  *steps = 0;
-  StepEvent event = StepEvent::kExecuted;
-  for (int i = 0; i < entry.count; ++i) {
-    if (i > 0) {
-      // Between constituents the architecture is at an instruction boundary:
-      // honor every event the Step loop would honor there, in the same
-      // order, by handing control back to the outer loop.
-      if (halted_ || Reached(bound)) {
-        break;
-      }
-      if ((flags_ & kFlagIf) != 0 && !IrqHorizonOpen() &&
-          PollIrq() != nullptr) {
-        break;  // Outer loop runs full interrupt recognition.
-      }
-      if (ip_ != entry.ops[i].addr) {
-        break;  // A hook or fault redirected control mid-group.
-      }
-      if (entry.mpu_generation != CurrentMpuGeneration()) {
-        // A constituent reconfigured protection (engine-port store): the
-        // precomputed tail fetch permissions are void.
-        ++stats_.fusion_invalidations;
-        entry.count = 0;
-        break;
-      }
-      const uint64_t mem_gen = bus_->memory_generation();
-      if (entry.mem_generation != mem_gen) {
-        // A constituent stored to memory: re-compare the remaining words so
-        // self-modifying code inside the group is executed from the fresh
-        // bytes, never the fused decode.
-        bool intact = true;
-        for (int j = i; j < entry.count; ++j) {
-          if (LoadWordLe(entry.ops[j].backing) != entry.ops[j].word) {
-            intact = false;
-            break;
-          }
-        }
-        if (!intact) {
-          ++stats_.fusion_invalidations;
-          entry.count = 0;
-          break;
-        }
-        entry.mem_generation = mem_gen;
-      }
-    }
-    const FusedOp& op = entry.ops[i];
-    const uint64_t cycles_before = cycles_;
-    if (i > 0) {
-      // A validated tail constituent executes from its cached decode — the
-      // same reuse the code cache counts as a decode hit for a head.
-      ++stats_.decode_hits;
-    }
-    const ExecOutcome out = Execute(op.insn);
-    event = FinishExecute(out, op.addr, op.word, cycles_before);
-    ++*steps;
-    if (event != StepEvent::kExecuted) {
-      break;
-    }
-    ++stats_.fusion_retired;
-  }
-  return event;
 }
 
 StepEvent Cpu::StepLoop(const RunBound& bound) {

@@ -329,10 +329,10 @@ class Cpu {
   // until the earliest CyclesUntilWake() deadline or the next non-memory
   // bus access. Step() polls regardless of the horizon.
   Device* PollIrq();
-  // True while no IRQ source can be pending (see PollIrq): RunLoop and
-  // ExecuteFusedGroup skip their IF-set polls. Every RunLoop call starts
-  // with the horizon expired, since the host may touch devices between
-  // runs.
+  // True while no IRQ source can be pending (see PollIrq): RunLoop skips
+  // its IF-set polls, before a dispatch and between a group's constituents.
+  // Every RunLoop call starts with the horizon expired, since the host may
+  // touch devices between runs.
   bool IrqHorizonOpen() const {
     return cycles_ < irq_horizon_ &&
            bus_->device_generation() == irq_horizon_device_generation_;
@@ -342,10 +342,13 @@ class Cpu {
   StepEvent TakeFetchFault(uint32_t exception_class, uint64_t cycles_before);
   // Undecodable word at ip_ (the subject is the instruction itself).
   StepEvent TakeIllegal(uint64_t cycles_before);
-  // Everything after Execute(): cycle/prev_ip bookkeeping, fault dispatch,
-  // retire accounting, events, IP advance, device ticks.
+  // Everything after Execute(): cycle/prev_ip bookkeeping, retire
+  // accounting, events, IP advance, device ticks. Inline; a fault, SWI or
+  // HALT goes on to RetireRare, out of line.
   StepEvent FinishExecute(const ExecOutcome& out, uint32_t insn_addr,
                           uint32_t word, uint64_t cycles_before);
+  StepEvent RetireRare(const ExecOutcome& out, uint32_t insn_addr,
+                       uint32_t word, uint64_t cycles_before);
   // Issues the `wfi` at ip_ (DESIGN.md §15, "Sleeping instead of
   // yielding"). With an IRQ source pending (IF is not consulted) it retires
   // like nop. Otherwise the core sleeps min(CyclesUntilWake(), bound)
@@ -361,8 +364,11 @@ class Cpu {
   // The two loops behind Run()/RunUntilCycle(), both ending with deferred
   // ticks flushed: with config_.fast_path RunLoop, the fast interpreter
   // loop (code cache, superinstruction fusion, data-access windows), else
-  // StepLoop, the reference, which calls Step(). Guest-visible behavior is
-  // identical; verified by the differential harness.
+  // StepLoop, the reference, which calls Step(). RunLoop has one dispatch
+  // site: it executes a lone decode as a group of one, ops[0] of its code
+  // entry, and a group's constituents in order, with Execute() inlined.
+  // Guest-visible behavior is identical; verified by the differential
+  // harness.
   StepEvent RunLoop(const RunBound& bound);
   StepEvent StepLoop(const RunBound& bound);
 
@@ -455,16 +461,13 @@ class Cpu {
   // afresh into ops[0], dropping any group or tombstone (a decode miss).
   // Null, with `entry` untouched, when the word does not decode.
   const Instruction* DecodeFetched(CodeEntry& entry, uint32_t word);
+  // True when ops[from..count) of `entry` still hold the words they were
+  // decoded from, read through their stable host backing.
+  static bool WordsIntact(const CodeEntry& entry, int from);
   // Builds a group (or a tombstone) over the decode in `entry`, whose head
   // prev_ip_ has just fetched. A group's head must be memory-backed, so it
   // can be pinned.
   void BuildFusionGroup(CodeEntry& entry, uint64_t mem_gen);
-  // Executes a validated group; retires constituents until the group ends
-  // or an architectural event (fault, IRQ window, run bound, invalidation)
-  // stops it. Returns the last per-instruction event and sets *steps to the
-  // number of constituents dispatched (each a watchdog step).
-  StepEvent ExecuteFusedGroup(CodeEntry& entry, const RunBound& bound,
-                              uint64_t* steps);
 
   // Data-access window (DESIGN.md §15): a resolved guest address range,
   // inside one memory device, over which a load (read window) or store

@@ -180,13 +180,23 @@ std::vector<FleetNodeStatsRow> Fleet::SummaryRows() const {
   std::vector<FleetNodeStatsRow> rows;
   rows.reserve(nodes_.size());
   for (const auto& node : nodes_) {
+    Platform& platform = node->platform();
+    const CpuStats& cpu = platform.cpu().stats();
+    const FastPathStats fast = platform.fast_path_stats();
     FleetNodeStatsRow row;
     row.node_id = node->id();
-    row.instructions = node->platform().cpu().stats().instructions;
-    row.cycles = node->platform().cpu().cycles();
+    row.instructions = cpu.instructions;
+    row.cycles = platform.cpu().cycles();
     row.tx_bytes = node->tx_bytes();
     row.rx_bytes = node->rx_bytes();
-    row.halted = node->platform().cpu().halted();
+    row.halted = platform.cpu().halted();
+    row.fusion_groups = fast.fusion_groups;
+    row.fusion_retired = fast.fusion_retired;
+    row.decode_misses = fast.decode_misses;
+    row.data_window_misses = fast.data_window_misses;
+    row.mpu_checks = fast.mpu.checks;
+    row.irq_polls = cpu.irq_polls;
+    row.trustlet_exceptions = cpu.trustlet_interrupts;
     rows.push_back(row);
   }
   return rows;

@@ -12,7 +12,7 @@
 //
 //  * FormatFleetStats renders the per-node execution/attestation summary
 //    table printed by `tlfleetd --stats` (and reused by tests), including
-//    fleet aggregates.
+//    fleet aggregates and the fleet-wide fast-path counters.
 //
 // Like the rest of observe/, this file has no dependency on src/fleet/ —
 // the fleet executor feeds plain rows and writers into it.
@@ -57,11 +57,24 @@ struct FleetNodeStatsRow {
   uint64_t rx_bytes = 0;  // UART bytes delivered from the fabric.
   bool halted = false;
   std::string state;  // Free-form ("verified", "quarantined: ...", "-").
+  // Host-side work counters of the node's fast path (CpuStats and
+  // Platform::fast_path_stats()); deterministic, so independent of the
+  // fleet's thread count.
+  uint64_t fusion_groups = 0;
+  uint64_t fusion_retired = 0;
+  uint64_t decode_misses = 0;
+  uint64_t data_window_misses = 0;
+  uint64_t mpu_checks = 0;  // Full EA-MPU checks.
+  uint64_t irq_polls = 0;
+  uint64_t trustlet_exceptions = 0;  // Secure-engine full-save entries.
 };
 
 // Fixed-width table plus aggregate totals (instructions, cycles as the max
-// across nodes, message bytes). `elapsed_seconds` > 0 appends the host-side
-// aggregate simulation rate.
+// across nodes, message bytes) and one `fast-path:` line of the rows'
+// fast-path counters summed over nodes: fused share of instructions,
+// instructions per fused group, and trustlet exceptions per thousand
+// node-cycles. `elapsed_seconds` > 0 appends the host-side aggregate
+// simulation rate.
 std::string FormatFleetStats(const std::vector<FleetNodeStatsRow>& rows,
                              double elapsed_seconds = 0.0);
 

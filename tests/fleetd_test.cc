@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cinttypes>
+#include <cstdio>
 #include <functional>
 #include <initializer_list>
 #include <span>
@@ -556,6 +558,82 @@ TEST(FleetControllerTest, SessionsAreBitIdenticalAcrossThreadsHostileMatrix) {
               std::string::npos);
     EXPECT_EQ(t1.admitted, 10u);
   }
+}
+
+// --- The `fast-path:` line of tlfleetd --stats --------------------------
+// FormatFleetStats sums the fast-path counters that Fleet::SummaryRows reads
+// from each node. They are per node, so the line is the same at any thread
+// count.
+
+// The fast-path line of a warm attested 8-node fleet after admission and one
+// epoch, run on `threads` workers; checked against sums read straight from
+// the nodes.
+std::string FastPathLine(int threads) {
+  FleetConfig config;
+  config.nodes = 8;
+  config.topology = Topology::kStar;
+  config.seed = 42;
+  config.threads = threads;
+  config.link.latency_cycles = 1'000;
+  Fleet fleet(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  auto provisions = ProvisionAttestationFleet(&fleet, prov);
+  EXPECT_TRUE(provisions.ok()) << provisions.status().ToString();
+  FleetController controller(&fleet, std::move(*provisions), FleetdPolicy{});
+  EXPECT_TRUE(controller.RunAdmission().ok());
+  EXPECT_TRUE(controller.RunReattestEpoch().ok());
+
+  CpuStats sum;
+  uint64_t cycles = 0;
+  uint64_t checks = 0;
+  for (int i = 0; i < fleet.num_nodes(); ++i) {
+    Platform& platform = fleet.node(i).platform();
+    const CpuStats& cpu = platform.cpu().stats();
+    sum.instructions += cpu.instructions;
+    sum.fusion_groups += cpu.fusion_groups;
+    sum.fusion_retired += cpu.fusion_retired;
+    sum.decode_misses += cpu.decode_misses;
+    sum.data_window_misses += cpu.data_window_misses;
+    sum.irq_polls += cpu.irq_polls;
+    sum.trustlet_interrupts += cpu.trustlet_interrupts;
+    cycles += platform.cpu().cycles();
+    checks += platform.mpu()->stats().checks;
+  }
+  EXPECT_GT(sum.fusion_retired, 0u);
+  EXPECT_GT(sum.trustlet_interrupts, 0u);
+  char want[256];
+  std::snprintf(
+      want, sizeof(want),
+      "fast-path: insn %" PRIu64 "   fused %.1f%%   insn/group %.2f"
+      "   decode-misses %" PRIu64 "   window-misses %" PRIu64
+      "   mpu-checks %" PRIu64 "   irq-polls %" PRIu64
+      "   trustlet-exc/kcycle %.3f",
+      sum.instructions,
+      100.0 * static_cast<double>(sum.fusion_retired) /
+          static_cast<double>(sum.instructions),
+      static_cast<double>(sum.fusion_retired) /
+          static_cast<double>(sum.fusion_groups),
+      sum.decode_misses, sum.data_window_misses, checks, sum.irq_polls,
+      1000.0 * static_cast<double>(sum.trustlet_interrupts) /
+          static_cast<double>(cycles));
+
+  const std::string stats = FormatFleetStats(fleet.SummaryRows());
+  const size_t start = stats.find("\nfast-path: ");
+  EXPECT_NE(start, std::string::npos) << stats;
+  if (start == std::string::npos) {
+    return "";
+  }
+  const std::string line =
+      stats.substr(start + 1, stats.find('\n', start + 1) - start - 1);
+  EXPECT_EQ(line, want);
+  return line;
+}
+
+TEST(FleetStatsTest, FastPathLineSumsNodesAtAnyThreadCount) {
+  const std::string t1 = FastPathLine(1);
+  EXPECT_FALSE(t1.empty());
+  EXPECT_EQ(t1, FastPathLine(4));
 }
 
 // --- Node footprint (DESIGN.md §15, "Node memory: pages on demand") -----

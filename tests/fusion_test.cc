@@ -564,6 +564,141 @@ TEST(FusionTest, BusyLoopPollsIrqOncePerDeadline) {
   EXPECT_EQ(fast.cpu().ip(), reference.cpu().ip());
 }
 
+// The fast loop's host counters, pinned as exact values. `tlsim --stats` and
+// the fleet benchmark's cpu.fused_frac and cpu.decode_miss_ratio read them,
+// yet the differential harness compares only architectural state and the
+// benchmark's determinism check only compares runs of one build. The guest is
+// the compute fleet's: nanOS preempting two trustlets that run the
+// ldw/add/mul/stw/addi/stw/jmp body over their EA-MPU data regions with IF
+// set, on a tick whose deadlines land inside fused groups. Registers, IP,
+// cycles and data bytes track a fast_path=false platform throughout.
+TEST(FusionTest, DispatchCountersArePinned) {
+  constexpr uint32_t kCode[2] = {0x11000, 0x13000};
+  constexpr uint32_t kData[2] = {0x12000, 0x14000};
+  SystemImage image;
+  for (int i = 0; i < 2; ++i) {
+    TrustletBuildSpec spec;
+    spec.name = "T" + std::to_string(i);
+    spec.code_addr = kCode[i];
+    spec.data_addr = kData[i];
+    spec.data_size = 0x400;
+    spec.stack_size = 0x100;
+    spec.body = std::string("tl_main:\n    li   r4, TL_DATA\n    li   r5, ") +
+                (i == 0 ? "0x9e3779b1" : "0x7f4a7c15") +
+                "\n    movi r1, 0\nloop:\n"
+                "    ldw  r2, [r4 + 4]\n    add  r2, r2, r5\n"
+                "    mul  r3, r2, r1\n    stw  r3, [r4 + 4]\n"
+                "    addi r1, r1, 1\n    stw  r1, [r4]\n    jmp  loop\n";
+    Result<TrustletMeta> trustlet = BuildTrustlet(spec);
+    ASSERT_TRUE(trustlet.ok()) << trustlet.status().ToString();
+    image.Add(std::move(*trustlet));
+  }
+  NanosConfig os_config;
+  os_config.timer_period = 517;
+  Result<TrustletMeta> os = BuildNanos(os_config);
+  ASSERT_TRUE(os.ok()) << os.status().ToString();
+  image.Add(std::move(*os));
+
+  PlatformConfig reference_config;
+  reference_config.fast_path = false;
+  Platform fast;
+  Platform reference(reference_config);
+  for (Platform* p : {&fast, &reference}) {
+    ASSERT_TRUE(p->InstallImage(image).ok());
+    ASSERT_TRUE(p->BootAndLaunch().ok());
+  }
+  const auto expect_same_state = [&] {
+    for (int i = 0; i < kNumRegisters; ++i) {
+      EXPECT_EQ(fast.cpu().reg(i), reference.cpu().reg(i)) << "r" << i;
+    }
+    EXPECT_EQ(fast.cpu().ip(), reference.cpu().ip());
+    EXPECT_EQ(fast.cpu().cycles(), reference.cpu().cycles());
+    for (const uint32_t data : kData) {
+      std::vector<uint8_t> got;
+      std::vector<uint8_t> want;
+      ASSERT_TRUE(fast.bus().HostReadBytes(data, 0x400, &got));
+      ASSERT_TRUE(reference.bus().HostReadBytes(data, 0x400, &want));
+      EXPECT_EQ(got, want) << std::hex << data;
+    }
+  };
+  struct Counters {
+    uint64_t instructions, decode_hits, decode_misses, fusion_groups,
+        fusion_retired, fusion_builds, fusion_invalidations, irq_polls,
+        data_window_hits, data_window_misses;
+  };
+  const auto expect_counters = [&](const CpuStats& before,
+                                   const Counters& want) {
+    const CpuStats& s = fast.cpu().stats();
+    EXPECT_EQ(s.instructions - before.instructions, want.instructions);
+    EXPECT_EQ(s.decode_hits - before.decode_hits, want.decode_hits);
+    EXPECT_EQ(s.decode_misses - before.decode_misses, want.decode_misses);
+    EXPECT_EQ(s.fusion_groups - before.fusion_groups, want.fusion_groups);
+    EXPECT_EQ(s.fusion_retired - before.fusion_retired, want.fusion_retired);
+    EXPECT_EQ(s.fusion_builds - before.fusion_builds, want.fusion_builds);
+    EXPECT_EQ(s.fusion_invalidations - before.fusion_invalidations,
+              want.fusion_invalidations);
+    EXPECT_EQ(s.irq_polls - before.irq_polls, want.irq_polls);
+    EXPECT_EQ(s.data_window_hits - before.data_window_hits,
+              want.data_window_hits);
+    EXPECT_EQ(s.data_window_misses - before.data_window_misses,
+              want.data_window_misses);
+  };
+
+  // Cycle windows of 97 cycles: the targets fall inside groups.
+  const CpuStats booted = fast.cpu().stats();
+  for (int k = 0; k < 1500; ++k) {
+    const uint64_t target = fast.cpu().cycles() + 97;
+    fast.RunUntilCycle(target);
+    reference.RunUntilCycle(target);
+  }
+  expect_same_state();
+  expect_counters(booted, {78'753, 78'695, 58, 22'501, 77'551, 58, 1, 1'948,
+                           34'468, 19});
+
+  // An instruction budget that ends inside a group.
+  const CpuStats windowed = fast.cpu().stats();
+  fast.Run(100'003);
+  reference.Run(100'003);
+  expect_same_state();
+  expect_counters(windowed, {100'003, 100'003, 0, 28'191, 98'669, 0, 0, 953,
+                             43'810, 0});
+  EXPECT_FALSE(fast.cpu().halted());
+  EXPECT_EQ(fast.cpu().ip(), kCode[0] + 0x90);  // The stw of ldw/add/mul/stw.
+}
+
+// A constituent that halts or faults ends its group with an event, and is
+// not counted as retired inside the group. A [movi addi halt] group retires
+// three instructions, two of them inside the group (the halt retires, but
+// ends the group). A [lui ori movi stw] group whose misaligned store faults,
+// with no handler, so the core halts, retires three, all inside the group.
+TEST(FusionTest, GroupEndedByAnEventCountsOnlyItsRetiredPrefix) {
+  struct Case {
+    const char* body;
+    uint64_t instructions;
+    uint64_t fusion_retired;
+    uint64_t decode_hits;  // The tail constituents dispatched.
+  };
+  for (const Case& c :
+       {Case{"    movi r1, 1\n    addi r1, r1, 2\n    halt\n", 3, 2, 2},
+        Case{"    li   r1, 0x31000\n    movi r2, 7\n"
+             "    stw  r2, [r1 + 2]\n    halt\n",
+             3, 3, 3}}) {
+    SCOPED_TRACE(c.body);
+    PlatformConfig config;
+    config.with_mpu = false;
+    Platform platform(config);
+    Install(platform, std::string(".org 0x30000\nstart:\n") + c.body);
+    platform.Run(100);
+    ASSERT_TRUE(platform.cpu().halted());
+    const CpuStats& stats = platform.cpu().stats();
+    EXPECT_EQ(stats.instructions, c.instructions);
+    EXPECT_EQ(stats.fusion_groups, 1u);
+    EXPECT_EQ(stats.fusion_retired, c.fusion_retired);
+    EXPECT_EQ(stats.decode_misses, 1u);
+    EXPECT_EQ(stats.decode_hits, c.decode_hits);
+  }
+}
+
 // A hot fused loop under the EA-MPU, shaped like the compute fleet's: two
 // groups per iteration, one entered by the back edge, one by fall-through.
 // Each group head pays a full fetch Check once per predecessor; re-entries

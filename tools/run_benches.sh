@@ -2,6 +2,9 @@
 # Runs the simulator bench suite and emits BENCH_sim.json for trend
 # tracking (google-benchmark JSON format, one file per run), plus
 # BENCH_fleet.json from the fleet-executor scaling bench (DESIGN.md §13).
+# The simulator suite runs 5 repetitions per benchmark, pinned to one CPU
+# when taskset exists, and records only their aggregates (mean, median,
+# stddev, cv); its summary lines compare medians.
 #
 # usage: tools/run_benches.sh [build-dir] [out.json] [fleet-out.json]
 #   BENCH_MIN_TIME   per-benchmark min time in seconds (default 0.2)
@@ -20,37 +23,62 @@ if [[ ! -x "$BIN" ]]; then
   exit 1
 fi
 
-"$BIN" \
+PIN=()
+if command -v taskset > /dev/null; then
+  PIN=(taskset -c 0)
+fi
+"${PIN[@]}" "$BIN" \
   --benchmark_filter="$FILTER" \
   --benchmark_min_time="$MIN_TIME" \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json
 
 echo "wrote $OUT"
 
-# Interpreter summary lines against the straight-line BM_InterpreterWithMpu:
+# Interpreter summary lines against the straight-line BM_InterpreterWithMpu,
+# each from the median of the repetitions, with each row's coefficient of
+# variation (cv) beside it:
 # - observability overhead, tracing on (BM_InterpreterWithMpuProfiled) vs
 #   off. Budget: tracing off must be free (<1%); tracing on may cost.
 # - per-instruction interrupt cost: BM_PreemptiveSystem runs nanOS and two
 #   busy trustlets with IF set under a 500-cycle tick. A ratio well below 1
 #   means the run loop pays for interrupts per instruction, not per event.
+# - BM_PreemptiveLoadStore, the fleet benchmark's compute node: stores
+#   inside fused groups, under nanOS's default tick.
 awk '
-  /"name": "BM_InterpreterWithMpu"/          { want = 1 }
-  /"name": "BM_InterpreterWithMpuProfiled"/  { want = 2 }
-  /"name": "BM_PreemptiveSystem"/            { want = 3 }
-  /"items_per_second"/ && want {
-    gsub(/[^0-9.e+]/, "", $2)
-    ips[want] = $2 + 0
-    want = 0
+  /"name": / {
+    name = $2 ~ /_(median|cv)",?$/ ? $2 : ""
+    gsub(/[",]/, "", name)
+  }
+  /"items_per_second"/ && name != "" {
+    gsub(/[^0-9.e+-]/, "", $2)
+    v[name] = $2 + 0
+    name = ""
+  }
+  function row(b) {
+    return sprintf("%.3g insn/s (cv %.1f%%)", v[b "_median"], 100 * v[b "_cv"])
   }
   END {
-    if (ips[1] > 0 && ips[2] > 0) {
-      printf "tracing off: %.3g insn/s   tracing on: %.3g insn/s   on/off: %.1f%%\n",
-             ips[1], ips[2], 100.0 * ips[2] / ips[1]
+    s = "BM_InterpreterWithMpu"
+    if (v[s "_median"] <= 0) {
+      exit
     }
-    if (ips[1] > 0 && ips[3] > 0) {
-      printf "preemptive: %.3g insn/s   straight-line: %.3g insn/s   preemptive/straight: %.2f\n",
-             ips[3], ips[1], ips[3] / ips[1]
+    p = "BM_InterpreterWithMpuProfiled"
+    if (v[p "_median"] > 0) {
+      printf "tracing off: %s   tracing on: %s   on/off: %.1f%%\n",
+             row(s), row(p), 100.0 * v[p "_median"] / v[s "_median"]
+    }
+    p = "BM_PreemptiveSystem"
+    if (v[p "_median"] > 0) {
+      printf "preemptive: %s   straight-line: %s   preemptive/straight: %.2f\n",
+             row(p), row(s), v[p "_median"] / v[s "_median"]
+    }
+    p = "BM_PreemptiveLoadStore"
+    if (v[p "_median"] > 0) {
+      printf "preemptive-load-store: %s   straight-line: %s   preemptive-load-store/straight: %.2f\n",
+             row(p), row(s), v[p "_median"] / v[s "_median"]
     }
   }
 ' "$OUT"
