@@ -328,6 +328,79 @@ BENCHMARK(BM_FleetdReattestEpoch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// One warm attestation node, admitted, then left idle: each 2,000-cycle
+// nanOS tick is one secure-engine round trip (DESIGN.md §15, "The yield
+// round trip") and nothing else runs. Null when admission fails.
+std::unique_ptr<Fleet> AdmittedIdleNode() {
+  FleetConfig config;
+  config.nodes = 1;
+  config.seed = 7;
+  auto fleet = std::make_unique<Fleet>(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  Result<std::vector<NodeProvision>> provisions =
+      ProvisionAttestationFleet(fleet.get(), prov);
+  if (!provisions.ok()) {
+    return nullptr;
+  }
+  FleetController controller(fleet.get(), std::move(*provisions),
+                             FleetdPolicy{});
+  if (!controller.RunAdmission().ok()) {
+    return nullptr;
+  }
+  return fleet;
+}
+
+// The idle node's host work per tick, as plain (not rate) user counters:
+// retired instructions, full EA-MPU checks, bus route misses and data-window
+// misses. They cover 100 quanta of a fresh node from AdmittedIdleNode, not
+// the timed loop, whose iteration count depends on the host: the same
+// build gives the same values on every host.
+void SetIdleTickCounters(benchmark::State& state) {
+  const std::unique_ptr<Fleet> fleet = AdmittedIdleNode();
+  if (fleet == nullptr) {
+    return;
+  }
+  Platform& platform = fleet->node(0).platform();
+  const CpuStats before = platform.cpu().stats();
+  const FastPathStats fp_before = platform.fast_path_stats();
+  fleet->RunQuanta(100);
+  const CpuStats& after = platform.cpu().stats();
+  const FastPathStats fp = platform.fast_path_stats();
+  const double ticks =
+      static_cast<double>(after.interrupts - before.interrupts);
+  const auto per_tick = [&](uint64_t count) {
+    return ticks == 0 ? 0.0 : static_cast<double>(count) / ticks;
+  };
+  state.counters["insn_per_tick"] =
+      per_tick(after.instructions - before.instructions);
+  state.counters["mpu_checks_per_tick"] =
+      per_tick(fp.mpu.checks - fp_before.mpu.checks);
+  state.counters["route_misses_per_tick"] =
+      per_tick(fp.bus.route_misses - fp_before.bus.route_misses);
+  state.counters["window_misses_per_tick"] =
+      per_tick(fp.data_window_misses - fp_before.data_window_misses);
+}
+
+// The idle node's round trips: items are timer ticks. Provisioning and
+// admission are untimed.
+void BM_FleetNodeIdleEpoch(benchmark::State& state) {
+  const std::unique_ptr<Fleet> fleet = AdmittedIdleNode();
+  if (fleet == nullptr) {
+    state.SkipWithError("provisioning or admission failed");
+    return;
+  }
+  const CpuStats& stats = fleet->node(0).platform().cpu().stats();
+  const uint64_t start_irqs = stats.interrupts;
+  for (auto _ : state) {
+    fleet->RunQuanta(10);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(stats.interrupts - start_irqs));
+  SetIdleTickCounters(state);
+}
+
+BENCHMARK(BM_FleetNodeIdleEpoch)->Unit(benchmark::kMicrosecond);
+
 // Snapshot-elasticity scale-up (DESIGN.md §17): clone K new nodes from a
 // running admitted fleet — snapshot save, restore onto the new id, in-place
 // re-key (attn code + PROM + Trustlet-Table measurement), re-attest, admit.

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace trustlite {
 
@@ -117,9 +118,10 @@ constexpr uint64_t RunWatchdogLimit(uint64_t budget) {
 
 #define TL_LOAD_BODY(W)                                                       \
   const uint32_t addr = rs1() + static_cast<uint32_t>(insn.imm);              \
+  const bool user = (flags_ & kFlagUser) != 0;                                \
   if (((W) == 1 || (addr & 3) == 0) &&                                        \
-      FindDataWindow(read_windows_, addr, (W), ip_)) {                        \
-    const DataWindow& dw = read_windows_[0];                                  \
+      FindDataWindow(read_windows_, addr, (W), ip_, user)) {                  \
+    const DataWindow& dw = read_windows_.ways[0];                             \
     ++stats_.data_window_hits;                                                \
     regs_[insn.rd] = (W) == 4 ? LoadWordLe(dw.ro + (addr - dw.lo))            \
                               : dw.ro[addr - dw.lo];                          \
@@ -136,16 +138,17 @@ constexpr uint64_t RunWatchdogLimit(uint64_t budget) {
       regs_[insn.rd] = value;                                                 \
       out.cycles = c.memory + wait;                                           \
       if (data_window_enabled_) {                                             \
-        TryBuildDataWindow(/*is_write=*/false, addr, ip_);                    \
+        TryBuildDataWindow(/*is_write=*/false, addr, ip_, user);              \
       }                                                                       \
     }                                                                         \
   }
 
 #define TL_STORE_BODY(W)                                                      \
   const uint32_t addr = rs1() + static_cast<uint32_t>(insn.imm);              \
+  const bool user = (flags_ & kFlagUser) != 0;                                \
   if (((W) == 1 || (addr & 3) == 0) &&                                        \
-      FindDataWindow(write_windows_, addr, (W), ip_)) {                       \
-    const DataWindow& dw = write_windows_[0];                                 \
+      FindDataWindow(write_windows_, addr, (W), ip_, user)) {                 \
+    const DataWindow& dw = write_windows_.ways[0];                            \
     ++stats_.data_window_hits;                                                \
     uint8_t* p = dw.rw + (addr - dw.lo);                                      \
     if ((W) == 4) {                                                           \
@@ -167,7 +170,7 @@ constexpr uint64_t RunWatchdogLimit(uint64_t budget) {
     } else {                                                                  \
       out.cycles = c.memory + wait;                                           \
       if (data_window_enabled_) {                                             \
-        TryBuildDataWindow(/*is_write=*/true, addr, ip_);                     \
+        TryBuildDataWindow(/*is_write=*/true, addr, ip_, user);               \
       }                                                                       \
     }                                                                         \
   }
@@ -230,11 +233,7 @@ constexpr uint64_t RunWatchdogLimit(uint64_t budget) {
     uint32_t new_ip = 0;                                                      \
     uint32_t new_flags = 0;                                                   \
     const uint32_t sp = regs_[kRegSp];                                        \
-    const AccessContext ctx = DataContext(AccessKind::kRead);                 \
-    AccessResult r = bus_->Read(ctx, sp, 4, &new_ip);                         \
-    if (r == AccessResult::kOk) {                                             \
-      r = bus_->Read(ctx, sp + 4, 4, &new_flags);                             \
-    }                                                                         \
+    const AccessResult r = PopIretFrame(sp, &new_ip, &new_flags);             \
     if (r != AccessResult::kOk) {                                             \
       out.fault_class = ExcClassOf(r);                                        \
       out.fault_addr = sp;                                                    \
@@ -358,50 +357,74 @@ uint64_t Cpu::CyclesUntilWake() const {
   return wake;
 }
 
-bool Cpu::SaveTrustletState(int region_index, uint32_t resume_ip,
-                            uint32_t subject_ip) {
-  uint32_t sp = regs_[kRegSp];
-  if (data_window_enabled_ && (sp & 3) == 0 && sp >= kTrustletFrameBytes &&
-      FindDataWindow(write_windows_, sp - kTrustletFrameBytes,
-                     kTrustletFrameBytes, subject_ip)) {
-    // The window proves all 17 stores by the subject would pass, so the
-    // frame (layout in cpu.h) goes straight to host memory. The entry cost
-    // comes from the cycle model, not from bus wait states, so it cannot
-    // differ from the per-word path below.
-    sp -= kTrustletFrameBytes;
-    uint8_t* frame = write_windows_[0].rw + (sp - write_windows_[0].lo);
-    for (int i = 0; i <= 12; ++i) {
-      StoreWordLe(frame + 4 * i, regs_[i]);
+bool Cpu::PushWords(uint32_t* sp, const uint32_t* words, int n,
+                    uint32_t subject_ip, bool user) {
+  const uint32_t width = 4 * static_cast<uint32_t>(n);
+  const uint32_t top = *sp;
+  if (const DataWindow* w = CoveringWindow(write_windows_, top - width,
+                                           width, subject_ip, user)) {
+    *sp = top - width;
+    uint8_t* p = w->rw + (top - w->lo);
+    for (int i = 0; i < n; ++i) {
+      p -= 4;
+      StoreWordLe(p, words[i]);
     }
-    StoreWordLe(frame + 52, regs_[kRegLr]);
-    StoreWordLe(frame + 56, regs_[15]);
-    StoreWordLe(frame + 60, resume_ip);
-    StoreWordLe(frame + 64, flags_);
     bus_->NoteHostMutation();
-  } else {
-    // All writes are attributed to the interrupted trustlet: the engine
-    // reuses the trustlet's own store path, so a bogus stack pointer faults
-    // exactly like a trustlet store would (paper footnote 1).
-    AccessContext ctx = DataContext(AccessKind::kWrite);
-    ctx.curr_ip = subject_ip;
-    auto push = [&](uint32_t value) {
-      sp -= 4;
-      return bus_->Write(ctx, sp, 4, value) == AccessResult::kOk;
-    };
-    if (!push(flags_) || !push(resume_ip) || !push(regs_[15]) ||
-        !push(regs_[kRegLr])) {
+    return true;
+  }
+  AccessContext ctx;
+  ctx.curr_ip = subject_ip;
+  ctx.kind = AccessKind::kWrite;
+  ctx.privileged = !user;
+  for (int i = 0; i < n; ++i) {
+    *sp -= 4;
+    if (bus_->Write(ctx, *sp, 4, words[i]) != AccessResult::kOk) {
       return false;
     }
-    for (int i = 12; i >= 0; --i) {
-      if (!push(regs_[i])) {
-        return false;
-      }
-    }
-    // Trustlets rarely store to their own stack, so leave a window over the
-    // frame for the subject: its next entry can take the branch above.
-    if (data_window_enabled_) {
-      TryBuildDataWindow(/*is_write=*/true, sp, subject_ip);
-    }
+  }
+  if (data_window_enabled_) {
+    TryBuildDataWindow(/*is_write=*/true, *sp, subject_ip, user);
+  }
+  return true;
+}
+
+AccessResult Cpu::PopIretFrame(uint32_t sp, uint32_t* new_ip,
+                                uint32_t* new_flags) {
+  const bool user = (flags_ & kFlagUser) != 0;
+  if (const DataWindow* w = CoveringWindow(read_windows_, sp, 8, ip_, user)) {
+    *new_ip = LoadWordLe(w->ro + (sp - w->lo));
+    *new_flags = LoadWordLe(w->ro + (sp - w->lo) + 4);
+    return AccessResult::kOk;
+  }
+  const AccessContext ctx = DataContext(AccessKind::kRead);
+  AccessResult r = bus_->Read(ctx, sp, 4, new_ip);
+  if (r == AccessResult::kOk) {
+    r = bus_->Read(ctx, sp + 4, 4, new_flags);
+  }
+  if (r == AccessResult::kOk && data_window_enabled_) {
+    TryBuildDataWindow(/*is_write=*/false, sp, ip_, user);
+  }
+  return r;
+}
+
+bool Cpu::SaveTrustletState(int region_index, uint32_t resume_ip,
+                            uint32_t subject_ip) {
+  // The frame (layout in cpu.h) is stored as the interrupted trustlet's
+  // own stores, so a bogus stack pointer faults exactly like a trustlet
+  // store would (paper footnote 1). Its entry cost comes from the cycle
+  // model, not from bus wait states, so the window path cannot differ.
+  uint32_t frame[kTrustletFrameBytes / 4];
+  frame[0] = flags_;
+  frame[1] = resume_ip;
+  frame[2] = regs_[15];
+  frame[3] = regs_[kRegLr];
+  for (int i = 0; i <= 12; ++i) {
+    frame[16 - i] = regs_[i];
+  }
+  uint32_t sp = regs_[kRegSp];
+  if (!PushWords(&sp, frame, kTrustletFrameBytes / 4, subject_ip,
+                 (flags_ & kFlagUser) != 0)) {
+    return false;
   }
   // Store the saved SP into the Trustlet Table row via the engine port.
   const MpuRegion& region = mpu_->region(region_index);
@@ -559,23 +582,14 @@ bool Cpu::EnterException(uint32_t exception_class, uint32_t handler,
 
   // Push [faulting IP][error] onto the OS stack. These stores execute with
   // the handler's authority (the engine is completing the switch into the
-  // ISR context).
+  // ISR context), privileged whatever FLAGS.User says.
   const uint32_t reported_ip =
       (config_.sanitize_faulting_ip || !saved) ? trustlet_entry : subject_ip;
-  AccessContext os_ctx;
-  os_ctx.curr_ip = effective_handler;
-  os_ctx.kind = AccessKind::kWrite;
-  os_ctx.privileged = true;
+  const uint32_t error =
+      (saved ? exception_class : kExcMpuFault) | kErrorFromTrustlet;
+  const uint32_t os_frame[2] = {reported_ip, error};
   uint32_t sp = os_sp;
-  auto push_os = [&](uint32_t value) {
-    sp -= 4;
-    return bus_->Write(os_ctx, sp, 4, value) == AccessResult::kOk;
-  };
-  uint32_t error = exception_class | kErrorFromTrustlet;
-  if (!saved) {
-    error = kExcMpuFault | kErrorFromTrustlet;
-  }
-  if (!push_os(reported_ip) || !push_os(error)) {
+  if (!PushWords(&sp, os_frame, 2, effective_handler, /*user=*/false)) {
     cycles_ += entry_cycles;
     last_exception_entry_cycles_ = entry_cycles;
     emit_trap(effective_handler, true);
@@ -894,8 +908,9 @@ StepEvent Cpu::RunLoop(const RunBound& bound) {
     }
 
     // Fetch, subject = prev_ip_ (entry-vector rule), exactly as in Step().
-    // Only the source of the word differs for a group head pinned to this
-    // predecessor: its host backing, as that fetch is known to pass.
+    // Only the source of the word differs for a group or tombstone head
+    // pinned to this predecessor: its host backing, as that fetch is known
+    // to pass.
     CodeEntry& entry = code_cache_[CodeCacheIndex(ip_)];
     const bool current =
         fusion && entry.count != 0 && entry.ops[0].addr == ip_ &&
@@ -903,7 +918,8 @@ StepEvent Cpu::RunLoop(const RunBound& bound) {
         entry.mpu_generation == CurrentMpuGeneration() &&
         entry.topology_generation == bus_->topology_generation();
     uint32_t word = 0;
-    if (current && entry.count >= 2 && entry.head_prev_ip == prev_ip_) {
+    if (current && entry.head_prev_ip == prev_ip_ &&
+        entry.ops[0].backing != nullptr) {
       word = LoadWordLe(entry.ops[0].backing);
     } else {
       const AccessResult fetch = Fetch(&word);
@@ -934,6 +950,7 @@ StepEvent Cpu::RunLoop(const RunBound& bound) {
     if (fusion) {
       const uint64_t mem_gen = bus_->memory_generation();
       if (current && entry.count != 0) {
+        entry.head_prev_ip = prev_ip_;  // This fetch passed: re-pin.
         if (entry.count >= 2) {
           // Re-compare the tail words on every dispatch (the head's word is
           // the fetch above). Like the head's word compare, this stays exact
@@ -942,7 +959,6 @@ StepEvent Cpu::RunLoop(const RunBound& bound) {
           // tests/tools).
           if (WordsIntact(entry, 1)) {
             entry.mem_generation = mem_gen;
-            entry.head_prev_ip = prev_ip_;  // This fetch passed: re-pin.
             count = entry.count;
           } else {
             ++stats_.fusion_invalidations;
@@ -1030,18 +1046,19 @@ void Cpu::BuildFusionGroup(CodeEntry& entry, uint64_t mem_gen) {
   entry.head_prev_ip = prev_ip_;
   entry.user_mode = (flags_ & kFlagUser) != 0;
   entry.count = 1;  // Tombstone unless a group forms below.
-  head.backing = bus_->HostMemSpan(head.addr, 4);
-
-  if (!FusableInterior(head.insn.opcode) || head.backing == nullptr) {
-    return;
-  }
-  // Tail fetch permissions are precomputed with the EA-MPU's advisory query
-  // and pinned to its config generation. A foreign protection unit (the
-  // SMART/Sancus overlays) has no such query — fusion stays off under them
-  // so every fetch keeps its real Check().
+  // The head's pin and the tail fetch permissions, precomputed with the
+  // EA-MPU's advisory query, hold while its config generation does. A
+  // foreign protection unit (the SMART/Sancus overlays) has no such query
+  // and can change a fetch decision without moving a generation, so under
+  // one the tombstone has no backing: every fetch keeps its real Check().
   ProtectionUnit* prot = bus_->protection_unit();
   const bool check_mpu = prot != nullptr;
   if (check_mpu && prot != static_cast<ProtectionUnit*>(mpu_)) {
+    head.backing = nullptr;
+    return;
+  }
+  head.backing = bus_->HostMemSpan(head.addr, 4);
+  if (!FusableInterior(head.insn.opcode) || head.backing == nullptr) {
     return;
   }
   const bool privileged = (flags_ & kFlagUser) == 0;
@@ -1083,11 +1100,16 @@ void Cpu::BuildFusionGroup(CodeEntry& entry, uint64_t mem_gen) {
   }
 }
 
-bool Cpu::PromoteDataWindow(DataWindow* set, uint32_t addr, uint32_t width,
-                            uint32_t subject_ip) {
-  for (int i = 1; i < kDataWindowWays; ++i) {
-    if (WindowCovers(set[i], addr, width, subject_ip)) {
-      std::rotate(set, set + i, set + i + 1);
+bool Cpu::PromoteDataWindow(DataWindowSet& set, uint32_t addr, uint32_t width,
+                            uint32_t subject_ip, bool user) {
+  for (int k = 0; k < kDataWindowWays - 1; ++k) {
+    const uint8_t slot = set.order[k];
+    if (WindowCovers(set.ways[slot], addr, width, subject_ip, user)) {
+      // The hit becomes the front; the old front, now second, takes its
+      // slot, and the ways that were more recent than the hit move down one.
+      std::swap(set.ways[0], set.ways[slot]);
+      std::copy_backward(set.order, set.order + k, set.order + k + 1);
+      set.order[0] = slot;
       return true;
     }
   }
@@ -1095,7 +1117,7 @@ bool Cpu::PromoteDataWindow(DataWindow* set, uint32_t addr, uint32_t width,
 }
 
 void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
-                             uint32_t subject_ip) {
+                             uint32_t subject_ip, bool user) {
   ++stats_.data_window_misses;
   // Windows precompute EA-MPU data decisions; a foreign protection unit
   // (SMART/Sancus overlay) has no advisory query, so every access keeps its
@@ -1115,8 +1137,8 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
   if (prot != nullptr) {
     uint32_t mpu_lo = 0;
     uint64_t mpu_hi = 0;
-    if (!mpu_->DataWindowFor(subject_ip, (flags_ & kFlagUser) == 0, is_write,
-                             addr, &mpu_lo, &mpu_hi, &subj_lo, &subj_hi)) {
+    if (!mpu_->DataWindowFor(subject_ip, !user, is_write, addr, &mpu_lo,
+                             &mpu_hi, &subj_lo, &subj_hi)) {
       return;  // Denied or too tangled: the full path decides every access.
     }
     lo = std::max(lo, mpu_lo);
@@ -1136,9 +1158,14 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
       return;  // Guest-read-only memory (PROM): stores must keep faulting.
     }
   }
-  DataWindow* set = is_write ? write_windows_ : read_windows_;
-  std::move_backward(set, set + kDataWindowWays - 1, set + kDataWindowWays);
-  DataWindow& dw = set[0];
+  // The old front becomes second, in the least recently used way's slot.
+  DataWindowSet& set = is_write ? write_windows_ : read_windows_;
+  const uint8_t lru = set.order[kDataWindowWays - 2];
+  set.ways[lru] = set.ways[0];
+  std::copy_backward(set.order, set.order + kDataWindowWays - 2,
+                     set.order + kDataWindowWays - 1);
+  set.order[0] = lru;
+  DataWindow& dw = set.ways[0];
   dw.lo = lo;
   dw.len = static_cast<uint32_t>(hi - lo);  // <= device size, fits.
   dw.subj_lo = subj_lo;
@@ -1148,7 +1175,7 @@ void Cpu::TryBuildDataWindow(bool is_write, uint32_t addr,
   dw.wait_states = mem.wait_states;
   dw.mpu_generation = CurrentMpuGeneration();
   dw.topology_generation = bus_->topology_generation();
-  dw.user_mode = (flags_ & kFlagUser) != 0;
+  dw.user_mode = user;
 }
 
 StepEvent Cpu::StepLoop(const RunBound& bound) {

@@ -150,7 +150,10 @@ struct CpuStats {
   // that replaced their head.
   uint64_t fusion_invalidations = 0;
   // Data-access window counters (host-side simulation detail): loads/stores
-  // served from a resolved window vs through the full bus path.
+  // served from a resolved window vs through the full bus path. A miss also
+  // counts each bus-path frame save, OS-stack push pair and iret pop pair
+  // of the secure engine, which then builds a window; the engine's
+  // window-served accesses count neither.
   uint64_t data_window_hits = 0;
   uint64_t data_window_misses = 0;
   // Cycles spent asleep in `wfi` (Cpu::Wait). Deterministic, but kept with
@@ -387,13 +390,25 @@ class Cpu {
 
   // Secure-engine helper: full state save to the trustlet stack. Returns
   // false if a save access faulted (trustlet is terminated per footnote 1).
-  // When one write window of the interrupted subject covers the whole
-  // 68-byte frame, the frame is stored straight to host memory: the window
-  // already proves every one of the 17 per-word Checks would pass. Any
-  // other frame takes the per-word bus path, which is also the reference
-  // when data windows are off.
   bool SaveTrustletState(int region_index, uint32_t resume_ip,
                          uint32_t subject_ip);
+
+  // The engine's stack accesses: the state-save frame and the OS-stack
+  // pushes (PushWords), and the iret pops (PopIretFrame). When one window
+  // of the subject covers every word, the words move straight between the
+  // registers and host memory: the window already proves each per-word
+  // Check would pass. Otherwise they go word by word through the bus, the
+  // reference when data windows are off, and a success leaves a window
+  // for the next time.
+  //
+  // PushWords stores words[0..n) below *sp, words[0] highest, as stores by
+  // `subject_ip` in user mode when `user`, and moves *sp down over them.
+  // Returns false at the first store that faults, *sp then addressing it.
+  bool PushWords(uint32_t* sp, const uint32_t* words, int n,
+                 uint32_t subject_ip, bool user);
+  // iret's [IP][FLAGS] pair at sp, read by the iret at ip_ under FLAGS.
+  AccessResult PopIretFrame(uint32_t sp, uint32_t* new_ip,
+                            uint32_t* new_flags);
 
   void HaltWithTrap(uint32_t exception_class, uint32_t addr, const char* why);
 
@@ -406,11 +421,11 @@ class Cpu {
   // MPU configuration changes), 2..4 a superinstruction group of
   // consecutive straight-line instructions headed by ops[0]. Every fetch
   // still goes through the bus (so MPU checks and device semantics are
-  // untouched), except a pinned group head, below; the decode is reused
-  // only when the fetched word equals ops[0].word, which makes it exact even
-  // for self-modifying code. A word that differs is decoded afresh into
-  // ops[0] and drops the group; a group dropped by revalidation keeps the
-  // decode.
+  // untouched), except a pinned group or tombstone head, below; the decode
+  // is reused only when the fetched word equals ops[0].word, which makes it
+  // exact even for self-modifying code. A word that differs is decoded
+  // afresh into ops[0] and drops the group; a group dropped by revalidation
+  // keeps the decode.
   //
   // Only the head of a group pays the real bus fetch (and its MPU fetch
   // check) — the tail constituents' fetch permissions are precomputed with
@@ -419,14 +434,18 @@ class Cpu {
   // on every dispatch and whenever the bus memory generation moves
   // mid-group (self-modifying code, loaders, snapshot restore).
   //
-  // The head is pinned to one predecessor: head_prev_ip is the prev_ip_
-  // whose real fetch of the head last passed. That decision depends only on
-  // (predecessor, head address, FLAGS.User, EA-MPU configuration), which
+  // The head of a group or of a tombstone is pinned to one predecessor:
+  // head_prev_ip is the prev_ip_ whose real fetch of the head last passed.
+  // Under the EA-MPU, or with no protection unit, that decision depends only
+  // on (predecessor, head address, FLAGS.User, EA-MPU configuration), which
   // the entry's generations and user_mode already pin, so re-entering the
-  // group from the same predecessor reads the head word through
+  // entry from the same predecessor reads the head word through
   // ops[0].backing instead of the bus. Any other predecessor (a foreign
   // jump, an exception vector, a fall-through from elsewhere) takes the
-  // real fetch and its entry-vector check.
+  // real fetch and its entry-vector check. A foreign protection unit
+  // (SMART/Sancus) can change a fetch decision without moving any pinned
+  // generation (Sancus `protect`), so under one a tombstone has no backing
+  // and is never pinned, and no group forms.
   static constexpr int kMaxFusedOps = 4;
   struct FusedOp {
     Instruction insn;
@@ -466,7 +485,7 @@ class Cpu {
   static bool WordsIntact(const CodeEntry& entry, int from);
   // Builds a group (or a tombstone) over the decode in `entry`, whose head
   // prev_ip_ has just fetched. A group's head must be memory-backed, so it
-  // can be pinned.
+  // can be pinned; a tombstone is pinnable when its head is.
   void BuildFusionGroup(CodeEntry& entry, uint64_t mem_gen);
 
   // Data-access window (DESIGN.md §15): a resolved guest address range,
@@ -476,17 +495,19 @@ class Cpu {
   // interval (EaMpu::DataWindowFor). A covered access bypasses the bus
   // entirely: no protection Check, no routing, no virtual dispatch. Validity
   // is re-established per access: the accessing IP must sit in the subject
-  // interval, FLAGS.User, the EA-MPU config generation and the bus topology
-  // generation must match the build. Window stores go straight to host
+  // interval, and the privilege, the EA-MPU config generation and the bus
+  // topology generation must match the build. Window stores go straight to host
   // memory, so they bump the bus memory generation themselves (fused groups
   // revalidate through it); the memory's write map already marks the write
   // window's pages, from when it was built.
-  // len == 0 means invalid.
+  // len == 0 means invalid. The privilege is the access's own: FLAGS.User
+  // for loads, stores, iret pops and the state-save frame, always
+  // privileged for the secure engine's OS-stack pushes.
   //
-  // Reads and writes each keep a set of kDataWindowWays windows ordered
-  // most-recently-used first: a trustlet's continue() alone reads its code,
+  // Reads and writes each keep a set of kDataWindowWays windows in exact
+  // most-recently-used order: a trustlet's continue() alone reads its code,
   // its Trustlet Table slot and its stack, three disjoint windows. Lookup
-  // scans from the front and moves a hit there; a new window is inserted at
+  // scans in that order and makes a hit the front; a new window becomes
   // the front and drops the least-recently-used way. An access that cannot
   // be windowed (MMIO such as a UART poll) leaves the set untouched.
   struct DataWindow {
@@ -502,33 +523,54 @@ class Cpu {
     bool user_mode = false;
   };
   static constexpr int kDataWindowWays = 8;
+  // The front (most recently used) window stays in ways[0], where the
+  // load/store fast path looks first; `order` lists the slots of the other
+  // ways from most to least recently used. A promotion swaps the hit with
+  // the front, and an insertion moves the old front into the least recently
+  // used way's slot; no other window moves.
+  struct DataWindowSet {
+    DataWindow ways[kDataWindowWays];
+    uint8_t order[kDataWindowWays - 1] = {1, 2, 3, 4, 5, 6, 7};
+  };
   bool WindowCovers(const DataWindow& w, uint32_t addr, uint32_t width,
-                    uint32_t subject_ip) const {
+                    uint32_t subject_ip, bool user) const {
     return width <= w.len && addr - w.lo <= w.len - width &&
            subject_ip >= w.subj_lo && subject_ip < w.subj_hi &&
-           w.user_mode == ((flags_ & kFlagUser) != 0) &&
+           w.user_mode == user &&
            w.mpu_generation == CurrentMpuGeneration() &&
            w.topology_generation == bus_->topology_generation();
   }
   // True when a way of `set` covers [addr, addr+width) for an access by
-  // `subject_ip`; that way is then set[0].
-  bool FindDataWindow(DataWindow* set, uint32_t addr, uint32_t width,
-                      uint32_t subject_ip) {
-    return WindowCovers(set[0], addr, width, subject_ip) ||
-           PromoteDataWindow(set, addr, width, subject_ip);
+  // `subject_ip` in user mode when `user`; that way is then ways[0].
+  bool FindDataWindow(DataWindowSet& set, uint32_t addr, uint32_t width,
+                      uint32_t subject_ip, bool user) {
+    return WindowCovers(set.ways[0], addr, width, subject_ip, user) ||
+           PromoteDataWindow(set, addr, width, subject_ip, user);
   }
-  // FindDataWindow's scan of ways 1.., moving a hit to the front.
-  bool PromoteDataWindow(DataWindow* set, uint32_t addr, uint32_t width,
-                         uint32_t subject_ip);
-  // Inserts the window around `addr` for accesses by `subject_ip` at the
-  // front of the read or write set after a successful full-path access
-  // (no-op when ineligible: foreign protection unit, non-memory target,
-  // denied or tangled coverage). Callers check data_window_enabled_.
-  void TryBuildDataWindow(bool is_write, uint32_t addr, uint32_t subject_ip);
+  // FindDataWindow's scan of the other ways, making a hit the front.
+  bool PromoteDataWindow(DataWindowSet& set, uint32_t addr, uint32_t width,
+                         uint32_t subject_ip, bool user);
+  // The one lookup of the engine's multi-word accesses (PushWords,
+  // PopIretFrame): the window of `set` that covers all of the word-aligned
+  // [addr, addr+width), now the front, whose host span at `addr` is ro (or
+  // rw) + (addr - lo); else null.
+  DataWindow* CoveringWindow(DataWindowSet& set, uint32_t addr,
+                             uint32_t width, uint32_t subject_ip, bool user) {
+    return (addr & 3) == 0 && FindDataWindow(set, addr, width, subject_ip, user)
+               ? &set.ways[0]
+               : nullptr;
+  }
+  // Makes the window around `addr` for accesses by `subject_ip` in user
+  // mode when `user` the front of the read or write set, after a successful
+  // full-path access (no-op when ineligible: foreign protection unit,
+  // non-memory target, denied or tangled coverage). Callers check
+  // data_window_enabled_.
+  void TryBuildDataWindow(bool is_write, uint32_t addr, uint32_t subject_ip,
+                          bool user);
   void ClearDataWindows() {
     for (int i = 0; i < kDataWindowWays; ++i) {
-      read_windows_[i] = DataWindow{};
-      write_windows_[i] = DataWindow{};
+      read_windows_.ways[i] = DataWindow{};
+      write_windows_.ways[i] = DataWindow{};
     }
   }
 
@@ -558,8 +600,8 @@ class Cpu {
   std::vector<CodeEntry> code_cache_;
   bool fusion_suppressed_ = false;
   bool data_window_enabled_ = false;
-  DataWindow read_windows_[kDataWindowWays];   // Most recently used first.
-  DataWindow write_windows_[kDataWindowWays];  // Most recently used first.
+  DataWindowSet read_windows_;
+  DataWindowSet write_windows_;
   // IRQ horizon (IrqHorizonOpen): cycle of the next possible IRQ and the
   // bus device generation it was computed under. 0 = expired.
   uint64_t irq_horizon_ = 0;

@@ -405,6 +405,77 @@ module:
   EXPECT_EQ(unit_.active_modules(), 0);
 }
 
+TEST_F(SancusTest, ProtectStopsAForeignFetchOfALoneInstruction) {
+  // The fast run loop pins a lone instruction's fetch (a tombstone's) to
+  // its predecessor only under the EA-MPU or with no protection unit:
+  // `protect` changes a fetch decision without moving any generation a pin
+  // keys on. Before the module exists, `call` fetches its mid-text `jr lr`
+  // twice; once the module is protected, the same fetch from the same
+  // predecessor must reset the platform, as on the fast_path=false
+  // reference.
+  const std::string source = R"(
+.org 0x30000
+start:
+    li   r2, 0x11008
+    movi r9, 0
+call:
+    jalr r2               ; the mid-text jr's one predecessor
+    addi r9, r9, 1
+    movi r10, 2
+    bltu r9, r10, call
+    la   r1, descriptor
+    protect r1
+    jmp  call
+descriptor:
+    .word 0x11000, 0x11100, 0x12000, 0x12100
+.org 0x11000
+module:
+    nop
+    nop
+    jr   lr
+)";
+  struct Outcome {
+    TrapInfo trap;
+    uint64_t cycles = 0;
+    uint64_t instructions = 0;
+    bool violation = false;
+    uint32_t violation_addr = 0;
+  };
+  const auto run = [&](Platform& platform, const SancusUnit& unit) {
+    Result<AsmOutput> out = Assemble(source);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    for (const AsmChunk& chunk : out->chunks) {
+      EXPECT_TRUE(platform.bus().HostWriteBytes(chunk.base, chunk.bytes));
+    }
+    platform.cpu().Reset(0x30000);
+    platform.Run(1000);
+    EXPECT_TRUE(platform.cpu().halted());
+    return Outcome{platform.cpu().trap(), platform.cpu().cycles(),
+                   platform.cpu().stats().instructions, unit.violation(),
+                   unit.violation_addr()};
+  };
+  PlatformConfig reference_config;
+  reference_config.with_mpu = false;
+  reference_config.fast_path = false;
+  Platform reference(reference_config);
+  SancusUnit reference_unit(8, std::vector<uint8_t>(16, 0x42));
+  reference_unit.Install(&reference.cpu(), &reference.bus());
+
+  const Outcome fast = run(platform_, unit_);
+  const Outcome ref = run(reference, reference_unit);
+  EXPECT_TRUE(ref.violation);
+  EXPECT_EQ(ref.trap.exception_class, kExcReset);
+  EXPECT_EQ(ref.violation_addr, 0x11008u);
+  EXPECT_EQ(fast.trap.valid, ref.trap.valid);
+  EXPECT_EQ(fast.trap.exception_class, ref.trap.exception_class);
+  EXPECT_EQ(fast.trap.ip, ref.trap.ip);
+  EXPECT_EQ(fast.trap.addr, ref.trap.addr);
+  EXPECT_EQ(fast.cycles, ref.cycles);
+  EXPECT_EQ(fast.instructions, ref.instructions);
+  EXPECT_EQ(fast.violation, ref.violation);
+  EXPECT_EQ(fast.violation_addr, ref.violation_addr);
+}
+
 TEST_F(SancusTest, OverlappingProtectRejected) {
   Load(R"(
 .org 0x30000

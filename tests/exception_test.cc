@@ -114,10 +114,12 @@ class ExceptionTest : public ::testing::Test {
 
   // The trustlet program: entry vector + dispatch + continue() restore +
   // main loop that sets recognizable register values. With `sleep` the loop
-  // waits for an interrupt (at label tl_wfi) after every count.
+  // waits for an interrupt (at label tl_wfi) after every count. With `user`
+  // the trustlet drops to user mode (FLAGS.User) through an iret of its own
+  // before the loop.
   static std::string TrustletSource(uint32_t stack_init = kTlDataEnd,
                                     uint32_t counter_addr = kCountAddr,
-                                    bool sleep = false) {
+                                    bool sleep = false, bool user = false) {
     std::string src;
     src += ".org 0x11000\n";
     src += R"(
@@ -134,7 +136,19 @@ tl_main:
     li   r2, 0xAAAA
     li   r3, 0x5555
     li   r4, )";
-    src += std::to_string(counter_addr) + R"(
+    src += std::to_string(counter_addr) + "\n";
+    if (user) {
+      src += R"(
+    cli
+    la   r5, loop
+    movi r6, 3             ; IF | User
+    addi sp, sp, -8
+    stw  r5, [sp + 0]
+    stw  r6, [sp + 4]
+    iret
+)";
+    }
+    src += R"(
 loop:
     addi r1, r1, 1
     stw  r1, [r4]
@@ -168,11 +182,12 @@ do_continue:
     return src;
   }
 
-  // OS program: configures a one-shot timer interrupt and jumps into the
-  // trustlet; `isr_body` runs on interrupt with the OS stack.
+  // OS program: runs `prologue`, configures a one-shot timer interrupt and
+  // jumps into the trustlet; `isr_body` runs on interrupt with the OS stack.
   static std::string OsSource(const std::string& isr_body,
-                              uint32_t timer_period = 60) {
-    std::string src = ".org 0x13000\nos_start:\n";
+                              uint32_t timer_period = 60,
+                              const std::string& prologue = "") {
+    std::string src = ".org 0x13000\nos_start:\n" + prologue;
     src += "    li  r1, 0x" + ToHex(kTimerBase) + "\n";
     src += "    movi r2, " + std::to_string(timer_period) + "\n";
     src += R"(
@@ -597,13 +612,16 @@ class FrameSaveTest : public ExceptionTest {
     uint32_t isr_error = 0;
     uint32_t isr_reported_ip = 0;
     std::vector<uint64_t> entry_checks;
+    TrapInfo trap;
   };
 
   // Runs `guest` (trustlet and OS, absolute .org) from os_start on the
-  // standard layout plus `extra_mpu`. The ISR is also the MPU-fault handler
+  // standard layout plus `extra_mpu`, until the guest halts, with a trap
+  // only when `expect_trap`. The ISR is also the MPU-fault handler
   // (footnote 1).
   Outcome RunScenario(Platform& p, const std::string& guest,
-                      uint32_t frame_top, void (*extra_mpu)(Platform&)) {
+                      uint32_t frame_top, void (*extra_mpu)(Platform&),
+                      bool expect_trap = false) {
     Outcome outcome;
     ProgramStandardMpu(p);
     if (extra_mpu != nullptr) {
@@ -620,8 +638,9 @@ class FrameSaveTest : public ExceptionTest {
     p.Run(100000);
     p.RemoveEventSink(&probe);
     EXPECT_TRUE(p.cpu().halted());
-    EXPECT_FALSE(p.cpu().trap().valid) << p.cpu().trap().reason;
+    EXPECT_EQ(p.cpu().trap().valid, expect_trap) << p.cpu().trap().reason;
 
+    outcome.trap = p.cpu().trap();
     outcome.cycles = p.cpu().cycles();
     outcome.entry_cycles = p.cpu().last_exception_entry_cycles();
     outcome.trustlet_interrupts = p.cpu().stats().trustlet_interrupts;
@@ -638,10 +657,17 @@ class FrameSaveTest : public ExceptionTest {
     return outcome;
   }
 
-  static void ExpectSameState(const Outcome& fast, const Outcome& ref) {
+  // `entry_cycles` is the cost of the last exception entry: 42 for the
+  // secure engine's, 23 for a regular one.
+  static void ExpectSameState(const Outcome& fast, const Outcome& ref,
+                              uint32_t entry_cycles = 42) {
     EXPECT_EQ(fast.cycles, ref.cycles);
-    EXPECT_EQ(fast.entry_cycles, 42u);
-    EXPECT_EQ(ref.entry_cycles, 42u);
+    EXPECT_EQ(fast.entry_cycles, entry_cycles);
+    EXPECT_EQ(ref.entry_cycles, entry_cycles);
+    EXPECT_EQ(fast.trap.valid, ref.trap.valid);
+    EXPECT_EQ(fast.trap.exception_class, ref.trap.exception_class);
+    EXPECT_EQ(fast.trap.ip, ref.trap.ip);
+    EXPECT_EQ(fast.trap.addr, ref.trap.addr);
     EXPECT_EQ(fast.trustlet_interrupts, ref.trustlet_interrupts);
     EXPECT_EQ(fast.tt_slot, ref.tt_slot);
     EXPECT_EQ(fast.frame, ref.frame);
@@ -692,7 +718,9 @@ TEST_F(FrameSaveTest, WindowedSaveMatchesPerWordSave) {
 TEST_F(FrameSaveTest, PerWordSaveLeavesWindowForTheNextEntry) {
   // The trustlet never stores to its stack, so its first entry takes the
   // per-word path; the window that save leaves behind serves the second
-  // entry, after continue() resumed the trustlet.
+  // entry, after continue() resumed the trustlet. The first entry's two
+  // OS-stack pushes leave the handler's write window over the OS stack, so
+  // the second entry's pushes are not checked either.
   const std::string guest = TrustletSource() + OsSource(kContinueIsr);
   const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, nullptr);
   const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, nullptr);
@@ -700,7 +728,7 @@ TEST_F(FrameSaveTest, PerWordSaveLeavesWindowForTheNextEntry) {
   EXPECT_EQ(fast.trustlet_interrupts, 2u);
   EXPECT_EQ(Word(platform_, kObsBase + 52), Word(reference_, kObsBase + 52));
   EXPECT_EQ(Word(platform_, kObsBase + 56), Word(reference_, kObsBase + 56));
-  EXPECT_EQ(fast.entry_checks, (std::vector<uint64_t>{19, 2}));
+  EXPECT_EQ(fast.entry_checks, (std::vector<uint64_t>{19, 0}));
   EXPECT_EQ(ref.entry_checks, (std::vector<uint64_t>{19, 19}));
 }
 
@@ -729,6 +757,12 @@ TEST_F(FrameSaveTest, WindowedSaveAcrossAPageBoundaryIsInTheDigest) {
 
 TEST_F(FrameSaveTest, FrameStraddlingTopOfDataRegionTerminates) {
   ExpectTerminatedIdentically(kTlDataEnd + 8, AddGuardRegions);
+}
+
+TEST_F(FrameSaveTest, FrameWithOnlyItsTopWordPastTheRegionTerminates) {
+  // The counter store's window covers every word of the frame but the
+  // first push: the frame must still take the per-word path and fault.
+  ExpectTerminatedIdentically(kTlDataEnd + 4, AddGuardRegions);
 }
 
 TEST_F(FrameSaveTest, FrameStraddlingBaseOfDataRegionTerminates) {
@@ -822,6 +856,163 @@ fault:
   EXPECT_EQ(fast.isr_reported_ip, loop);
   EXPECT_EQ(ref.isr_error, fast.isr_error);
   EXPECT_EQ(ref.isr_reported_ip, fast.isr_reported_ip);
+}
+
+// The engine's other window edges (DESIGN.md §15, "The yield round trip"):
+// iret pops and OS-stack pushes go through a window only when one covers
+// every word, and a tombstone's pinned fetch holds only for its predecessor
+// under the configuration it was pinned in.
+
+TEST_F(FrameSaveTest, IretFramePastTheDataRegionFaultsAtSp) {
+  // The trustlet's load leaves a read window over its data region; its
+  // iret pops [sp, sp + 8) with the second word in the guard region above.
+  // The window does not cover both words, so the pops go through the bus
+  // and fault, reporting sp, on both platforms.
+  const std::string guest = R"(
+.org 0x13000
+os_start:
+    li   r3, 0x11000
+    jr   r3
+os_isr:
+)" + std::string(kRecordingIsr) + R"(
+.org 0x11000
+entry:
+    li   sp, 0x120fc
+    ldw  r1, [sp]
+tl_iret:
+    iret
+)";
+  Result<AsmOutput> assembled = Assemble(guest);
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  constexpr uint32_t kSp = kTlDataEnd - 4;
+  const Outcome fast = RunScenario(platform_, guest, kSp, AddGuardRegions);
+  const Outcome ref = RunScenario(reference_, guest, kSp, AddGuardRegions);
+  ExpectSameState(fast, ref);
+  EXPECT_EQ(fast.isr_error, kExcMpuFault | kErrorFromTrustlet);
+  EXPECT_EQ(fast.isr_reported_ip, assembled->symbols.at("tl_iret"));
+  EXPECT_EQ(fast.fault_latch[1], kTlDataEnd);  // The second pop's word.
+  EXPECT_EQ(fast.tt_slot, kSp - kTrustletFrameBytes);
+}
+
+TEST_F(FrameSaveTest, OsStackLeavingItsRegionDoubleFaults) {
+  // The OS stack is a region of its own with a guard region below, and its
+  // SP slot sits one word above the region's base: the first push lands,
+  // the second faults. The OS's own store has left the handler a write
+  // window over the region, which covers the first word only.
+  constexpr uint32_t kOsStackBase = kOsStackTop - 0x100;
+  auto os_stack = [](Platform& p) {
+    SetRegion(p, 5, kOsStackBase, kOsStackTop, kMpuAttrEnable);
+    SetRegion(p, 6, kOsStackBase - 0x100, kOsStackBase, kMpuAttrEnable);
+    SetRule(p, 7, kRegionOsCode, 5, true, true, false);
+    ASSERT_TRUE(p.bus().HostWriteWord(kOsSpSlot, kOsStackBase + 4));
+  };
+  const std::string guest =
+      TrustletSource(kTlDataEnd, kTlCounter) +
+      OsSource(kRecordingIsr, 60, "    li  r5, 0x13f80\n    stw r5, [r5]\n");
+  const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, os_stack,
+                                   /*expect_trap=*/true);
+  const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, os_stack,
+                                  /*expect_trap=*/true);
+  ExpectSameState(fast, ref);
+  EXPECT_STREQ(fast.trap.reason, "double fault (OS stack)");
+  EXPECT_EQ(fast.trap.addr, kOsStackBase - 4);
+  EXPECT_EQ(fast.fault_latch[1], kOsStackBase - 4);
+  EXPECT_EQ(fast.tt_slot, kTlDataEnd - kTrustletFrameBytes);
+  EXPECT_EQ(fast.isr_error, 0u);  // The ISR never ran.
+}
+
+TEST_F(FrameSaveTest, UserModeTrustletGetsPrivilegedOsPushes) {
+  // The trustlet runs with FLAGS.User set. The OS-stack pushes are
+  // privileged whatever FLAGS says, so the privileged write window the
+  // OS's own store left over its stack serves both entries' pushes. The
+  // first entry's frame takes the per-word path and leaves a user-mode
+  // window, which serves the second entry's frame.
+  const std::string guest =
+      TrustletSource(kTlDataEnd, kCountAddr, /*sleep=*/false, /*user=*/true) +
+      OsSource(kContinueIsr, 60, "    addi r5, sp, -4\n    stw  r0, [r5]\n");
+  const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, nullptr);
+  const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, nullptr);
+  ExpectSameState(fast, ref);
+  EXPECT_EQ(fast.trustlet_interrupts, 2u);
+  EXPECT_EQ(Word(platform_, kObsBase + 56), Word(reference_, kObsBase + 56));
+  EXPECT_EQ(LoadLe32(fast.frame.data() + 64), kFlagIf | kFlagUser);
+  EXPECT_EQ(fast.entry_checks, (std::vector<uint64_t>{17, 0}));
+  EXPECT_EQ(ref.entry_checks, (std::vector<uint64_t>{19, 19}));
+}
+
+TEST_F(FrameSaveTest, ForeignJumpIntoPinnedTombstoneFaults) {
+  // `tomb` is a lone jmp (a tombstone) entered from the jmp before it on
+  // every pass, so its fetch is pinned to that predecessor. The ISR jumps
+  // straight to it, a non-entry address: the fetch has a foreign
+  // predecessor, so it is real and faults, as on the reference.
+  const std::string guest = R"(
+.org 0x11000
+entry:
+    li   sp, 0x12100
+    li   r4, 0x12080
+loop:
+    addi r1, r1, 1
+    stw  r1, [r4]
+    jmp  tomb
+tomb:
+    jmp  loop
+)" + OsSource(R"(
+    ldw  r5, [sp + 0]      ; error code
+    movi r6, 0
+    beq  r5, r6, fault     ; class 0 from the OS: the fetch fault below
+    la   r3, tomb
+    jr   r3
+fault:
+)" + std::string(kRecordingIsr),
+                                                        /*timer_period=*/400);
+  Result<AsmOutput> assembled = Assemble(guest);
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  const uint32_t tomb = assembled->symbols.at("tomb");
+  const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, nullptr);
+  const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, nullptr);
+  ExpectSameState(fast, ref, /*entry_cycles=*/23);
+  EXPECT_EQ(fast.trustlet_interrupts, 1u);
+  EXPECT_EQ(fast.fault_latch[1], tomb);
+  EXPECT_EQ(fast.isr_error, kExcMpuFault);
+  EXPECT_EQ(fast.isr_reported_ip, tomb);
+}
+
+TEST_F(FrameSaveTest, MpuReconfigurationDropsTheEntryVectorPin) {
+  // The entry vector's `jmp dispatch` is a tombstone, entered by the ISR's
+  // continue() jump both times the timer preempts the trustlet. Before the
+  // second continue() the ISR revokes the entry rule: the pin made under
+  // the old configuration must drop, and the real fetch faults.
+  const std::string guest = TrustletSource() + OsSource(R"(
+    li  r4, 0x16000
+    ldw r5, [r4 + 48]      ; ISR invocations (test scratch)
+    addi r5, r5, 1
+    stw r5, [r4 + 48]
+    movi r6, 3
+    beq r5, r6, isr_done   ; third: the fetch fault below
+    movi r6, 2
+    bne r5, r6, resume
+    li  r1, 0x)" + ToHex(kMpuMmioBase + kMpuRuleBank + 2 * 4) + R"(  ; rule 2
+    movi r2, 0
+    stw r2, [r1]
+resume:
+    li  r1, 0xF0002000
+    movi r2, 200
+    stw r2, [r1 + 4]
+    movi r2, 3
+    stw r2, [r1 + 0]
+    movi r0, 0             ; continue()
+    li   r3, 0x11000
+    jr   r3
+isr_done:
+)" + std::string(kRecordingIsr));
+  const Outcome fast = RunScenario(platform_, guest, kTlDataEnd, nullptr);
+  const Outcome ref = RunScenario(reference_, guest, kTlDataEnd, nullptr);
+  ExpectSameState(fast, ref, /*entry_cycles=*/23);
+  EXPECT_EQ(fast.trustlet_interrupts, 2u);
+  EXPECT_EQ(Word(platform_, kObsBase + 48), 3u);
+  EXPECT_EQ(fast.fault_latch[1], kTlCode);
+  EXPECT_EQ(fast.isr_error, kExcMpuFault);
+  EXPECT_EQ(fast.isr_reported_ip, kTlCode);
 }
 
 // ---------------------------------------------------------------------------

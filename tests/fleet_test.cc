@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/fleet/attest.h"
+#include "src/fleet/control.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/link.h"
 #include "src/fleet/node.h"
@@ -590,6 +591,50 @@ TEST(FleetIdleTest, IdleNodesTakeOnlyTimerInterrupts) {
               kQuanta * config.quantum / 2)
         << "node " << i;
   }
+}
+
+// The host cost of an admitted node's idle ticks (DESIGN.md §15, "The yield
+// round trip"): each tick is one secure-engine round trip, and these exact
+// host counters fail when a change puts its accesses back on the bus (the
+// differential harness compares architectural state only). Before the
+// engine's OS-stack pushes and iret pops used data windows and lone
+// instructions pinned their fetch, the same run made 1,010 EA-MPU checks;
+// every other counter below was the same.
+TEST(FleetIdleTest, IdleTickCountersArePinned) {
+  FleetConfig config;
+  config.nodes = 1;
+  config.seed = 42;
+  Fleet fleet(config);
+  FleetProvisionConfig prov;
+  prov.warm_boot = true;
+  Result<std::vector<NodeProvision>> provisions =
+      ProvisionAttestationFleet(&fleet, prov);
+  ASSERT_TRUE(provisions.ok()) << provisions.status().ToString();
+  FleetController controller(&fleet, std::move(*provisions), FleetdPolicy{});
+  ASSERT_TRUE(controller.RunAdmission().ok());
+
+  Platform& platform = fleet.node(0).platform();
+  const FastPathStats before = platform.fast_path_stats();
+  const CpuStats cpu_before = platform.cpu().stats();
+  constexpr uint64_t kQuanta = 10;
+  fleet.RunQuanta(kQuanta);
+  const FastPathStats after = platform.fast_path_stats();
+  const CpuStats& cpu = platform.cpu().stats();
+
+  const uint64_t irqs = cpu.interrupts - cpu_before.interrupts;
+  EXPECT_EQ(irqs, kQuanta * config.quantum / prov.timer_period);
+  EXPECT_EQ(cpu.trustlet_interrupts - cpu_before.trustlet_interrupts, irqs);
+  EXPECT_EQ(cpu.instructions - cpu_before.instructions, 5'700u);
+  EXPECT_EQ(after.mpu.checks - before.mpu.checks, 160u);
+  EXPECT_EQ(after.bus.route_misses - before.bus.route_misses, 100u);
+  EXPECT_EQ(after.data_window_hits - before.data_window_hits, 2'500u);
+  EXPECT_EQ(after.data_window_misses - before.data_window_misses, 50u);
+  EXPECT_EQ(after.decode_hits - before.decode_hits, 5'710u);
+  EXPECT_EQ(after.decode_misses - before.decode_misses, 0u);
+  EXPECT_EQ(after.fusion_groups - before.fusion_groups, 1'450u);
+  EXPECT_EQ(after.fusion_retired - before.fusion_retired, 5'150u);
+  EXPECT_EQ(after.fusion_builds - before.fusion_builds, 0u);
+  EXPECT_EQ(after.fusion_invalidations - before.fusion_invalidations, 0u);
 }
 
 // --- Fleet-wide remote attestation ---------------------------------------
