@@ -155,12 +155,12 @@ void BM_InterpreterWithMpuProfiled(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterWithMpuProfiled);
 
-// Worst case for the fast-path caches: execution alternates between many
+// Worst case for the fast-path memos: execution alternates between many
 // subject regions (one trustlet-like code region per chunk), each touching
 // its own data region before handing control to the next region's entry
 // vector. Every chunk transition changes the MPU subject, thrashing the
-// single-entry subject/coverage caches while the decision cache must hold
-// the full (subject, object) working set.
+// single-entry subject/coverage memos, and every access the CPU's windows
+// and pins miss is a full rule evaluation.
 void BM_MpuCacheThrash(benchmark::State& state) {
   constexpr int kChunks = 8;
   constexpr uint32_t kCodeBase = 0x34000;

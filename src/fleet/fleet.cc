@@ -21,7 +21,8 @@ Fleet::Fleet(const FleetConfig& config)
       gpio_out_scratch_(static_cast<size_t>(config.nodes)) {
   // Node ids must fit the fabric's per-link RNG lanes (LinkId folds ports
   // into 16-bit halves); kMaxFleetPort leaves headroom well past 10k nodes.
-  assert(config_.nodes >= 0 && config_.nodes <= kMaxFleetPort + 1);
+  // Callers bound user input first (tlfleetd's option parser).
+  assert(config_.nodes >= 0 && config_.nodes <= kMaxFleetNodes);
   nodes_.reserve(static_cast<size_t>(config_.nodes));
   for (int i = 0; i < config_.nodes; ++i) {
     nodes_.push_back(

@@ -59,6 +59,9 @@ inline void AppendTranscriptLine(std::string* transcript, uint64_t cycle,
 // Ring topologies latch each node's GPIO OUT into its neighbour's IN.
 inline constexpr bool kRingBridgesGpio = true;
 
+// Largest fleet: node ids are fabric ports in [0, kMaxFleetPort].
+inline constexpr int kMaxFleetNodes = kMaxFleetPort + 1;
+
 struct FleetConfig {
   int nodes = 4;
   Topology topology = Topology::kStar;

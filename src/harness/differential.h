@@ -2,10 +2,10 @@
 //
 // Differential-execution harness (DESIGN.md Sec. 11): runs the same guest
 // program on two Platform instances — one with the simulator fast path
-// (code cache, EA-MPU decision caches, bus route memo) enabled and one
-// with every cache force-disabled — and diffs the architectural state in
-// lockstep. Any divergence is, by construction, a fast-path bug: the caches
-// are pure memoization and must be invisible to the guest.
+// (code cache, EA-MPU subject and coverage memos, bus route memo) enabled
+// and one with every cache force-disabled — and diffs the architectural
+// state in lockstep. Any divergence is, by construction, a fast-path bug:
+// the caches are pure memoization and must be invisible to the guest.
 //
 // Compared per step: the step event, IP, FLAGS, the full register file,
 // halt state and the cycle counter. Compared at end of run: every memory

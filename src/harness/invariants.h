@@ -17,7 +17,7 @@
 //  * the Trustlet Table row is immutable except for its engine-updated
 //    saved-SP word.
 //
-// The checker is deliberately independent of the MPU's decision caches: it
+// The checker is deliberately independent of the MPU's fast-path memos: it
 // reads state through host-side accessors and re-derives expectations from
 // its own baseline snapshot.
 

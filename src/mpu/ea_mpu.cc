@@ -20,8 +20,6 @@ EaMpu::EaMpu(uint32_t mmio_base, int num_regions, int num_rules)
   rules_.resize(static_cast<size_t>(num_rules), 0);
   region_hardwired_.resize(static_cast<size_t>(num_regions), false);
   rule_hardwired_.resize(static_cast<size_t>(num_rules), false);
-  decision_cache_.resize(kDecisionCacheSize);
-  fetch_cache_.resize(kFetchCacheSize);
 }
 
 void EaMpu::HardwireRegion(int index, const MpuRegion& region) {
@@ -220,8 +218,8 @@ std::optional<int> EaMpu::FindCodeRegion(uint32_t ip) const {
   return std::nullopt;
 }
 
-bool EaMpu::RuleAllows(const AccessContext& ctx, std::optional<int> subject,
-                       int object, uint32_t addr) const {
+bool EaMpu::RuleAllows(const AccessContext& ctx, int subject, int object,
+                       uint32_t addr) const {
   const bool compat = (ctrl_ & kMpuCtrlCompatMode) != 0;
   for (const uint32_t rule : rules_) {
     if ((rule & kMpuRuleEnable) == 0) {
@@ -245,8 +243,8 @@ bool EaMpu::RuleAllows(const AccessContext& ctx, std::optional<int> subject,
         subject_match = false;
       }
     } else {
-      subject_match = subject.has_value() &&
-                      rule_subject == static_cast<uint32_t>(*subject);
+      subject_match =
+          subject >= 0 && rule_subject == static_cast<uint32_t>(subject);
     }
     if (!subject_match) {
       continue;
@@ -271,8 +269,7 @@ bool EaMpu::RuleAllows(const AccessContext& ctx, std::optional<int> subject,
         // region (self-rule) covers the full region. (Sec. 5.1: "the first
         // four bytes of each code region as its respective entry vector".)
         const bool self_rule =
-            subject.has_value() &&
-            rule_subject == static_cast<uint32_t>(*subject) &&
+            subject >= 0 && rule_subject == static_cast<uint32_t>(subject) &&
             static_cast<uint32_t>(object) == rule_subject;
         if (self_rule || compat) {
           return true;
@@ -358,32 +355,19 @@ const EaMpu::CoverageCache& EaMpu::CoverageFor(uint32_t addr) {
   return coverage_cache_;
 }
 
-bool EaMpu::DataRuleAllows(const AccessContext& ctx, int subject, int object) {
-  // Data (read/write) rule evaluation never consults the address, so the
-  // decision is a pure function of (subject, object, kind, privileged) and
-  // the configuration generation.
-  const uint32_t key = static_cast<uint32_t>(subject + 1) |
-                       static_cast<uint32_t>(object) << 8 |
-                       static_cast<uint32_t>(ctx.kind) << 16 |
-                       (ctx.privileged ? 1u << 18 : 0u);
-  DecisionEntry& entry =
-      decision_cache_[(key * 0x9E3779B1u) >> 23];  // 512 slots.
-  if (entry.gen == config_gen_ && entry.key == key) {
-    ++stats_.decision_hits;
-    return entry.allow;
+bool EaMpu::CoverageAllows(const AccessContext& ctx, int subject,
+                           const CoverageCache& cov) const {
+  for (int i = 0; i < cov.count; ++i) {
+    if (RuleAllows(ctx, subject, cov.regions[i],
+                   regions_[cov.regions[i]].base)) {
+      return true;
+    }
   }
-  ++stats_.decision_misses;
-  const std::optional<int> subj =
-      subject >= 0 ? std::optional<int>(subject) : std::nullopt;
-  const bool allow =
-      RuleAllows(ctx, subj, object, regions_[static_cast<size_t>(object)].base);
-  entry = DecisionEntry{config_gen_, key, allow};
-  return allow;
+  return cov.count == 0;
 }
 
-bool EaMpu::FetchAllowed(const AccessContext& ctx, std::optional<int> subject,
-                         uint32_t addr) const {
-  // Reference fetch decision: covered-implies-allowed at exactly `addr`.
+bool EaMpu::AddressAllowed(const AccessContext& ctx, int subject,
+                           uint32_t addr) const {
   bool covered = false;
   for (size_t r = 0; r < regions_.size(); ++r) {
     if (!regions_[r].Contains(addr)) {
@@ -397,60 +381,19 @@ bool EaMpu::FetchAllowed(const AccessContext& ctx, std::optional<int> subject,
   return !covered;
 }
 
-bool EaMpu::DataAllowedByteWise(const AccessContext& ctx,
-                                std::optional<int> subject, uint32_t addr,
-                                uint32_t width) const {
+bool EaMpu::DataAllowedByteWise(const AccessContext& ctx, int subject,
+                                uint32_t addr, uint32_t width) const {
   // Reference byte-wise scan. Byte addresses are computed in 64 bits: an
   // access straddling the top of the 32-bit address space must not wrap
   // around to address 0 — bytes past 0xFFFFFFFF do not exist and are
   // covered by no region.
-  for (uint32_t i = 0; i < width; ++i) {
-    const uint64_t byte_addr = uint64_t{addr} + i;
-    if (byte_addr > 0xFFFFFFFFull) {
-      break;
-    }
-    const uint32_t a = static_cast<uint32_t>(byte_addr);
-    bool covered = false;
-    bool allowed = false;
-    for (size_t r = 0; r < regions_.size(); ++r) {
-      if (!regions_[r].Contains(a)) {
-        continue;
-      }
-      covered = true;
-      if (RuleAllows(ctx, subject, static_cast<int>(r), a)) {
-        allowed = true;
-        break;
-      }
-    }
-    if (covered && !allowed) {
+  for (uint32_t i = 0; i < width && uint64_t{addr} + i <= 0xFFFFFFFFull;
+       ++i) {
+    if (!AddressAllowed(ctx, subject, addr + i)) {
       return false;
     }
   }
   return true;
-}
-
-bool EaMpu::FetchCheckPasses(const AccessContext& ctx, int subject,
-                             uint32_t addr) {
-  // Fetch decisions are keyed on the *exact* address: the entry-vector rule
-  // admits foreign execution only at an object region's first word, so two
-  // addresses in the same region can legitimately differ.
-  const uint64_t key = static_cast<uint64_t>(addr) |
-                       static_cast<uint64_t>(subject + 1) << 32 |
-                       (ctx.privileged ? uint64_t{1} << 41 : 0u);
-  const uint32_t index =
-      ((addr >> 2) ^ static_cast<uint32_t>(subject + 1) * 0x9E3779B1u) &
-      (kFetchCacheSize - 1);
-  FetchEntry& entry = fetch_cache_[index];
-  if (entry.gen == config_gen_ && entry.key == key) {
-    ++stats_.fetch_hits;
-    return entry.allow;
-  }
-  ++stats_.fetch_misses;
-  const std::optional<int> subj =
-      subject >= 0 ? std::optional<int>(subject) : std::nullopt;
-  const bool pass = FetchAllowed(ctx, subj, addr);
-  entry = FetchEntry{config_gen_, key, pass};
-  return pass;
 }
 
 bool EaMpu::FetchWouldPass(uint32_t subject_ip, uint32_t addr,
@@ -462,7 +405,7 @@ bool EaMpu::FetchWouldPass(uint32_t subject_ip, uint32_t addr,
   ctx.curr_ip = subject_ip;
   ctx.kind = AccessKind::kFetch;
   ctx.privileged = privileged;
-  return FetchAllowed(ctx, FindCodeRegion(subject_ip), addr);
+  return AddressAllowed(ctx, FindCodeRegion(subject_ip).value_or(-1), addr);
 }
 
 bool EaMpu::DataWindowFor(uint32_t subject_ip, bool privileged, bool is_write,
@@ -478,7 +421,7 @@ bool EaMpu::DataWindowFor(uint32_t subject_ip, bool privileged, bool is_write,
     return true;
   }
   // The memo fills' resolvers, not the memos: this query must not move the
-  // shared caches or stats.
+  // shared memos or stats.
   const SubjectCache subject = ResolveSubject(subject_ip);
   *subj_lo = subject.lo;
   *subj_hi = subject.hi;
@@ -490,22 +433,11 @@ bool EaMpu::DataWindowFor(uint32_t subject_ip, bool privileged, bool is_write,
   }
   *lo = cov.lo;
   *hi = cov.hi;
-  if (cov.count == 0) {
-    return true;  // Uncovered background memory is open.
-  }
   AccessContext ctx;
   ctx.curr_ip = subject_ip;
   ctx.kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
   ctx.privileged = privileged;
-  const std::optional<int> subj =
-      subject.subject >= 0 ? std::optional<int>(subject.subject)
-                           : std::nullopt;
-  for (int i = 0; i < cov.count; ++i) {
-    if (RuleAllows(ctx, subj, cov.regions[i], regions_[cov.regions[i]].base)) {
-      return true;
-    }
-  }
-  return false;
+  return CoverageAllows(ctx, subject.subject, cov);
 }
 
 AccessResult EaMpu::Check(const AccessContext& ctx, uint32_t addr,
@@ -516,8 +448,6 @@ AccessResult EaMpu::Check(const AccessContext& ctx, uint32_t addr,
   ++stats_.checks;
   const int subject = fast_path_ ? SubjectFor(ctx.curr_ip)
                                  : FindCodeRegion(ctx.curr_ip).value_or(-1);
-  const std::optional<int> subj =
-      subject >= 0 ? std::optional<int>(subject) : std::nullopt;
 
   // Evaluate all bytes of the access (a word straddling a region boundary
   // must be allowed on both sides). Fetches are always word-aligned and are
@@ -525,8 +455,8 @@ AccessResult EaMpu::Check(const AccessContext& ctx, uint32_t addr,
   // the instruction address, not its tail bytes.
   bool deny = false;
   if (ctx.kind == AccessKind::kFetch) {
-    deny = fast_path_ ? !FetchCheckPasses(ctx, subject, addr)
-                      : !FetchAllowed(ctx, subj, addr);
+    ++stats_.fetch_misses;
+    deny = !AddressAllowed(ctx, subject, addr);
   } else if (fast_path_) {
     const CoverageCache& cov = CoverageFor(addr);
     // The end-of-access comparison runs in 64 bits: `addr + width` computed
@@ -536,21 +466,16 @@ AccessResult EaMpu::Check(const AccessContext& ctx, uint32_t addr,
     if (!cov.overflow && addr >= cov.lo && uint64_t{addr} + width <= cov.hi) {
       // Fast path: every byte of the access lies in one homogeneous
       // interval — all bytes share the same covering-region set, so one
-      // memoized decision per covering region settles the whole access.
-      if (cov.count != 0) {
-        bool allowed = false;
-        for (int i = 0; i < cov.count && !allowed; ++i) {
-          allowed = DataRuleAllows(ctx, subject, cov.regions[i]);
-        }
-        deny = !allowed;
-      }
+      // evaluation of the covering regions' rules settles the whole access.
+      ++stats_.decision_misses;
+      deny = !CoverageAllows(ctx, subject, cov);
     } else {
       // Slow path (access straddles a coverage boundary, or more regions
-      // overlap here than the cache tracks): the byte-wise scan.
-      deny = !DataAllowedByteWise(ctx, subj, addr, width);
+      // overlap here than the memo tracks): the byte-wise scan.
+      deny = !DataAllowedByteWise(ctx, subject, addr, width);
     }
   } else {
-    deny = !DataAllowedByteWise(ctx, subj, addr, width);
+    deny = !DataAllowedByteWise(ctx, subject, addr, width);
   }
   if (check_sink_ != nullptr) {
     MpuCheckEvent event;  // Cycle stamped by the hub.

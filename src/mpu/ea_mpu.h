@@ -108,15 +108,14 @@ struct MpuStats {
   uint64_t faults = 0;
   uint64_t mmio_writes = 0;
   // Fast-path counters (host-side; no architectural meaning). The subject
-  // cache memoizes curr_IP -> code region over a validity interval; the
-  // decision cache memoizes (subject, object, kind, privileged) -> allow for
-  // data accesses; the fetch cache memoizes (subject, exact address,
-  // privileged) -> allow so the entry-vector rule stays address-exact.
+  // memo maps curr_IP -> code region over a validity interval.
   uint64_t subject_hits = 0;
   uint64_t subject_misses = 0;
-  uint64_t decision_hits = 0;
+  // Rule-bank evaluations, under the names they had as the misses of the
+  // decision and fetch caches (fleetbench reports them): decision_misses
+  // counts the data checks decided on the coverage-interval path (fast path
+  // only), fetch_misses every fetch check.
   uint64_t decision_misses = 0;
-  uint64_t fetch_hits = 0;
   uint64_t fetch_misses = 0;
 };
 
@@ -171,8 +170,9 @@ class EaMpu : public Device, public ProtectionUnit {
   static int FaultTreeDepth(int num_regions);
 
   // Generation of the protection configuration (ctrl, regions, rules).
-  // Bumped on every mutation; all caches key on it, so reprogramming,
-  // locking, hardwiring or Reset() invalidates every memoized decision.
+  // Bumped on every mutation; the subject and coverage memos and the CPU's
+  // windows and fetch pins key on it, so reprogramming, locking, hardwiring
+  // or Reset() invalidates every memoized interval and decision.
   uint64_t config_generation() const { return config_gen_; }
 
   // Advisory fetch decision for the interpreter's superinstruction builder:
@@ -198,8 +198,9 @@ class EaMpu : public Device, public ProtectionUnit {
                      uint32_t* subj_lo, uint64_t* subj_hi) const;
 
   // Host-side fast-path switch (differential-execution harness). When
-  // disabled, every Check() runs the uncached reference decision procedure;
-  // guest-visible behavior must be bit-identical either way.
+  // disabled, every Check() resolves the subject and scans the access byte
+  // by byte with no memo; guest-visible behavior must be bit-identical
+  // either way.
   void SetFastPath(bool enabled) { fast_path_ = enabled; }
   bool fast_path() const { return fast_path_; }
 
@@ -221,16 +222,18 @@ class EaMpu : public Device, public ProtectionUnit {
 
  private:
   bool RegisterWriteAllowed(uint32_t offset) const;
-  bool RuleAllows(const AccessContext& ctx, std::optional<int> subject,
-                  int object, uint32_t addr) const;
+  // `subject` is a code region index, or -1 for unprotected memory (as in
+  // SubjectCache) in the decision procedures below.
+  bool RuleAllows(const AccessContext& ctx, int subject, int object,
+                  uint32_t addr) const;
 
-  // Uncached reference decision procedures (shared by the fast-path caches
-  // as their fill path and by the cache-disabled mode).
-  bool FetchAllowed(const AccessContext& ctx, std::optional<int> subject,
-                    uint32_t addr) const;
-  bool DataAllowedByteWise(const AccessContext& ctx,
-                           std::optional<int> subject, uint32_t addr,
-                           uint32_t width) const;
+  // The per-address decision: `addr` is allowed when no enabled region
+  // covers it, or when a rule of a covering region grants it. Fetches are
+  // judged at their address; data accesses through DataAllowedByteWise.
+  bool AddressAllowed(const AccessContext& ctx, int subject,
+                      uint32_t addr) const;
+  bool DataAllowedByteWise(const AccessContext& ctx, int subject,
+                           uint32_t addr, uint32_t width) const;
 
   // --- Access-decision fast path (behaviour-preserving memoization) ---
   // Subject resolution: FindCodeRegion(ip) together with the largest
@@ -257,24 +260,12 @@ class EaMpu : public Device, public ProtectionUnit {
   static constexpr int kMaxCoverage = 8;
   CoverageCache ResolveCoverage(uint32_t addr) const;
   const CoverageCache& CoverageFor(uint32_t addr);  // Memoized.
-  // Memoized RuleAllows for data accesses (address-independent).
-  bool DataRuleAllows(const AccessContext& ctx, int subject, int object);
-  // Per-address fetch decision: covered-implies-allowed at exactly `addr`.
-  bool FetchCheckPasses(const AccessContext& ctx, int subject, uint32_t addr);
+  // The data decision over a whole coverage interval: open when no region
+  // covers it, else allowed when a rule of a covering region grants it
+  // (data rules never consult the address). `cov` must not overflow.
+  bool CoverageAllows(const AccessContext& ctx, int subject,
+                      const CoverageCache& cov) const;
   void BumpConfigGen() { ++config_gen_; }
-
-  struct DecisionEntry {
-    uint64_t gen = 0;
-    uint32_t key = 0;
-    bool allow = false;
-  };
-  struct FetchEntry {
-    uint64_t gen = 0;
-    uint64_t key = 0;
-    bool allow = false;
-  };
-  static constexpr uint32_t kDecisionCacheSize = 512;  // Power of two.
-  static constexpr uint32_t kFetchCacheSize = 256;     // Power of two.
 
   uint32_t ctrl_ = 0;
   uint32_t fault_ip_ = 0;
@@ -293,8 +284,6 @@ class EaMpu : public Device, public ProtectionUnit {
   bool fast_path_ = true;
   SubjectCache subject_cache_;
   CoverageCache coverage_cache_;
-  std::vector<DecisionEntry> decision_cache_;
-  std::vector<FetchEntry> fetch_cache_;
 };
 
 // Convenience encoder for rule words.

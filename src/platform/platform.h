@@ -48,8 +48,8 @@ struct PlatformConfig {
   // Optional DMA engine (paper Sec. 6 future work; see src/dev/dma.h).
   bool with_dma = false;
   DmaEngine::Mode dma_mode = DmaEngine::Mode::kExecutionAware;
-  // Host-side simulator fast path (code cache, EA-MPU decision caches,
-  // bus routing memo, Cpu::Run's fast run loop). Disabled by the
+  // Host-side simulator fast path (code cache, EA-MPU subject and coverage
+  // memos, bus routing memo, Cpu::Run's fast run loop). Disabled by the
   // differential-execution harness to pit the cached interpreter against the
   // uncached reference; guest-visible behavior must be identical either way
   // (DESIGN.md Sec. 10/11).
@@ -60,9 +60,9 @@ struct PlatformConfig {
   bool fusion = true;
 };
 
-// Aggregated fast-path cache counters (bus routing, code cache, EA-MPU
-// subject/decision/fetch caches). Host-side simulation telemetry, surfaced
-// by `tlsim run --stats`.
+// Aggregated fast-path counters (bus routing, code cache, EA-MPU subject
+// memo and rule evaluations). Host-side simulation telemetry, surfaced by
+// `tlsim run --stats`.
 struct FastPathStats {
   BusStats bus;
   uint64_t decode_hits = 0;

@@ -1,7 +1,7 @@
 // Copyright 2026 The TrustLite Reproduction Authors.
 //
 // Invalidation tests for the simulator fast path: the decoded-instruction
-// cache, the EA-MPU subject/decision/fetch caches, and the bus routing
+// cache, the EA-MPU subject and coverage memos, and the bus routing
 // memoization. These caches are host-side speedups only — every test here
 // pins down a case where stale cached state would change guest-visible
 // behavior, and checks that it does not.
@@ -112,7 +112,7 @@ site:
 }
 
 // ---------------------------------------------------------------------------
-// EA-MPU caches. Fixture mirrors mpu_test.cc: two trustlet code/data region
+// EA-MPU memos. Fixture mirrors mpu_test.cc: two trustlet code/data region
 // pairs inside one RAM, configured through the guest-visible MMIO interface
 // (so every reprogramming step goes down the same invalidation path the
 // paper's secure loader would use).
@@ -182,12 +182,11 @@ class FastPathMpuTest : public ::testing::Test {
 TEST_F(FastPathMpuTest, RuleRewriteInvalidatesDecisionCache) {
   Enable();
   SetRule(0, kRegionCodeA, kRegionDataA, true, true, false);
-  // Warm the subject and decision caches.
+  // Warm the subject and coverage memos.
   for (int i = 0; i < 8; ++i) {
     ASSERT_EQ(Access(kCodeA + 4, AccessKind::kRead, kDataA), AccessResult::kOk);
   }
-  EXPECT_GT(mpu_.stats().decision_hits, 0u);
-  // Revoke read: the cached allow must not survive the rule write.
+  // Revoke read: the earlier allow must not survive the rule write.
   const uint64_t gen = mpu_.config_generation();
   SetRule(0, kRegionCodeA, kRegionDataA, false, true, false);
   EXPECT_GT(mpu_.config_generation(), gen);
@@ -249,16 +248,15 @@ TEST_F(FastPathMpuTest, EntryVectorStaysExactAfterWarmup) {
   Enable();
   SetRule(0, kRegionCodeB, kRegionCodeB, true, false, true);
   SetRule(1, kMpuSubjectAny, kRegionCodeB, false, false, true);
-  // Warm the fetch cache hard on both the entry vector (foreign subject)
-  // and the region body (B itself).
+  // Warm up hard on both the entry vector (foreign subject) and the region
+  // body (B itself).
   for (int i = 0; i < 16; ++i) {
     ASSERT_EQ(Access(kCodeA, AccessKind::kFetch, kCodeB), AccessResult::kOk);
     ASSERT_EQ(Access(kCodeB, AccessKind::kFetch, kCodeB + 8),
               AccessResult::kOk);
   }
-  EXPECT_GT(mpu_.stats().fetch_hits, 0u);
   // A foreign fetch one word past the entry vector must still fault — a
-  // cache keyed on (subject, object) instead of the exact address would
+  // memo keyed on (subject, object) instead of the exact address would
   // reuse the entry-vector allow here.
   EXPECT_EQ(Access(kCodeA, AccessKind::kFetch, kCodeB + 4),
             AccessResult::kProtFault);
@@ -291,11 +289,11 @@ TEST_F(FastPathMpuTest, FaultAcknowledgeDoesNotInvalidate) {
             AccessResult::kProtFault);
   const uint64_t gen = mpu_.config_generation();
   AckFault();
-  // The fault-path hot loop (fault, ack, retry) must not thrash the caches.
+  // The fault-path hot loop (fault, ack, retry) must not thrash the memos.
   EXPECT_EQ(mpu_.config_generation(), gen);
   ASSERT_EQ(Access(kOpenRam, AccessKind::kRead, kDataA),
             AccessResult::kProtFault);
-  EXPECT_GT(mpu_.stats().decision_hits + mpu_.stats().subject_hits, 0u);
+  EXPECT_GT(mpu_.stats().subject_hits, 0u);
 }
 
 TEST_F(FastPathMpuTest, CountersAccumulate) {
@@ -309,10 +307,10 @@ TEST_F(FastPathMpuTest, CountersAccumulate) {
   const MpuStats& stats = mpu_.stats();
   EXPECT_EQ(stats.checks, 8u);
   EXPECT_GT(stats.subject_hits, 0u);
-  EXPECT_GT(stats.decision_hits, 0u);
-  EXPECT_GT(stats.fetch_hits, 0u);
-  EXPECT_GT(stats.decision_misses, 0u);
-  EXPECT_GT(stats.fetch_misses, 0u);
+  // One rule evaluation per check: 4 reads decided on one covered interval
+  // and 4 fetches.
+  EXPECT_EQ(stats.decision_misses, 4u);
+  EXPECT_EQ(stats.fetch_misses, 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -599,7 +599,9 @@ TEST(FleetIdleTest, IdleNodesTakeOnlyTimerInterrupts) {
 // differential harness compares architectural state only). Before the
 // engine's OS-stack pushes and iret pops used data windows and lone
 // instructions pinned their fetch, the same run made 1,010 EA-MPU checks;
-// every other counter below was the same.
+// every other counter below was the same. Each remaining check is one rule
+// evaluation: the wfi fetches and the data checks decided per coverage
+// interval.
 TEST(FleetIdleTest, IdleTickCountersArePinned) {
   FleetConfig config;
   config.nodes = 1;
@@ -626,6 +628,9 @@ TEST(FleetIdleTest, IdleTickCountersArePinned) {
   EXPECT_EQ(cpu.trustlet_interrupts - cpu_before.trustlet_interrupts, irqs);
   EXPECT_EQ(cpu.instructions - cpu_before.instructions, 5'700u);
   EXPECT_EQ(after.mpu.checks - before.mpu.checks, 160u);
+  EXPECT_EQ(after.mpu.fetch_misses - before.mpu.fetch_misses, 110u);
+  EXPECT_EQ(after.mpu.decision_misses - before.mpu.decision_misses, 50u);
+  EXPECT_EQ(after.mpu.subject_misses - before.mpu.subject_misses, 100u);
   EXPECT_EQ(after.bus.route_misses - before.bus.route_misses, 100u);
   EXPECT_EQ(after.data_window_hits - before.data_window_hits, 2'500u);
   EXPECT_EQ(after.data_window_misses - before.data_window_misses, 50u);

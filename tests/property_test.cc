@@ -292,6 +292,16 @@ bool Contains(const Region& r, uint32_t a) {
   return Enabled(r) && a >= r.base && a < r.end;
 }
 
+// The first enabled code region containing `ip`, or -1.
+int Subject(const std::vector<Region>& regions, uint32_t ip) {
+  for (size_t i = 0; i < regions.size(); ++i) {
+    if (Contains(regions[i], ip) && (regions[i].attr & kMpuAttrCode) != 0) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
 // The reference decision procedure, written independently from the spec:
 // subject = first enabled *code* region containing curr_ip; a byte covered
 // by any enabled region needs a matching rule; cross-region execute only at
@@ -304,14 +314,7 @@ bool Allowed(const std::vector<Region>& regions,
     return true;
   }
   const bool compat = (ctrl & kMpuCtrlCompatMode) != 0;
-  int subject = -1;
-  for (size_t i = 0; i < regions.size(); ++i) {
-    if (Contains(regions[i], ctx.curr_ip) &&
-        (regions[i].attr & kMpuAttrCode) != 0) {
-      subject = static_cast<int>(i);
-      break;
-    }
-  }
+  const int subject = Subject(regions, ctx.curr_ip);
   const uint32_t granularity = ctx.kind == AccessKind::kFetch ? 1 : width;
   for (uint32_t i = 0; i < granularity; ++i) {
     const uint32_t byte = addr + i;
@@ -380,57 +383,122 @@ bool Allowed(const std::vector<Region>& regions,
 
 class MpuDifferentialTest : public ::testing::TestWithParam<int> {};
 
+// The subject of the last check, from its telemetry.
+struct SubjectSink : EventSink {
+  void OnMpuCheck(const MpuCheckEvent& event) override {
+    subject = event.subject;
+  }
+  int subject = -2;
+};
+
+// The unit is programmed once, then rewritten through its MMIO registers
+// every 50 probes (a rule word, the base, end or attr of an unlocked
+// region, or CTRL's compat bit), so the generation-keyed subject and
+// coverage memos must follow every change: the probe after a rewrite
+// repeats the one before it, which filled the memos under the old
+// configuration. Each probe runs with the fast path on and off; both must
+// match the model in the decision and in the subject the check reports.
 TEST_P(MpuDifferentialTest, ImplementationMatchesReferenceModel) {
   Xoshiro256 rng(static_cast<uint64_t>(GetParam()) * 104729 + 17);
   EaMpu mpu(kMpuMmioBase, 8, 16);
+  SubjectSink sink;
+  mpu.SetEventSink(&sink, /*want_checks=*/true);
   std::vector<reference::Region> regions;
   std::vector<uint32_t> rules;
-  for (int i = 0; i < 8; ++i) {
+  auto random_rule = [&] {
+    const uint32_t subject =
+        rng.NextBool() ? kMpuSubjectAny
+                       : static_cast<uint32_t>(rng.NextBelow(8));
+    return EncodeMpuRule(subject, static_cast<uint32_t>(rng.NextBelow(8)),
+                         rng.NextBool(), rng.NextBool(), rng.NextBool(),
+                         static_cast<uint32_t>(rng.NextBelow(3)));
+  };
+  auto region_reg = [](size_t index) {
+    return kMpuRegionBank + static_cast<uint32_t>(index) * kMpuRegionStride;
+  };
+  // Half the probe IPs and addresses start inside some region, so subjects
+  // and covering regions decide them more often than open memory does.
+  auto probe_addr = [&] {
+    return rng.NextBool()
+               ? regions[rng.NextBelow(regions.size())].base +
+                     static_cast<uint32_t>(rng.NextBelow(0x100))
+               : 0x10000 + static_cast<uint32_t>(rng.NextBelow(0x8000));
+  };
+  for (size_t i = 0; i < 8; ++i) {
     reference::Region region;
     region.base = 0x10000 + static_cast<uint32_t>(rng.NextBelow(64)) * 0x100;
     region.end = region.base + static_cast<uint32_t>(rng.NextBelow(8)) * 0x100;
     region.attr = static_cast<uint32_t>(rng.NextBelow(16));  // enable/lock/code/os
     regions.push_back(region);
-    const uint32_t reg =
-        kMpuRegionBank + static_cast<uint32_t>(i) * kMpuRegionStride;
-    mpu.Write(reg + 0, 4, region.base);
-    mpu.Write(reg + 4, 4, region.end);
-    mpu.Write(reg + 8, 4, region.attr);
+    mpu.Write(region_reg(i) + 0, 4, region.base);
+    mpu.Write(region_reg(i) + 4, 4, region.end);
+    mpu.Write(region_reg(i) + 8, 4, region.attr);
   }
   for (int i = 0; i < 16; ++i) {
-    const uint32_t subject =
-        rng.NextBool() ? kMpuSubjectAny
-                       : static_cast<uint32_t>(rng.NextBelow(8));
-    const uint32_t rule =
-        EncodeMpuRule(subject, static_cast<uint32_t>(rng.NextBelow(8)),
-                      rng.NextBool(), rng.NextBool(), rng.NextBool(),
-                      static_cast<uint32_t>(rng.NextBelow(3)));
-    rules.push_back(rule);
-    mpu.Write(kMpuRuleBank + static_cast<uint32_t>(i) * 4, 4, rule);
+    rules.push_back(random_rule());
+    mpu.Write(kMpuRuleBank + static_cast<uint32_t>(i) * 4, 4, rules.back());
   }
-  const uint32_t ctrl =
-      kMpuCtrlEnable | (rng.NextBool() ? kMpuCtrlCompatMode : 0u);
+  uint32_t ctrl = kMpuCtrlEnable | (rng.NextBool() ? kMpuCtrlCompatMode : 0u);
   mpu.Write(kMpuRegCtrl, 4, ctrl);
 
+  AccessContext ctx;
+  uint32_t addr = 0;
+  uint32_t width = 4;
   for (int i = 0; i < 2000; ++i) {
-    AccessContext ctx;
-    ctx.curr_ip = 0x10000 + static_cast<uint32_t>(rng.NextBelow(0x8000));
-    ctx.kind = static_cast<AccessKind>(rng.NextBelow(3));
-    ctx.privileged = rng.NextBool();
-    const uint32_t width = ctx.kind == AccessKind::kFetch || rng.NextBool()
-                               ? 4u
-                               : 1u;
-    uint32_t addr = 0x10000 + static_cast<uint32_t>(rng.NextBelow(0x8000));
-    if (width == 4) {
-      addr &= ~3u;
+    const bool rewrite = i > 0 && i % 50 == 0;
+    if (rewrite) {
+      const uint64_t what = rng.NextBelow(3);
+      if (what == 0) {
+        // A quarter of the new words are disabled rules.
+        const size_t index = rng.NextBelow(rules.size());
+        rules[index] = random_rule();
+        if (rng.NextBelow(4) == 0) {
+          rules[index] &= ~kMpuRuleEnable;
+        }
+        mpu.Write(kMpuRuleBank + static_cast<uint32_t>(index) * 4, 4,
+                  rules[index]);
+      } else if (what == 1) {
+        // A locked region ignores writes, so the model skips it too; new
+        // attrs never lock. Bounds land on half-words, so aligned words
+        // can straddle a region edge.
+        const size_t index = rng.NextBelow(regions.size());
+        const uint32_t field = static_cast<uint32_t>(rng.NextBelow(3));
+        const uint32_t value =
+            field == 2
+                ? static_cast<uint32_t>(rng.NextBelow(16)) & ~kMpuAttrLock
+                : 0x10000 + static_cast<uint32_t>(rng.NextBelow(72)) * 0x100 +
+                      static_cast<uint32_t>(rng.NextBelow(2)) * 2;
+        reference::Region& region = regions[index];
+        if ((region.attr & kMpuAttrLock) == 0) {
+          (field == 0 ? region.base : field == 1 ? region.end : region.attr) =
+              value;
+          mpu.Write(region_reg(index) + field * 4, 4, value);
+        }
+      } else {
+        ctrl ^= kMpuCtrlCompatMode;
+        mpu.Write(kMpuRegCtrl, 4, ctrl);
+      }
+    } else {
+      ctx.curr_ip = probe_addr();
+      ctx.kind = static_cast<AccessKind>(rng.NextBelow(3));
+      ctx.privileged = rng.NextBool();
+      width = ctx.kind == AccessKind::kFetch || rng.NextBool() ? 4u : 1u;
+      addr = probe_addr() & (width == 4 ? ~3u : ~0u);
     }
     const bool expected =
         reference::Allowed(regions, rules, ctrl, ctx, addr, width);
-    const bool actual = mpu.Check(ctx, addr, width) == AccessResult::kOk;
-    ASSERT_EQ(actual, expected)
-        << "seed=" << GetParam() << " i=" << i << " ip=" << ctx.curr_ip
-        << " kind=" << static_cast<int>(ctx.kind) << " addr=" << addr
-        << " width=" << width << " priv=" << ctx.privileged;
+    for (const bool fast_path : {true, false}) {
+      mpu.SetFastPath(fast_path);
+      const bool actual = mpu.Check(ctx, addr, width) == AccessResult::kOk;
+      ASSERT_EQ(actual, expected)
+          << "seed=" << GetParam() << " i=" << i << " ip=" << ctx.curr_ip
+          << " kind=" << static_cast<int>(ctx.kind) << " addr=" << addr
+          << " width=" << width << " priv=" << ctx.privileged
+          << " fast_path=" << fast_path;
+      ASSERT_EQ(sink.subject, reference::Subject(regions, ctx.curr_ip))
+          << "seed=" << GetParam() << " i=" << i << " ip=" << ctx.curr_ip
+          << " fast_path=" << fast_path;
+    }
   }
 }
 

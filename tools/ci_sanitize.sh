@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer build-and-test configurations:
 #  * ASan + UBSan over the full suite: cache/invalidation bugs in the
-#    simulator fast path (code cache, EA-MPU decision caches, bus routing
-#    memoization, superinstruction fusion's host backing pointers, the
+#    simulator fast path (code cache, EA-MPU subject/coverage memos, bus
+#    routing memoization, superinstruction fusion's host backing pointers, the
 #    data-access windows, and the SHA-NI/scalar SHA-256 engines) surface
 #    as sanitizer failures instead of heisenbugs. The fusion/windowed-
 #    differential and sha256_engine suites run here like everything else.

@@ -56,6 +56,8 @@ namespace {
 
 constexpr uint32_t kGuestOrigin = 0x0003'0000;
 constexpr uint32_t kGuestSp = 0x0004'0000;
+// QuantumPool starts threads - 1 OS threads up front.
+constexpr int kMaxThreads = 256;
 
 int Usage(bool help = false) {
   std::fprintf(
@@ -82,6 +84,10 @@ int Usage(bool help = false) {
       "  (with --config) -> snapshot scale-up (with --scale-up) -> drain\n"
       "  (docs/FLEET.md). workload: the guest runs bare on every node.\n"
       "\n"
+      "  --nodes N    fleet size, 1 to %d (node ids are 16-bit fabric\n"
+      "               ports)\n"
+      "  --threads T  host threads, at most %d (0 = hardware concurrency;\n"
+      "               default 1); results are bit-identical at any T\n"
       "  --quanta K   budget per phase before it fails closed (default\n"
       "               4000); a workload is one phase and stops early once\n"
       "               every node halted and the links are empty\n"
@@ -125,7 +131,8 @@ int Usage(bool help = false) {
       "  --stats      print the per-node table and link counters\n"
       "\n"
       "  run exits 0 only when every phase succeeded and the roster matches\n"
-      "  the tamper plan: tampered nodes quarantined, the rest admitted.\n");
+      "  the tamper plan: tampered nodes quarantined, the rest admitted.\n",
+      kMaxFleetNodes, kMaxThreads);
   return help ? 0 : 2;
 }
 
@@ -284,6 +291,20 @@ bool ParseOptions(const std::vector<std::string>& args, Options* opt) {
       opt->policy.phase_quanta == 0) {
     std::fprintf(stderr, "tlfleetd: need --nodes >= 1, --quantum > 0 and "
                          "--quanta > 0\n");
+    return false;
+  }
+  // Upper bounds, before any node or worker thread exists (Fleet's own
+  // node bound is an assert).
+  if (opt->fleet.nodes > kMaxFleetNodes) {
+    std::fprintf(stderr, "tlfleetd: --nodes must be at most %d (node ids "
+                         "are 16-bit fabric ports)\n",
+                 kMaxFleetNodes);
+    return false;
+  }
+  if (opt->fleet.threads > kMaxThreads) {
+    std::fprintf(stderr, "tlfleetd: --threads must be at most %d (0 = "
+                         "hardware concurrency)\n",
+                 kMaxThreads);
     return false;
   }
   if (opt->workload && opt->guest.empty()) {

@@ -445,10 +445,13 @@ int CmdRun(const std::vector<std::string>& args) {
                 static_cast<unsigned long long>(cpu.stats().interrupts));
     if (!no_mpu) {
       print_cache("mpu-subject", fp.mpu.subject_hits, fp.mpu.subject_misses);
-      print_cache("mpu-decision", fp.mpu.decision_hits, fp.mpu.decision_misses);
-      print_cache("mpu-fetch", fp.mpu.fetch_hits, fp.mpu.fetch_misses);
-      std::printf("  mpu checks %llu   faults %llu   mmio writes %llu\n",
+      // Rule-bank evaluations: data checks decided per coverage interval,
+      // and fetch checks (MpuStats).
+      std::printf("  mpu checks %llu   data-evals %llu   fetch-evals %llu   "
+                  "faults %llu   mmio writes %llu\n",
                   static_cast<unsigned long long>(fp.mpu.checks),
+                  static_cast<unsigned long long>(fp.mpu.decision_misses),
+                  static_cast<unsigned long long>(fp.mpu.fetch_misses),
                   static_cast<unsigned long long>(fp.mpu.faults),
                   static_cast<unsigned long long>(fp.mpu.mmio_writes));
     }
