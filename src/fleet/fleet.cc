@@ -198,6 +198,7 @@ std::vector<FleetNodeStatsRow> Fleet::SummaryRows() const {
     row.mpu_checks = fast.mpu.checks;
     row.irq_polls = cpu.irq_polls;
     row.trustlet_exceptions = cpu.trustlet_interrupts;
+    row.code_entries = fast.code_entries;
     rows.push_back(row);
   }
   return rows;

@@ -59,6 +59,7 @@ std::string FormatFleetStats(const std::vector<FleetNodeStatsRow>& rows,
   uint64_t total_tx = 0;
   uint64_t total_rx = 0;
   FleetNodeStatsRow sum;  // Fast-path counters, cycles summed over nodes.
+  uint64_t max_code_entries = 0;
   for (const FleetNodeStatsRow& row : rows) {
     std::snprintf(buf, sizeof(buf),
                   "%4d  %12" PRIu64 "  %10" PRIu64 "  %8" PRIu64 " %8" PRIu64
@@ -79,6 +80,9 @@ std::string FormatFleetStats(const std::vector<FleetNodeStatsRow>& rows,
     sum.mpu_checks += row.mpu_checks;
     sum.irq_polls += row.irq_polls;
     sum.trustlet_exceptions += row.trustlet_exceptions;
+    sum.code_entries += row.code_entries;
+    max_code_entries = row.code_entries > max_code_entries ? row.code_entries
+                                                           : max_code_entries;
   }
   std::snprintf(buf, sizeof(buf),
                 "fleet: %zu nodes   %" PRIu64 " instructions   %" PRIu64
@@ -93,14 +97,16 @@ std::string FormatFleetStats(const std::vector<FleetNodeStatsRow>& rows,
       "fast-path: insn %" PRIu64 "   fused %.1f%%   insn/group %.2f"
       "   decode-misses %" PRIu64 "   window-misses %" PRIu64
       "   mpu-checks %" PRIu64 "   irq-polls %" PRIu64
-      "   trustlet-exc/kcycle %.3f\n",
+      "   trustlet-exc/kcycle %.3f   code-entries %" PRIu64
+      " (max %" PRIu64 ")\n",
       total_insns,
       100.0 * ratio(static_cast<double>(sum.fusion_retired), total_insns),
       ratio(static_cast<double>(sum.fusion_retired), sum.fusion_groups),
       sum.decode_misses, sum.data_window_misses, sum.mpu_checks,
       sum.irq_polls,
       ratio(1000.0 * static_cast<double>(sum.trustlet_exceptions),
-            sum.cycles));
+            sum.cycles),
+      sum.code_entries, max_code_entries);
   out += buf;
   if (elapsed_seconds > 0.0) {
     std::snprintf(buf, sizeof(buf),

@@ -181,6 +181,7 @@ FastPathStats Platform::fast_path_stats() const {
   stats.fusion_invalidations = cpu_->stats().fusion_invalidations;
   stats.data_window_hits = cpu_->stats().data_window_hits;
   stats.data_window_misses = cpu_->stats().data_window_misses;
+  stats.code_entries = cpu_->code_entries();
   if (mpu_ != nullptr) {
     stats.mpu = mpu_->stats();
   }

@@ -75,6 +75,9 @@ struct FastPathStats {
   // Data-access window counters (see CpuStats in cpu.h).
   uint64_t data_window_hits = 0;
   uint64_t data_window_misses = 0;
+  // Entries the CPU's code cache holds, 128 bytes each: a gauge, not a
+  // counter (Cpu::code_entries; a snapshot restore resets it).
+  uint32_t code_entries = 0;
   MpuStats mpu;  // Zeroed when the platform has no MPU.
 };
 

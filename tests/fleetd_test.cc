@@ -562,8 +562,9 @@ TEST(FleetControllerTest, SessionsAreBitIdenticalAcrossThreadsHostileMatrix) {
 
 // --- The `fast-path:` line of tlfleetd --stats --------------------------
 // FormatFleetStats sums the fast-path counters that Fleet::SummaryRows reads
-// from each node. They are per node, so the line is the same at any thread
-// count.
+// from each node, and gives the code-cache entries the nodes hold in total
+// and on the largest node. They are per node, so the line is the same at
+// any thread count.
 
 // The fast-path line of a warm attested 8-node fleet after admission and one
 // epoch, run on `threads` workers; checked against sums read straight from
@@ -587,6 +588,8 @@ std::string FastPathLine(int threads) {
   CpuStats sum;
   uint64_t cycles = 0;
   uint64_t checks = 0;
+  uint64_t entries = 0;
+  uint64_t max_entries = 0;
   for (int i = 0; i < fleet.num_nodes(); ++i) {
     Platform& platform = fleet.node(i).platform();
     const CpuStats& cpu = platform.cpu().stats();
@@ -599,16 +602,21 @@ std::string FastPathLine(int threads) {
     sum.trustlet_interrupts += cpu.trustlet_interrupts;
     cycles += platform.cpu().cycles();
     checks += platform.mpu()->stats().checks;
+    const uint64_t node_entries = platform.cpu().code_entries();
+    entries += node_entries;
+    max_entries = std::max(max_entries, node_entries);
   }
   EXPECT_GT(sum.fusion_retired, 0u);
+  EXPECT_GT(max_entries, 0u);
   EXPECT_GT(sum.trustlet_interrupts, 0u);
-  char want[256];
+  char want[320];
   std::snprintf(
       want, sizeof(want),
       "fast-path: insn %" PRIu64 "   fused %.1f%%   insn/group %.2f"
       "   decode-misses %" PRIu64 "   window-misses %" PRIu64
       "   mpu-checks %" PRIu64 "   irq-polls %" PRIu64
-      "   trustlet-exc/kcycle %.3f",
+      "   trustlet-exc/kcycle %.3f   code-entries %" PRIu64 " (max %" PRIu64
+      ")",
       sum.instructions,
       100.0 * static_cast<double>(sum.fusion_retired) /
           static_cast<double>(sum.instructions),
@@ -616,7 +624,8 @@ std::string FastPathLine(int threads) {
           static_cast<double>(sum.fusion_groups),
       sum.decode_misses, sum.data_window_misses, checks, sum.irq_polls,
       1000.0 * static_cast<double>(sum.trustlet_interrupts) /
-          static_cast<double>(cycles));
+          static_cast<double>(cycles),
+      entries, max_entries);
 
   const std::string stats = FormatFleetStats(fleet.SummaryRows());
   const size_t start = stats.find("\nfast-path: ");

@@ -8,6 +8,7 @@
 // (fusion_groups > 0) before asserting that stale fused state did not leak
 // into guest-visible behavior.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -752,6 +753,88 @@ loop:
   EXPECT_EQ(long_run.builds, 0u);
   EXPECT_EQ(long_run.checks, short_run.checks);
   EXPECT_LE(long_run.checks, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// The code cache's pool (DESIGN.md §10): an entry per set looked up, never
+// more than the 512 sets. Fusion is off below, so every retired instruction
+// looks up its own set.
+
+// `far` is 512 words past `loop` in the same page, so the two share a set:
+// they alternate through one entry and each misses on every pass, as in any
+// direct-mapped cache. Anywhere else every instruction misses once.
+TEST(CodePoolTest, SetSharersAlternateThroughOneEntry) {
+  for (const bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "far shares loop's set" : "far has its own set");
+    PlatformConfig config;
+    config.with_mpu = false;
+    config.fusion = false;
+    Platform platform(config);
+    EXPECT_EQ(platform.cpu().code_entries(), 0u);
+    Install(platform, std::string(R"(
+.org 0x30000
+start:
+    movi r5, 0
+loop:
+    addi r5, r5, 1
+    jmp  far
+.org )") + (shared ? "0x30804" : "0x30104") + R"(
+far:
+    bne  r5, r6, loop
+    halt
+)");
+    constexpr uint64_t kPasses = 50;
+    RunPasses(platform, 0x30000, kPasses);
+    const CpuStats& stats = platform.cpu().stats();
+    EXPECT_EQ(platform.cpu().reg(5), kPasses);
+    EXPECT_EQ(stats.instructions, 3 * kPasses + 2);
+    if (shared) {
+      // movi, jmp and halt once (halt shares jmp's set), addi and bne on
+      // every pass.
+      EXPECT_EQ(stats.decode_misses, 2 * kPasses + 3);
+      EXPECT_EQ(platform.cpu().code_entries(), 3u);
+    } else {
+      EXPECT_EQ(stats.decode_misses, 5u);
+      EXPECT_EQ(platform.cpu().code_entries(), 5u);
+    }
+  }
+}
+
+// 2,048 straight-line instructions over two pages look up every set twice.
+// The pool holds one entry per set reached so far and stops at 512; a
+// restore empties it.
+TEST(CodePoolTest, SweepOfEverySetHoldsAtMostOneEntryPerSet) {
+  constexpr uint32_t kSets = 512;
+  constexpr uint64_t kLength = 4 * kSets;
+  PlatformConfig config;
+  config.with_mpu = false;
+  config.fusion = false;
+  Platform platform(config);
+  std::string source = ".org 0x30000\nstart:\n";
+  for (uint64_t i = 0; i < kLength; ++i) {
+    source += "    addi r3, r3, 1\n";
+  }
+  source += "    halt\n";
+  Install(platform, source);
+  for (uint64_t done = 0; done < kLength; done += 128) {
+    platform.Run(128);
+    ASSERT_EQ(platform.cpu().stats().instructions, done + 128);
+    EXPECT_EQ(platform.cpu().code_entries(),
+              std::min<uint64_t>(done + 128, kSets));
+  }
+  platform.Run(1);
+  EXPECT_TRUE(platform.cpu().halted());
+  EXPECT_EQ(platform.cpu().reg(3), kLength);
+  EXPECT_EQ(platform.cpu().stats().decode_misses, kLength + 1);
+  EXPECT_EQ(platform.cpu().code_entries(), kSets);
+  EXPECT_EQ(platform.fast_path_stats().code_entries, kSets);
+
+  platform.cpu().RestoreArchState(platform.cpu().SaveArchState());
+  EXPECT_EQ(platform.cpu().code_entries(), 0u);
+  // The rewound pool refills to the same bound.
+  RunPasses(platform, 0x30000, 0);
+  EXPECT_EQ(platform.cpu().code_entries(), kSets);
+  EXPECT_EQ(platform.cpu().stats().decode_misses, 2 * (kLength + 1));
 }
 
 // A trustlet storing round three data regions keeps one write window per

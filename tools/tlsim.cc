@@ -405,17 +405,21 @@ int CmdRun(const std::vector<std::string>& args) {
   std::printf("  ip=%08x flags=%08x\n", cpu.ip(), cpu.flags());
   if (stats) {
     const FastPathStats fp = platform.fast_path_stats();
-    auto print_cache = [](const char* name, uint64_t hits, uint64_t misses) {
+    auto print_cache = [](const char* name, uint64_t hits, uint64_t misses,
+                          const char* end = "\n") {
       const uint64_t total = hits + misses;
-      std::printf("  %-12s hits %-12llu misses %-12llu hit-rate %5.1f%%\n",
+      std::printf("  %-12s hits %-12llu misses %-12llu hit-rate %5.1f%%%s",
                   name, static_cast<unsigned long long>(hits),
                   static_cast<unsigned long long>(misses),
                   total == 0 ? 0.0 : 100.0 * static_cast<double>(hits) /
-                                         static_cast<double>(total));
+                                         static_cast<double>(total),
+                  end);
     };
     std::printf("--- fast-path stats ---\n");
     print_cache("bus-route", fp.bus.route_hits, fp.bus.route_misses);
-    print_cache("decode", fp.decode_hits, fp.decode_misses);
+    // The code cache's entries (128 bytes each) are its host memory.
+    print_cache("decode", fp.decode_hits, fp.decode_misses, "");
+    std::printf("   entries %u\n", fp.code_entries);
     print_cache("data-window", fp.data_window_hits, fp.data_window_misses);
     // Fusion "hit rate" = share of all retired instructions that retired
     // from inside a fused group (DESIGN.md §15).
