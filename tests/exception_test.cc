@@ -1162,6 +1162,60 @@ sleep:
   ExpectSameCpu(platform_, reference_);
 }
 
+// The fast run loop pins a wfi's fetch like any tombstone head: the wfi
+// issued again from the same predecessor, after a run cut short mid-sleep,
+// is read through its host backing with no fetch check. Under a foreign
+// protection unit, whose decisions no generation pins, and in Step() every
+// issue takes the real fetch.
+TEST_F(WfiTest, ReissuedWfiFetchIsPinnedUnderTheEaMpuOnly) {
+  class AllowAll : public ProtectionUnit {
+   public:
+    AccessResult Check(const AccessContext&, uint32_t, uint32_t) override {
+      ++checks;
+      return AccessResult::kOk;
+    }
+    uint64_t checks = 0;
+  };
+  PlatformConfig config = MakeConfig();
+  config.with_mpu = false;
+  Platform foreign(config);
+  AllowAll allow;
+  foreign.bus().SetProtectionUnit(&allow);
+  const std::string body = R"(
+    sti
+sleep:
+    wfi
+    halt
+)";
+  struct Case {
+    Platform* platform;
+    const uint64_t* checks;  // The protection unit's check count.
+    uint64_t rerun_checks;   // Of 100 re-issues.
+  };
+  ProgramStandardMpu(platform_);  // The app runs in open memory.
+  ProgramStandardMpu(reference_);
+  const Case cases[] = {
+      {&platform_, &platform_.mpu()->stats().checks, 0},
+      {&reference_, &reference_.mpu()->stats().checks, 100},
+      {&foreign, &allow.checks, 100},
+  };
+  for (const Case& c : cases) {
+    LoadApp(*c.platform, body);
+    ASSERT_EQ(c.platform->Run(1000), StepEvent::kSleep);
+    const uint64_t warm = *c.checks;
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_EQ(c.platform->Run(1), StepEvent::kSleep);
+    }
+    EXPECT_EQ(*c.checks - warm, c.rerun_checks);
+    const uint64_t stepped = *c.checks;
+    ASSERT_EQ(c.platform->cpu().Step(), StepEvent::kSleep);
+    EXPECT_EQ(*c.checks - stepped, 1u);
+    EXPECT_EQ(c.platform->cpu().stats().sleep_cycles, 102u);
+  }
+  ExpectSameCpu(platform_, reference_);
+  ExpectSameCpu(foreign, reference_);
+}
+
 TEST_F(WfiTest, RunUntilCycleStopsExactlyOnItsTargetMidSleep) {
   const std::string body = R"(
     li   r1, 0xF0002000
