@@ -328,12 +328,13 @@ BENCHMARK(BM_FleetdReattestEpoch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// One warm attestation node, admitted, then left idle: each 2,000-cycle
-// nanOS tick is one secure-engine round trip (DESIGN.md §15, "The yield
-// round trip") and nothing else runs. Null when admission fails.
-std::unique_ptr<Fleet> AdmittedIdleNode() {
+// `nodes` warm attestation nodes, admitted, then left idle on one executor
+// thread: each 2,000-cycle nanOS tick of a node is one secure-engine round
+// trip (DESIGN.md §15, "The yield round trip") and nothing else runs. Null
+// when admission fails.
+std::unique_ptr<Fleet> AdmittedIdleFleet(int nodes) {
   FleetConfig config;
-  config.nodes = 1;
+  config.nodes = nodes;
   config.seed = 7;
   auto fleet = std::make_unique<Fleet>(config);
   FleetProvisionConfig prov;
@@ -351,13 +352,22 @@ std::unique_ptr<Fleet> AdmittedIdleNode() {
   return fleet;
 }
 
-// The idle node's host work per tick, as plain (not rate) user counters:
+// Timer ticks taken so far, summed over the fleet's nodes.
+uint64_t FleetTicks(Fleet& fleet) {
+  uint64_t ticks = 0;
+  for (int i = 0; i < fleet.num_nodes(); ++i) {
+    ticks += fleet.node(i).platform().cpu().stats().interrupts;
+  }
+  return ticks;
+}
+
+// An idle node's host work per tick, as plain (not rate) user counters:
 // retired instructions, full EA-MPU checks, bus route misses and data-window
-// misses. They cover 100 quanta of a fresh node from AdmittedIdleNode, not
-// the timed loop, whose iteration count depends on the host: the same
-// build gives the same values on every host.
+// misses. They cover 100 quanta of a fresh one-node fleet, not the timed
+// loop, whose iteration count depends on the host: the same build gives the
+// same values on every host. Every idle node does the same work per tick.
 void SetIdleTickCounters(benchmark::State& state) {
-  const std::unique_ptr<Fleet> fleet = AdmittedIdleNode();
+  const std::unique_ptr<Fleet> fleet = AdmittedIdleFleet(1);
   if (fleet == nullptr) {
     return;
   }
@@ -382,24 +392,39 @@ void SetIdleTickCounters(benchmark::State& state) {
       per_tick(fp.data_window_misses - fp_before.data_window_misses);
 }
 
-// The idle node's round trips: items are timer ticks. Provisioning and
-// admission are untimed.
+// The idle round trips of N nodes: items are timer ticks over all nodes.
+// Provisioning and admission are untimed. code_entries_per_node is the
+// code-cache entries a node holds (128 bytes each): admission already ran
+// the tick's code, so it does not depend on the iteration count.
 void BM_FleetNodeIdleEpoch(benchmark::State& state) {
-  const std::unique_ptr<Fleet> fleet = AdmittedIdleNode();
+  const std::unique_ptr<Fleet> fleet =
+      AdmittedIdleFleet(static_cast<int>(state.range(0)));
   if (fleet == nullptr) {
     state.SkipWithError("provisioning or admission failed");
     return;
   }
-  const CpuStats& stats = fleet->node(0).platform().cpu().stats();
-  const uint64_t start_irqs = stats.interrupts;
+  const uint64_t start_ticks = FleetTicks(*fleet);
   for (auto _ : state) {
     fleet->RunQuanta(10);
   }
-  state.SetItemsProcessed(static_cast<int64_t>(stats.interrupts - start_irqs));
+  state.SetItemsProcessed(
+      static_cast<int64_t>(FleetTicks(*fleet) - start_ticks));
+  uint64_t entries = 0;
+  for (int i = 0; i < fleet->num_nodes(); ++i) {
+    entries += fleet->node(i).platform().fast_path_stats().code_entries;
+  }
+  state.counters["nodes"] = static_cast<double>(fleet->num_nodes());
+  state.counters["code_entries_per_node"] =
+      static_cast<double>(entries) / fleet->num_nodes();
   SetIdleTickCounters(state);
 }
 
-BENCHMARK(BM_FleetNodeIdleEpoch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetNodeIdleEpoch)
+    ->Arg(1)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
 
 // Snapshot-elasticity scale-up (DESIGN.md §17): clone K new nodes from a
 // running admitted fleet — snapshot save, restore onto the new id, in-place
